@@ -21,7 +21,6 @@ from .equivariant import (
     trivial_action,
 )
 from .errors import CapExceeded, InputError
-from .groups import conjugacy_classes
 from .hodge import hodge_product_check
 from .homs import parse_presentation
 from .sectors import gamma_sectors, iterate_sectors, product_sectors_check
@@ -40,13 +39,6 @@ EXIT_CAP = 3
 # Largest wreath group the centralizer table will cross-check element by
 # element; the formula column has no such bound.
 BRUTE_FORCE_ORDER_CAP = 20000
-
-
-def _type_rows(base, t):
-    labels = [base.label(c.representative) for c in conjugacy_classes(base)]
-    return [
-        {"class": labels[c], "r": r, "m": m} for (c, r), m in t.entries
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +73,16 @@ def cmd_wreath(args) -> tuple[dict, int]:
     wreath = WreathProduct(base, n)
 
     if args.what == "classes":
-        types = all_types(base, n)
-        rows = [
-            {
-                "type": _type_rows(base, t),
-                "centralizer_order": centralizer_order_by_formula(base, n, t),
-                "class_size": wreath.order
-                // centralizer_order_by_formula(base, n, t),
-            }
-            for t in types
-        ]
+        rows = []
+        for t in all_types(base, n):
+            cent = centralizer_order_by_formula(base, n, t)
+            rows.append(
+                {
+                    "type": t.to_json(base),
+                    "centralizer_order": cent,
+                    "class_size": wreath.order // cent,
+                }
+            )
         report = {
             "command": "wreath-classes",
             "group": args.group,
@@ -117,7 +109,7 @@ def cmd_wreath(args) -> tuple[dict, int]:
             all_equal = all_equal and equal
             rows.append(
                 {
-                    "type": _type_rows(base, t),
+                    "type": t.to_json(base),
                     "centralizer_formula": formula,
                     "centralizer_bruteforce": brute,
                     "equal": equal,
@@ -162,7 +154,6 @@ def _series_kwargs(args):
     return {
         "simplex_cap": args.cap_simplices,
         "hom_cap": args.cap_homs,
-        "workers": args.workers,
     }
 
 
@@ -319,7 +310,12 @@ def _add_common(sp):
         default=10**6,
         help="largest intermediate complex",
     )
-    sp.add_argument("--workers", type=int, help="worker threads for series")
+    sp.add_argument(
+        "--workers",
+        type=int,
+        help="accepted for compatibility and ignored; series terms are"
+        " computed in order in one thread",
+    )
     sp.add_argument("--out", help="also write the JSON report to this file")
 
 

@@ -102,14 +102,27 @@ def from_maximal(maximal, vertices=None) -> SimplicialComplex:
     return SimplicialComplex(simps, vertices=vertices, _skip_validation=True)
 
 
+def _vertex_ids(value, what: str) -> list:
+    """``value`` if it is a list of integer vertex ids, else InputError."""
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise InputError(
+            f"{what} must be a list of integer vertex ids, got {value!r}"
+        )
+    return value
+
+
 def complex_from_json(data) -> SimplicialComplex:
     if not isinstance(data, dict) or "maximal_simplices" not in data:
         raise InputError("complex spec needs a 'maximal_simplices' field")
     maximal = data["maximal_simplices"]
+    if not isinstance(maximal, list):
+        raise InputError("'maximal_simplices' must be a list of simplices")
+    for s in maximal:
+        _vertex_ids(s, "a maximal simplex")
     vertices = None
     if "vertices" in data:
         v = data["vertices"]
-        vertices = range(v) if isinstance(v, int) else v
+        vertices = range(v) if type(v) is int else _vertex_ids(v, "'vertices'")
     if not maximal and vertices is not None:
         return SimplicialComplex([(x,) for x in vertices])
     return from_maximal(maximal, vertices=vertices)

@@ -139,6 +139,8 @@ def action_from_generator_maps(cx, group, maps: dict) -> EquivariantComplex:
             row = tuple(m)
         if len(row) != n:
             raise InputError(f"vertex map for element {g} has wrong length")
+        if not all(v in vpos for v in row):
+            raise InputError(f"vertex map for element {g} leaves the complex")
         norm[g] = row
     rows.update(norm)
     frontier = list(rows)
@@ -333,17 +335,6 @@ def restrict_to_subgroup(
     sub, carrier = subgroup(ec.group, elements)
     action = tuple(ec.action[carrier[i]] for i in range(sub.order))
     return EquivariantComplex(ec.cx, sub, action, _skip_validation=True), sub, carrier
-
-
-def subcomplex_action(
-    ec: EquivariantComplex, sub: SimplicialComplex, group: FiniteGroup, carrier
-) -> EquivariantComplex:
-    """Restrict the action of selected parent elements to a subcomplex."""
-    rows = []
-    for i in range(group.order):
-        g = carrier[i]
-        rows.append(tuple(ec.apply(g, v) for v in sub.vertices))
-    return EquivariantComplex(sub, group, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

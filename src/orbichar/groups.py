@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import (
+    BadExtension,
     InputError,
     NoIdentity,
     NoInverse,
@@ -36,7 +37,11 @@ DEFAULT_ORDER_CAP = 10**6
 class FiniteGroup:
     """An immutable finite group with explicit multiplication table."""
 
-    __slots__ = ("table", "inverse", "identity", "labels", "order")
+    # ``_classes`` and ``_class_of`` hold the conjugacy data, filled on the
+    # first call to ``conjugacy_classes``; the table never changes, so
+    # neither does the data.
+    __slots__ = ("table", "inverse", "identity", "labels", "order",
+                 "_classes", "_class_of")
 
     def __init__(self, table, labels=None, _skip_validation=False):
         table = tuple(tuple(row) for row in table)
@@ -52,6 +57,8 @@ class FiniteGroup:
             if len(labels) != n:
                 raise InputError(f"expected {n} labels, got {len(labels)}")
         self.labels = labels
+        self._classes = None
+        self._class_of = None
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -228,21 +235,36 @@ class ConjugacyClass:
     members: tuple
 
 
-def conjugacy_classes(group: FiniteGroup) -> list[ConjugacyClass]:
-    """Conjugacy classes, sorted by least member; representative is lex-min."""
-    n = group.order
-    table, inverse = group.table, group.inverse
-    assigned = [False] * n
-    classes = []
-    for x in range(n):
-        if assigned[x]:
-            continue
-        orbit = {table[table[g][x]][inverse[g]] for g in range(n)}
-        for y in orbit:
-            assigned[y] = True
-        members = tuple(sorted(orbit))
-        classes.append(ConjugacyClass(members[0], members))
-    return classes
+def conjugacy_classes(group: FiniteGroup) -> tuple[ConjugacyClass, ...]:
+    """Conjugacy classes, sorted by least member; representative is lex-min.
+
+    Computed once per group and stored on it; later calls return the same
+    tuple.
+    """
+    if group._classes is None:
+        n = group.order
+        table, inverse = group.table, group.inverse
+        class_of = [-1] * n
+        classes = []
+        for x in range(n):
+            if class_of[x] >= 0:
+                continue
+            orbit = {table[table[g][x]][inverse[g]] for g in range(n)}
+            for y in orbit:
+                class_of[y] = len(classes)
+            members = tuple(sorted(orbit))
+            classes.append(ConjugacyClass(members[0], members))
+        group._class_of = tuple(class_of)
+        group._classes = tuple(classes)
+    return group._classes
+
+
+def class_index(group: FiniteGroup) -> tuple:
+    """``class_index(group)[x]`` is the position of x's class in
+    ``conjugacy_classes(group)``."""
+    if group._class_of is None:
+        conjugacy_classes(group)
+    return group._class_of
 
 
 def centralizer(group: FiniteGroup, elements) -> tuple:
@@ -303,6 +325,39 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> tuple[FiniteGroup, list]
     ]
     labels = [f"({g1.label(a)},{g2.label(b)})" for (a, b) in pairs]
     return FiniteGroup(table, labels=labels, _skip_validation=True), pairs
+
+
+def central_cyclic_extension(
+    group: FiniteGroup, z: int, r: int
+) -> tuple[FiniteGroup, list]:
+    """The extension K<a> with a^r = z for a central element z of K.
+
+    Elements are pairs (k, i) with 0 <= i < r, indexed k*r + i, multiplied
+    by (k1, i1)(k2, i2) = (k1 k2 z^((i1+i2) div r), (i1+i2) mod r); the new
+    generator a = (e, 1) is central, and <a> meets K exactly in <z> = <a^r>.
+    """
+    if r < 1:
+        raise BadExtension("extension degree r must be >= 1")
+    if not 0 <= z < group.order:
+        raise BadExtension(f"element index {z} out of range")
+    if not is_central(group, z):
+        raise BadExtension(f"element {z} is not central")
+    t = group.table
+    # For k = k1 k2 and s = i1 + i2, the product is low[k][s] = (k, s) when
+    # s < r and high[k][s - r] = (k z, s - r) when the exponents carry.
+    low = [[k * r + s for s in range(r)] for k in group.elements()]
+    high = [[t[k][z] * r + s for s in range(r)] for k in group.elements()]
+    table = []
+    for k1 in group.elements():
+        row_k = t[k1]
+        for i1 in range(r):
+            row = []
+            for k2 in group.elements():
+                k = row_k[k2]
+                row += low[k][i1:] + high[k][:i1]
+            table.append(row)
+    pairs = [(k, i) for k in group.elements() for i in range(r)]
+    return FiniteGroup(table, _skip_validation=True), pairs
 
 
 # ---------------------------------------------------------------------------

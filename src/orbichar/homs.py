@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import EnumerationCapExceeded, InputError, InvalidWord
-from .groups import FiniteGroup, centralizer
+from .groups import FiniteGroup
 
 DEFAULT_HOM_CAP = 10**8
 
@@ -120,24 +120,6 @@ class GroupHom:
     def evaluate(self, word) -> int:
         return evaluate_word(self.group, self.images, word)
 
-    def image_elements(self) -> tuple:
-        """Sorted tuple of the image subgroup's elements."""
-        g = self.group
-        seen = {g.identity}
-        frontier = [g.identity]
-        gens = set(self.images) | {g.inverse[x] for x in self.images}
-        while frontier:
-            x = frontier.pop()
-            for a in gens:
-                y = g.table[x][a]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return tuple(sorted(seen))
-
-    def centralizer_elements(self) -> tuple:
-        return centralizer(self.group, self.images)
-
 
 def evaluate_word(group: FiniteGroup, images, word) -> int:
     validate_word(word, len(images))
@@ -228,25 +210,3 @@ def hom_classes(
         visited.update(orbit)
         classes.append(HomClass(GroupHom(group, min(orbit)), len(orbit)))
     return classes
-
-
-def compose_with(
-    words, phi: GroupHom, source: Presentation | None = None
-) -> GroupHom:
-    """Compose a map given on generators with phi.
-
-    ``words[i]`` is the image of source generator i as a word in phi's
-    domain generators.  If ``source`` is given, its relators are checked to
-    map to the identity (i.e. the data really defines a homomorphism).
-    """
-    images = tuple(phi.evaluate(w) for w in words)
-    composite = GroupHom(phi.group, images)
-    if source is not None:
-        if source.generators != len(words):
-            raise InputError(
-                f"expected {source.generators} words, got {len(words)}"
-            )
-        for rel in source.relators:
-            if composite.evaluate(rel) != phi.group.identity:
-                raise InputError(f"relator {rel} does not map to the identity")
-    return composite

@@ -230,11 +230,16 @@ def equivariant_from_json(data, group: FiniteGroup) -> EquivariantComplex:
     cx = complex_from_json(data)
     if "action" not in data:
         return trivial_action(cx, group)
+    action = data["action"]
+    if not isinstance(action, dict):
+        raise InputError("'action' must map group element labels to vertex lists")
     by_label = {group.label(g): g for g in group.elements()}
     maps = {}
-    for label, row in dict(data["action"]).items():
+    for label, row in action.items():
         if label not in by_label:
             raise InputError(f"action names unknown group element {label!r}")
+        if not isinstance(row, list):
+            raise InputError(f"action of {label!r} must be a list of vertex images")
         maps[by_label[label]] = tuple(row)
     from .equivariant import action_from_generator_maps
 

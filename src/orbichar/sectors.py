@@ -29,7 +29,7 @@ from .equivariant import (
     regularize,
 )
 from .errors import BadExtension, InputError
-from .groups import FiniteGroup, centralizer, is_central, subgroup
+from .groups import FiniteGroup, central_cyclic_extension, centralizer, subgroup
 from .homs import (
     DEFAULT_HOM_CAP,
     HomClass,
@@ -212,35 +212,6 @@ def product_sectors_check(
         and report["chi_top_multiplies"]
     )
     return report
-
-
-def central_cyclic_extension(
-    group: FiniteGroup, z: int, r: int
-) -> tuple[FiniteGroup, list]:
-    """The extension K<a> with a^r = z for a central element z of K.
-
-    Elements are pairs (k, i) with 0 <= i < r, indexed k*r + i, multiplied
-    by (k1, i1)(k2, i2) = (k1 k2 z^((i1+i2) div r), (i1+i2) mod r); the new
-    generator a = (e, 1) is central, and <a> meets K exactly in <z> = <a^r>.
-    """
-    if r < 1:
-        raise BadExtension("extension degree r must be >= 1")
-    if not 0 <= z < group.order:
-        raise BadExtension(f"element index {z} out of range")
-    if not is_central(group, z):
-        raise BadExtension(f"element {z} is not central")
-    pairs = [(k, i) for k in group.elements() for i in range(r)]
-    table = []
-    for (k1, i1) in pairs:
-        row = []
-        for (k2, i2) in pairs:
-            carry = (i1 + i2) // r
-            k = group.table[k1][k2]
-            for _ in range(carry):
-                k = group.table[k][z]
-            row.append(k * r + (i1 + i2) % r)
-        table.append(row)
-    return FiniteGroup(table, _skip_validation=True), pairs
 
 
 def trivial_extension_scaling_check(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -487,29 +486,22 @@ def _wreath_coefficient(
         raise SizeCapExceeded(f"wreath power n={n}: {exc}") from exc
 
 
-def _collect_terms(fn, order: int, workers) -> tuple:
+def _collect_terms(fn, order: int) -> tuple:
     """Values fn(0..order) in order, stopping at the first capped term.
 
     Returns (values, note); note is None when every term landed, else the
-    cap message of the first n that failed.
+    cap message of the first n that failed.  Terms are computed in the
+    calling thread; the ``workers`` argument of the functions below is
+    accepted and ignored.
     """
     values: list = []
     note = None
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(fn, range(order + 1))
-            try:
-                for value in results:
-                    values.append(Fraction(value))
-            except CapExceeded as exc:
-                note = str(exc)
-    else:
-        for n in range(order + 1):
-            try:
-                values.append(Fraction(fn(n)))
-            except CapExceeded as exc:
-                note = str(exc)
-                break
+    for n in range(order + 1):
+        try:
+            values.append(Fraction(fn(n)))
+        except CapExceeded as exc:
+            note = str(exc)
+            break
     return values, note
 
 
@@ -531,7 +523,7 @@ def lhs_wreath_series(
     def fn(n: int) -> Fraction:
         return _wreath_coefficient(rec, n, parsed, order_cap, simplex_cap, hom_cap)
 
-    values, note = _collect_terms(fn, order, workers)
+    values, note = _collect_terms(fn, order)
     if note is not None:
         raise SizeCapExceeded(note)
     return TruncatedSeries(tuple(values))
@@ -578,7 +570,7 @@ def verify_exp_formula(
             rec, n, ("es", None), order_cap, simplex_cap, hom_cap
         )
 
-    values, note = _collect_terms(fn, order, workers)
+    values, note = _collect_terms(fn, order)
     report = {"identity": "exp-formula", "chi_es": str(chi), "order": order}
     report.update(_compare_report(values, rhs, note))
     return report
@@ -601,7 +593,7 @@ def verify_main_formula(
     def fn(n: int) -> Fraction:
         return _wreath_coefficient(rec, n, parsed, order_cap, simplex_cap, hom_cap)
 
-    values, note = _collect_terms(fn, order, workers)
+    values, note = _collect_terms(fn, order)
     report = {
         "identity": "main-product-formula",
         "m": m,
@@ -686,8 +678,8 @@ def macdonald_dimension_check(
         except CapExceeded as exc:
             raise SizeCapExceeded(f"wreath power n={n}: {exc}") from exc
 
-    lhs1, note1 = _collect_terms(quotient_dim, order, workers)
-    lhs2, note2 = _collect_terms(sector_dim, order, workers)
+    lhs1, note1 = _collect_terms(quotient_dim, order)
+    lhs2, note2 = _collect_terms(sector_dim, order)
     part1 = {"dimension": d1}
     part1.update(_compare_report(lhs1, rhs1, note1))
     part2 = {"dimension": d2}

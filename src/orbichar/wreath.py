@@ -23,16 +23,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError, InvalidType, OrderCapExceeded
 from .groups import (
     FiniteGroup,
-    ConjugacyClass,
+    central_cyclic_extension,
     centralizer,
+    class_index,
     conjugacy_classes,
     perm_compose,
     perm_inverse,
+    subgroup,
 )
 
 DEFAULT_WREATH_ORDER_CAP = 10**6
@@ -127,11 +129,6 @@ class WreathProduct:
             cyc = list(range(1, n)) + [0]
             gens.append(WreathElement((e,) * n, tuple(cyc)))
         return gens
-
-    def embed_base(self, x: int, position: int = 0) -> WreathElement:
-        comps = [self.base.identity] * self.size
-        comps[position] = x
-        return WreathElement(tuple(comps), tuple(range(self.size)))
 
     def to_group(self, order_cap: int = DEFAULT_WREATH_ORDER_CAP) -> "ExplicitWreath":
         return ExplicitWreath(self, order_cap=order_cap)
@@ -257,11 +254,7 @@ def cycle_decomposition(wreath: WreathProduct, w: WreathElement) -> list[CycleDa
     well defined.
     """
     base = wreath.base
-    classes = conjugacy_classes(base)
-    class_of = {}
-    for i, cls in enumerate(classes):
-        for x in cls.members:
-            class_of[x] = i
+    class_of = class_index(base)
     seen = [False] * wreath.size
     out = []
     for start in range(wreath.size):
@@ -426,29 +419,10 @@ def centralizer_extension(base: FiniteGroup, c: int, r: int) -> FiniteGroup:
     and a_{r,c}: order r * |C_G(c)|, with a_{r,c}^r the diagonal of c.
 
     This is the isotropy model attached to an r-cycle with product class
-    (c); its wreath powers drive the centralizer decomposition.
+    (c); its wreath powers drive the centralizer decomposition.  a_{r,c}
+    commutes with the diagonal of C_G(c) and meets it in <diag c>, so the
+    group is the central extension of C_G(c) by a with a^r = c.
     """
-    wreath = WreathProduct(base, r)
-    a = cycle_standard_element(wreath, c, r)
-    cent = centralizer(base, [c])
-    elems = []
-    for h in cent:
-        diag = WreathElement((h,) * r, tuple(range(r)))
-        x = diag
-        for _ in range(r):
-            elems.append(x)
-            x = wreath.mul(x, a)
-    elems = sorted(set(elems), key=lambda w: (w.components, w.perm))
-    if len(elems) != r * len(cent):
-        raise InputError("centralizer extension is not of the expected order")
-    index = {w: i for i, w in enumerate(elems)}
-    table = []
-    for x in elems:
-        row = []
-        for y in elems:
-            z = wreath.mul(x, y)
-            if z not in index:
-                raise InputError("centralizer extension is not closed")
-            row.append(index[z])
-        table.append(tuple(row))
-    return FiniteGroup(tuple(table), _skip_validation=True)
+    k, carrier = subgroup(base, centralizer(base, [c]))
+    ext, _pairs = central_cyclic_extension(k, carrier.index(c), r)
+    return ext

@@ -75,6 +75,30 @@ def test_euler_json_complex(tmp_path, capsys):
     assert report["sector_count"] == 1
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"vertices": [0, 1], "maximal_simplices": [[0, "x"]]},
+        {"vertices": "ab", "maximal_simplices": [[0]]},
+        {"vertices": 2, "maximal_simplices": [[0], [1]], "action": {"g": [1, "x"]}},
+        {"vertices": 2, "maximal_simplices": [[0], [1]], "action": {"g": [1, 7]}},
+        {"vertices": 2, "maximal_simplices": [[0], [1]], "action": {"g": 5}},
+        {"vertices": 2, "maximal_simplices": [[0], [1]], "action": [1, 0]},
+    ],
+    ids=["mixed-ids", "vertex-string", "action-id", "action-range",
+         "action-row", "action-list"],
+)
+def test_euler_json_complex_rejects_malformed_ids(tmp_path, capsys, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "euler", "--complex", str(path), "--group", "Z2")
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_wreath_classes_z2(capsys):
     code, report = run_json(capsys, "wreath", "classes", "--group", "Z2", "--n", "2")
     assert code == 0

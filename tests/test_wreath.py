@@ -4,11 +4,16 @@ import pytest
 
 from orbichar.errors import InputError, InvalidType, OrderCapExceeded
 from orbichar.groups import (
+    FiniteGroup,
+    centralizer,
+    class_index,
     conjugacy_classes,
     cyclic_group,
+    dihedral_group,
     symmetric_group,
     trivial_group,
 )
+from orbichar.series import point_wreath_chi_m
 from orbichar.wreath import (
     TypeFunction,
     WreathElement,
@@ -180,3 +185,66 @@ def test_centralizer_extension_is_abelian_over_cyclic():
     ext = centralizer_extension(base, 1, 3)
     assert ext.order == 12
     assert ext.is_abelian()
+
+
+def _wreath_product_extension(base, c, r):
+    """Test oracle: <diag C_G(c), a_{r,c}> built inside G ~ S_r by
+    multiplying wreath elements, independently of the central-extension
+    construction used by ``centralizer_extension``."""
+    wreath = WreathProduct(base, r)
+    a = cycle_standard_element(wreath, c, r)
+    cent = centralizer(base, [c])
+    elems = []
+    for h in cent:
+        x = WreathElement((h,) * r, tuple(range(r)))
+        for _ in range(r):
+            elems.append(x)
+            x = wreath.mul(x, a)
+    elems = sorted(set(elems), key=lambda w: (w.components, w.perm))
+    assert len(elems) == r * len(cent)
+    index = {w: i for i, w in enumerate(elems)}
+    table = [[index[wreath.mul(x, y)] for y in elems] for x in elems]
+    return FiniteGroup(table, _skip_validation=True)
+
+
+def _element_orders(group):
+    return sorted(group.element_order(x) for x in group.elements())
+
+
+@pytest.mark.parametrize(
+    "base",
+    [symmetric_group(3), dihedral_group(4), cyclic_group(3), symmetric_group(4)],
+    ids=["S3", "D4", "Z3", "S4"],
+)
+def test_centralizer_extension_matches_wreath_subgroup(base):
+    for cls in conjugacy_classes(base):
+        for r in range(1, 5):
+            ext = centralizer_extension(base, cls.representative, r)
+            oracle = _wreath_product_extension(base, cls.representative, r)
+            assert ext.order == oracle.order
+            assert _element_orders(ext) == _element_orders(oracle)
+            assert ext.is_abelian() == oracle.is_abelian()
+            for n in range(1, 4):
+                for m in (1, 2):
+                    assert point_wreath_chi_m(ext, n, m) == point_wreath_chi_m(
+                        oracle, n, m
+                    )
+
+
+def test_class_data_is_stored_once():
+    for g in (symmetric_group(4), dihedral_group(4), cyclic_group(5)):
+        classes = conjugacy_classes(g)
+        assert isinstance(classes, tuple)
+        assert conjugacy_classes(g) is classes
+        assert class_index(g) is class_index(g)
+        # a fresh computation by raw orbit scans agrees with the stored data
+        orbits = {
+            tuple(sorted({g.conj(h, x) for h in g.elements()}))
+            for x in g.elements()
+        }
+        assert sorted(orbits) == [c.members for c in classes]
+        for i, cls in enumerate(classes):
+            assert all(class_index(g)[x] == i for x in cls.members)
+        fresh = FiniteGroup(g.table, _skip_validation=True)
+        assert conjugacy_classes(fresh) == classes
+
