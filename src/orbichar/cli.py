@@ -36,10 +36,6 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 
-# Largest wreath group the centralizer table will cross-check element by
-# element; the formula column has no such bound.
-BRUTE_FORCE_ORDER_CAP = 20000
-
 
 # ---------------------------------------------------------------------------
 # commands
@@ -94,11 +90,6 @@ def cmd_wreath(args) -> tuple[dict, int]:
         return report, EXIT_PASS
 
     if args.what == "centralizers":
-        if wreath.order > BRUTE_FORCE_ORDER_CAP:
-            raise CapExceeded(
-                f"wreath order {wreath.order} exceeds the brute-force"
-                f" cross-check cap {BRUTE_FORCE_ORDER_CAP}"
-            )
         by_type = classify_conjugacy_by_type(base, n)
         rows = []
         all_equal = True

@@ -67,9 +67,6 @@ class SimplicialComplex:
             out[len(s) - 1] += 1
         return out
 
-    def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self.simplex_set <= other.simplex_set
-
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialComplex)

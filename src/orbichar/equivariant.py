@@ -38,7 +38,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .groups import FiniteGroup, direct_product, subgroup
-from .wreath import ExplicitWreath, WreathProduct
+from .wreath import DEFAULT_WREATH_ORDER_CAP, ExplicitWreath, WreathProduct
 
 
 class EquivariantComplex:
@@ -97,17 +97,6 @@ class EquivariantComplex:
             orbit = {self.apply(g, v) for g in self.group.elements()}
             seen.update(orbit)
             orbits.append(tuple(sorted(orbit)))
-        return orbits
-
-    def simplex_orbits(self) -> list[tuple]:
-        seen = set()
-        orbits = []
-        for s in self.cx.simplices:
-            if s in seen:
-                continue
-            orbit = {self.map_simplex(g, s) for g in self.group.elements()}
-            seen.update(orbit)
-            orbits.append(tuple(sorted(orbit, key=lambda t: (len(t), t))))
         return orbits
 
     def __repr__(self):
@@ -413,7 +402,7 @@ def equivariant_product(
 def power_with_wreath_action(
     rec: RegularEquivariantComplex,
     n: int,
-    order_cap: int = 10**6,
+    order_cap: int = DEFAULT_WREATH_ORDER_CAP,
     simplex_cap: int = DEFAULT_SIMPLEX_CAP,
 ) -> tuple[EquivariantComplex, ExplicitWreath]:
     """The n-fold product with the wreath action: the tuple part acts

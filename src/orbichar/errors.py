@@ -79,10 +79,6 @@ class RegularizationFailed(InputError):
     """
 
 
-class NoVertexOrder(InputError):
-    """A staircase product was requested without usable vertex orders."""
-
-
 class SizeCapExceeded(CapExceeded):
     """A complex construction would exceed the simplex cap."""
 

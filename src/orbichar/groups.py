@@ -150,6 +150,32 @@ def build_group(table, labels=None) -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
+# orbit closure
+
+
+def orbit(start, generators, act, cap: int | None = None) -> set:
+    """Everything reachable from ``start`` by steps x -> act(x, g), g in
+    ``generators``.
+
+    When the generators act through a finite group, every group element is
+    a positive word in them, so no inverses are needed.  Raises
+    OrderCapExceeded as soon as the orbit would grow past ``cap``.
+    """
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = act(x, g)
+            if y not in seen:
+                if cap is not None and len(seen) >= cap:
+                    raise OrderCapExceeded(f"orbit closure exceeds cap {cap}")
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+# ---------------------------------------------------------------------------
 # permutation closures
 
 
@@ -204,21 +230,7 @@ def build_group_from_permutations(
             raise InputError("need a degree when no generators are given")
         degree = len(generators[0])
     gens = [check_perm(g, degree) for g in generators]
-    identity = tuple(range(degree))
-    seen = {identity}
-    queue = [identity]
-    while queue:
-        p = queue.pop()
-        for g in gens:
-            q = perm_compose(p, g)
-            if q not in seen:
-                if len(seen) >= order_cap:
-                    raise OrderCapExceeded(
-                        f"permutation closure exceeds order cap {order_cap}"
-                    )
-                seen.add(q)
-                queue.append(q)
-    elems = sorted(seen)
+    elems = sorted(orbit(tuple(range(degree)), gens, perm_compose, cap=order_cap))
     index = {p: i for i, p in enumerate(elems)}
     table = [[index[perm_compose(p, q)] for q in elems] for p in elems]
     labels = [perm_cycle_label(p) for p in elems]

@@ -48,14 +48,10 @@ from .errors import (
     NonInvertibleSeries,
     SizeCapExceeded,
 )
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import FiniteGroup, conjugacy_classes, orbit
 from .homs import DEFAULT_HOM_CAP, free_abelian
 from .sectors import chi_m_top, gamma_sectors
-from .wreath import all_types, centralizer_extension
-
-# Explicit wreath powers need a full multiplication table, so their order cap
-# is far smaller than the caps used elsewhere.
-DEFAULT_LHS_ORDER_CAP = 2000
+from .wreath import DEFAULT_WREATH_ORDER_CAP, all_types, centralizer_extension
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +288,9 @@ def sublattice_count_bruteforce(r: int, m: int, exhaustive: bool = False) -> int
 def _residue_span(rows: list, r: int, m: int) -> frozenset:
     """The subgroup of (Z/r)^m generated by the rows."""
     gens = [tuple(v % r for v in row) for row in rows]
-    zero = (0,) * m
-    elems = {zero}
-    frontier = [zero]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = tuple((a + b) % r for a, b in zip(x, g))
-            if y not in elems:
-                elems.add(y)
-                frontier.append(y)
-    return frozenset(elems)
+    return frozenset(
+        orbit((0,) * m, gens, lambda x, g: tuple((a + b) % r for a, b in zip(x, g)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +462,36 @@ def _wreath_coefficient(
         if tag == "es":
             return Fraction(1, group.order**n * math.factorial(n))
         return Fraction(point_wreath_chi_m(group, n, m))
-    try:
-        ec, _ew = power_with_wreath_action(
-            rec, n, order_cap=order_cap, simplex_cap=simplex_cap
-        )
-        rec_n = regularize(ec)
+
+    def term(rec_n: RegularEquivariantComplex) -> Fraction:
         if tag == "es":
             return euler_satake(rec_n)
         return Fraction(chi_m_top(rec_n, m, cap=hom_cap))
+
+    return _regular_power(rec, n, term, {}, order_cap, simplex_cap)
+
+
+def _regular_power(
+    rec: RegularEquivariantComplex,
+    n: int,
+    term,
+    built: dict,
+    order_cap: int,
+    simplex_cap: int,
+):
+    """``term`` of the regularized n-th wreath power of the complex.
+
+    The power is kept in ``built`` under n, so callers that pass the same
+    dict build it once.  A cap that trips while building the power or
+    computing the term is re-raised naming n.
+    """
+    try:
+        if n not in built:
+            ec, _ew = power_with_wreath_action(
+                rec, n, order_cap=order_cap, simplex_cap=simplex_cap
+            )
+            built[n] = regularize(ec)
+        return term(built[n])
     except CapExceeded as exc:
         raise SizeCapExceeded(f"wreath power n={n}: {exc}") from exc
 
@@ -509,7 +519,7 @@ def lhs_wreath_series(
     rec: RegularEquivariantComplex,
     kind,
     order: int,
-    order_cap: int = DEFAULT_LHS_ORDER_CAP,
+    order_cap: int = DEFAULT_WREATH_ORDER_CAP,
     simplex_cap: int = DEFAULT_SIMPLEX_CAP,
     hom_cap: int = DEFAULT_HOM_CAP,
     workers: int | None = None,
@@ -556,7 +566,7 @@ def _compare_report(lhs_values: list, rhs: TruncatedSeries, note) -> dict:
 def verify_exp_formula(
     rec: RegularEquivariantComplex,
     order: int,
-    order_cap: int = DEFAULT_LHS_ORDER_CAP,
+    order_cap: int = DEFAULT_WREATH_ORDER_CAP,
     simplex_cap: int = DEFAULT_SIMPLEX_CAP,
     hom_cap: int = DEFAULT_HOM_CAP,
     workers: int | None = None,
@@ -580,7 +590,7 @@ def verify_main_formula(
     rec: RegularEquivariantComplex,
     m: int,
     order: int,
-    order_cap: int = DEFAULT_LHS_ORDER_CAP,
+    order_cap: int = DEFAULT_WREATH_ORDER_CAP,
     simplex_cap: int = DEFAULT_SIMPLEX_CAP,
     hom_cap: int = DEFAULT_HOM_CAP,
     workers: int | None = None,
@@ -620,7 +630,7 @@ def _z_sector_dimension(rec: RegularEquivariantComplex, hom_cap: int) -> int:
 def macdonald_dimension_check(
     rec: RegularEquivariantComplex,
     order: int,
-    order_cap: int = DEFAULT_LHS_ORDER_CAP,
+    order_cap: int = DEFAULT_WREATH_ORDER_CAP,
     simplex_cap: int = DEFAULT_SIMPLEX_CAP,
     hom_cap: int = DEFAULT_HOM_CAP,
     workers: int | None = None,
@@ -646,21 +656,20 @@ def macdonald_dimension_check(
     for j in range(1, order + 1):
         rhs2 = rhs2 * one_minus_q_power(j, order) ** (-d2)
 
+    # Both parts read the same wreath powers; each is built once.
+    built: dict = {}
+
     def quotient_dim(n: int) -> Fraction:
-        if n == 0:
+        if n == 0 or point:
             return Fraction(1)
-        if point:
-            return Fraction(1)
-        try:
-            ec, _ew = power_with_wreath_action(
-                rec, n, order_cap=order_cap, simplex_cap=simplex_cap
-            )
-            rec_n = regularize(ec)
-            return Fraction(
-                signed_total_dimension(betti_numbers(orbit_complex(rec_n)))
-            )
-        except CapExceeded as exc:
-            raise SizeCapExceeded(f"wreath power n={n}: {exc}") from exc
+        return _regular_power(
+            rec,
+            n,
+            lambda rec_n: signed_total_dimension(betti_numbers(orbit_complex(rec_n))),
+            built,
+            order_cap,
+            simplex_cap,
+        )
 
     def sector_dim(n: int) -> Fraction:
         if n == 0:
@@ -669,14 +678,14 @@ def macdonald_dimension_check(
             # Each conjugacy class is a sector over a point, so the
             # coefficient is the number of classes, i.e. of types.
             return Fraction(point_wreath_chi_m(rec.group, n, 1))
-        try:
-            ec, _ew = power_with_wreath_action(
-                rec, n, order_cap=order_cap, simplex_cap=simplex_cap
-            )
-            rec_n = regularize(ec)
-            return Fraction(_z_sector_dimension(rec_n, hom_cap))
-        except CapExceeded as exc:
-            raise SizeCapExceeded(f"wreath power n={n}: {exc}") from exc
+        return _regular_power(
+            rec,
+            n,
+            lambda rec_n: _z_sector_dimension(rec_n, hom_cap),
+            built,
+            order_cap,
+            simplex_cap,
+        )
 
     lhs1, note1 = _collect_terms(quotient_dim, order)
     lhs2, note2 = _collect_terms(sector_dim, order)

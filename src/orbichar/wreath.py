@@ -27,20 +27,26 @@ from dataclasses import dataclass
 
 from .errors import InputError, InvalidType, OrderCapExceeded
 from .groups import (
+    ConjugacyClass,
     FiniteGroup,
     central_cyclic_extension,
     centralizer,
     class_index,
     conjugacy_classes,
+    orbit,
     perm_compose,
     perm_inverse,
     subgroup,
 )
 
-DEFAULT_WREATH_ORDER_CAP = 10**6
+# Largest wreath group built as an explicit |W|^2 multiplication table.
+DEFAULT_WREATH_ORDER_CAP = 2000
+# Largest wreath group whose conjugacy classes are found element by element
+# (by generator orbits, without a table) to cross-check the type formulas.
+BRUTE_FORCE_ORDER_CAP = 20000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class WreathElement:
     components: tuple  # base-group element per position
     perm: tuple        # one-line permutation of positions
@@ -135,23 +141,15 @@ class WreathProduct:
 
 
 def _greedy_base_generators(base: FiniteGroup, n: int) -> list[WreathElement]:
+    """Each element not in the subgroup generated by the earlier choices,
+    in index order, placed in slot 0."""
     e = base.identity
     closed = {e}
     chosen = []
     for x in base.elements():
-        if x in closed:
-            continue
-        chosen.append(x)
-        frontier = list(closed)
-        closed.add(x)
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for z in list(closed):
-                for w in (base.table[y][z], base.table[z][y]):
-                    if w not in closed:
-                        closed.add(w)
-                        queue.append(w)
+        if x not in closed:
+            chosen.append(x)
+            closed = orbit(e, chosen, base.mul)
     idperm = tuple(range(n))
     out = []
     for x in chosen:
@@ -204,12 +202,6 @@ class TypeFunction:
 
     def total(self) -> int:
         return sum(r * m for ((_, r), m) in self.entries)
-
-    def multiplicity(self, class_index: int, length: int) -> int:
-        for (key, m) in self.entries:
-            if key == (class_index, length):
-                return m
-        return 0
 
     def to_json(self, base: FiniteGroup) -> list:
         classes = conjugacy_classes(base)
@@ -344,60 +336,38 @@ def centralizer_order_by_formula(base: FiniteGroup, size: int, t: TypeFunction) 
     return out
 
 
-def classify_conjugacy_by_type(
-    base: FiniteGroup, size: int, order_cap: int = DEFAULT_WREATH_ORDER_CAP
-) -> dict:
-    """Map each realized TypeFunction to the brute-force conjugacy class.
+def classify_conjugacy_by_type(base: FiniteGroup, size: int) -> dict:
+    """Map each realized TypeFunction to its brute-force conjugacy class.
 
-    Builds the explicit wreath group, computes its conjugacy classes by raw
-    orbit scans, and indexes them by the type of any member.  Raises
-    InputError if types fail to separate classes or vary within a class
-    (they never do; the check guards the implementation).
+    Walks the elements in order; each one not yet seen starts a class, the
+    orbit of conjugation by the generators, so it is the least member.  No
+    multiplication table is built.  Raises OrderCapExceeded past
+    BRUTE_FORCE_ORDER_CAP before any work, and InputError if types fail to
+    separate classes or vary within a class (they never do; the check
+    guards the implementation).
     """
-    ew = WreathProduct(base, size).to_group(order_cap=order_cap)
-    classes = conjugacy_classes(ew.group)
+    wreath = WreathProduct(base, size)
+    if wreath.order > BRUTE_FORCE_ORDER_CAP:
+        raise OrderCapExceeded(
+            f"wreath order {wreath.order} exceeds the brute-force"
+            f" cross-check cap {BRUTE_FORCE_ORDER_CAP}"
+        )
+    gens = wreath.generators()
+    seen = set()
     out = {}
-    for cls in classes:
-        types = {type_of(ew.wreath, ew.elements[x]) for x in cls.members}
+    for w in wreath.elements():
+        if w in seen:
+            continue
+        members = orbit(w, gens, lambda x, g: wreath.conj(g, x))
+        seen |= members
+        types = {type_of(wreath, x) for x in members}
         if len(types) != 1:
             raise InputError("type is not constant on a conjugacy class")
         t = types.pop()
         if t in out:
             raise InputError("two conjugacy classes share a type")
-        out[t] = cls
+        out[t] = ConjugacyClass(w, tuple(sorted(members)))
     return out
-
-
-def conjugacy_class_count(
-    base: FiniteGroup, size: int, element_cap: int = 10**6
-) -> int:
-    """Number of conjugacy classes, by orbit closure under conjugation by a
-    generating set.  Needs only the element list (no table), so it reaches
-    wreath products far past the explicit-table cap."""
-    wreath = WreathProduct(base, size)
-    if wreath.order > element_cap:
-        raise OrderCapExceeded(
-            f"wreath order {wreath.order} exceeds element cap {element_cap}"
-        )
-    gens = wreath.generators()
-    gens += [wreath.inv(g) for g in gens]
-    seen = set()
-    count = 0
-    for w in wreath.elements():
-        if w in seen:
-            continue
-        count += 1
-        orbit = {w}
-        queue = [w]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = wreath.conj(g, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        seen.update(orbit)
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -127,6 +128,26 @@ def test_wreath_centralizers(capsys):
 def test_wreath_centralizer_cap(capsys):
     code, _out, err = run(capsys, "wreath", "centralizers", "--group", "S3", "--n", "4")
     assert code == 3 and "cap" in err.lower()
+
+
+@pytest.mark.parametrize("group, n", [("Z5", "4"), ("D4", "3")])
+def test_wreath_centralizers_need_no_table(capsys, group, n):
+    # |W| = 15000 and 3072: within the cross-check cap, but far past any
+    # |W|^2 table; the classes come from generator orbits
+    started = time.monotonic()
+    code, report = run_json(
+        capsys, "wreath", "centralizers", "--group", group, "--n", n
+    )
+    assert time.monotonic() - started < 20
+    assert code == 0 and report["pass"]
+
+
+def test_wreath_euler_table_cap(capsys):
+    started = time.monotonic()
+    code, out, err = run(capsys, "wreath", "euler", "--group", "S3", "--n", "4")
+    assert time.monotonic() - started < 5
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_wreath_euler_point(capsys):

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbichar.errors import InputError
+from orbichar.errors import InputError, OrderCapExceeded
 from orbichar.groups import (
     FiniteGroup,
     build_group,
@@ -13,6 +15,7 @@ from orbichar.groups import (
     direct_product,
     group_from_json,
     is_central,
+    orbit,
     perm_compose,
     perm_cycle_label,
     perm_inverse,
@@ -129,6 +132,43 @@ def test_permutation_helpers():
     assert perm_compose(p, q) == tuple(p[q[i]] for i in range(3))
     assert perm_cycle_label((1, 0, 2)) == "(1 2)"
     assert perm_cycle_label((0, 1, 2)) == "()"
+
+
+def test_orbit_closes_generators_into_the_group():
+    for gens, degree in [
+        ([(1, 0, 2, 3), (1, 2, 3, 0)], 4),
+        ([(1, 2, 3, 0), (0, 3, 2, 1)], 4),
+        ([(1, 2, 0)], 3),
+    ]:
+        closure = orbit(tuple(range(degree)), gens, perm_compose)
+        # an independent closure: all products of at most 24 generators
+        words = {tuple(range(degree))}
+        for _ in range(24):
+            words |= {perm_compose(p, g) for p in words for g in gens}
+        assert closure == words
+        group = build_group_from_permutations(gens, degree=degree)
+        assert group.order == len(closure)
+        assert sorted(group.labels) == sorted(perm_cycle_label(p) for p in closure)
+    s4 = orbit((0, 1, 2, 3), [(1, 0, 2, 3), (1, 2, 3, 0)], perm_compose)
+    assert s4 == set(itertools.permutations(range(4)))
+
+
+def test_orbit_cap_trips_before_growing_past_it():
+    produced = []
+
+    def step(x, g):
+        produced.append(x + g)
+        return x + g
+
+    # the orbit of 0 under x -> x + 1 is infinite; the cap alone stops it
+    with pytest.raises(OrderCapExceeded):
+        orbit(0, [1], step, cap=5)
+    assert max(produced) == 5  # 0..4 kept, 5 refused
+    assert orbit(0, [1], lambda x, g: (x + g) % 5, cap=5) == set(range(5))
+    gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    with pytest.raises(OrderCapExceeded):
+        build_group_from_permutations(gens, order_cap=23)
+    assert build_group_from_permutations(gens, order_cap=24).order == 24
 
 
 def test_group_from_json_table_and_perms():

@@ -15,6 +15,7 @@ from orbichar.groups import (
 )
 from orbichar.series import point_wreath_chi_m
 from orbichar.wreath import (
+    DEFAULT_WREATH_ORDER_CAP,
     TypeFunction,
     WreathElement,
     WreathProduct,
@@ -22,7 +23,6 @@ from orbichar.wreath import (
     centralizer_extension,
     centralizer_order_by_formula,
     classify_conjugacy_by_type,
-    conjugacy_class_count,
     cycle_decomposition,
     cycle_standard_element,
     standard_form,
@@ -88,6 +88,7 @@ def test_types_are_complete_conjugacy_invariant():
     for base, n in [
         (cyclic_group(2), 2),
         (cyclic_group(2), 3),
+        (cyclic_group(2), 4),
         (cyclic_group(3), 2),
         (symmetric_group(3), 2),
     ]:
@@ -96,10 +97,23 @@ def test_types_are_complete_conjugacy_invariant():
         assert set(by_type) == set(all_types(base, n))
 
 
-def test_class_count_scan_matches_types():
-    for base, n in [(cyclic_group(2), 4), (symmetric_group(3), 2)]:
-        assert conjugacy_class_count(base, n) == len(all_types(base, n))
-
+@pytest.mark.parametrize(
+    "base, n",
+    [(cyclic_group(2), 3), (cyclic_group(3), 2), (symmetric_group(3), 2)],
+    ids=["Z2-3", "Z3-2", "S3-2"],
+)
+def test_orbit_classes_match_table_classes(base, n):
+    # generator orbits against raw conjugation scans of the explicit table
+    ew = WreathProduct(base, n).to_group()
+    from_table = sorted(
+        tuple(ew.elements[x] for x in cls.members)
+        for cls in conjugacy_classes(ew.group)
+    )
+    by_type = classify_conjugacy_by_type(base, n)
+    assert sorted(cls.members for cls in by_type.values()) == from_table
+    # the walk meets each class first at its least member
+    for cls in by_type.values():
+        assert cls.representative == cls.members[0]
 
 def test_centralizer_formula_matches_bruteforce():
     for base, n in [(cyclic_group(2), 3), (symmetric_group(3), 2)]:
@@ -155,6 +169,10 @@ def test_type_json_round_trip():
 def test_order_cap():
     with pytest.raises(OrderCapExceeded):
         WreathProduct(symmetric_group(4), 4).to_group(order_cap=10**5)
+    big = WreathProduct(cyclic_group(4), 4)
+    assert big.order == 6144 > DEFAULT_WREATH_ORDER_CAP
+    with pytest.raises(OrderCapExceeded):
+        big.to_group()
 
 
 def test_cycle_standard_element():
