@@ -24,7 +24,6 @@ from .equivariant import (
     euler_satake_subcomplex,
     fixed_subcomplex,
     orbit_complex,
-    power_with_product_action,
     power_with_wreath_action,
     regularize,
     trivial_action,

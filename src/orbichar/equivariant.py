@@ -444,38 +444,6 @@ def power_with_wreath_action(
     )
 
 
-def power_with_product_action(
-    rec: RegularEquivariantComplex,
-    n: int,
-    order_cap: int = 10**6,
-    simplex_cap: int = DEFAULT_SIMPLEX_CAP,
-) -> EquivariantComplex:
-    """The same n-fold product complex under G^n only (no factor mixing).
-
-    The wreath-power complex is an n!-fold quotient of this one, which is
-    what the covering-multiplicativity tests exercise.
-    """
-    ec = _require_regular(rec)
-    group = ec.group
-    if group.order**n > order_cap:
-        raise SizeCapExceeded(f"product group order {group.order**n} exceeds cap")
-    prod = group
-    for _ in range(n - 1):
-        prod, _pairs = direct_product(prod, group)
-    # iterated direct_product indexing is mixed-radix, i.e. itertools order
-    pairs = list(itertools.product(group.elements(), repeat=n))
-    cx, tuples = product_complex([ec.cx] * n, cap=simplex_cap)
-    ids = {t: i for i, t in enumerate(tuples)}
-    rows = []
-    for combo in pairs:
-        row = tuple(
-            ids[tuple(ec.map_simplex(combo[i], t[i]) for i in range(n))]
-            for t in tuples
-        )
-        rows.append(row)
-    return EquivariantComplex(cx, prod, tuple(rows), _skip_validation=True)
-
-
 # ---------------------------------------------------------------------------
 # induced maps on homology (used by the averaging cross-checks)
 

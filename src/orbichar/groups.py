@@ -38,10 +38,11 @@ class FiniteGroup:
     """An immutable finite group with explicit multiplication table."""
 
     # ``_classes`` and ``_class_of`` hold the conjugacy data, filled on the
-    # first call to ``conjugacy_classes``; the table never changes, so
-    # neither does the data.
+    # first call to ``conjugacy_classes``, and ``_hash`` the table's hash,
+    # filled on the first ``hash``; the table never changes, so neither do
+    # they.  Groups are equal when their tables are, whatever their labels.
     __slots__ = ("table", "inverse", "identity", "labels", "order",
-                 "_classes", "_class_of")
+                 "_classes", "_class_of", "_hash")
 
     def __init__(self, table, labels=None, _skip_validation=False):
         table = tuple(tuple(row) for row in table)
@@ -59,6 +60,17 @@ class FiniteGroup:
         self.labels = labels
         self._classes = None
         self._class_of = None
+        self._hash = None
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return self is other or self.table == other.table
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.table)
+        return self._hash
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]

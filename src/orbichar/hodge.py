@@ -31,7 +31,8 @@ from .errors import (
     NonIntegerShift,
     NonInvertibleSeries,
 )
-from .series import TruncatedSeries
+from .series import Series, TruncatedSeries
+from .wreath import type_entries
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +44,11 @@ def _normalized_terms(pairs) -> tuple:
     for (s, t), coeff in pairs:
         if not isinstance(s, int) or not isinstance(t, int) or s < 0 or t < 0:
             raise InputError(f"bidegree ({s},{t}) must be nonnegative integers")
-        value = acc.get((s, t), Fraction(0)) + Fraction(coeff)
-        acc[(s, t)] = value
+        if type(coeff) is not int:
+            if not isinstance(coeff, (int, Fraction)) or coeff.denominator != 1:
+                raise InputError(f"coefficient {coeff!r} at ({s},{t}) is not an integer")
+            coeff = int(coeff)
+        acc[(s, t)] = acc.get((s, t), 0) + coeff
     return tuple(
         ((s, t), c) for (s, t), c in sorted(acc.items()) if c != 0
     )
@@ -52,9 +56,9 @@ def _normalized_terms(pairs) -> tuple:
 
 @dataclass(frozen=True)
 class HodgePolynomial:
-    """A polynomial sum of c_{s,t} x^s y^t with exact rational coefficients."""
+    """A polynomial sum of c_{s,t} x^s y^t with integer coefficients."""
 
-    terms: tuple  # sorted ((s, t), Fraction), no zero coefficients
+    terms: tuple  # sorted ((s, t), int), no zero coefficients
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _normalized_terms(self.terms))
@@ -79,7 +83,13 @@ class HodgePolynomial:
         return HodgePolynomial(self.terms + other.terms)
 
     def __sub__(self, other: "HodgePolynomial") -> "HodgePolynomial":
-        return self + other.scale(-1)
+        return self + -other
+
+    def __neg__(self) -> "HodgePolynomial":
+        return self.scale(-1)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __mul__(self, other: "HodgePolynomial") -> "HodgePolynomial":
         out = []
@@ -88,9 +98,8 @@ class HodgePolynomial:
                 out.append(((s1 + s2, t1 + t2), c1 * c2))
         return HodgePolynomial(tuple(out))
 
-    def scale(self, value) -> "HodgePolynomial":
-        v = Fraction(value)
-        return HodgePolynomial(tuple((k, v * c) for k, c in self.terms))
+    def scale(self, value: int) -> "HodgePolynomial":
+        return HodgePolynomial(tuple((k, value * c) for k, c in self.terms))
 
     def shift_by(self, k: int) -> "HodgePolynomial":
         """Multiply by (xy)^k: every bidegree (s,t) moves to (s+k, t+k)."""
@@ -119,86 +128,27 @@ class HodgePolynomial:
         return f"HodgePolynomial({self.to_json()})"
 
 
+def _polynomial(c) -> HodgePolynomial:
+    if not isinstance(c, HodgePolynomial):
+        raise InputError(f"coefficients must be HodgePolynomials, got {c!r}")
+    return c
+
+
 @dataclass(frozen=True)
-class HodgeSeries:
+class HodgeSeries(Series):
     """A q-series whose coefficients are HodgePolynomials, truncated."""
 
-    coefficients: tuple
+    _zero = HodgePolynomial.zero()
+    _one = HodgePolynomial.one()
+    _coerce = staticmethod(_polynomial)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
-        if not coeffs:
-            raise InputError("a series needs at least the constant coefficient")
-        for c in coeffs:
-            if not isinstance(c, HodgePolynomial):
-                raise InputError(f"coefficients must be HodgePolynomials, got {c!r}")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    @classmethod
-    def one(cls, order: int) -> "HodgeSeries":
-        if order < 0:
-            raise InputError("truncation order must be >= 0")
-        return cls(
-            (HodgePolynomial.one(),)
-            + (HodgePolynomial.zero(),) * order
-        )
-
-    def _same_order(self, other: "HodgeSeries") -> None:
-        if self.order != other.order:
-            raise InputError(
-                f"series orders differ: {self.order} vs {other.order}"
-            )
-
-    def __add__(self, other: "HodgeSeries") -> "HodgeSeries":
-        self._same_order(other)
-        return HodgeSeries(
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
-    def __mul__(self, other: "HodgeSeries") -> "HodgeSeries":
-        self._same_order(other)
-        out = [HodgePolynomial.zero() for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coefficients):
-            if not a.terms:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coefficients[j]
-                if b.terms:
-                    out[i + j] = out[i + j] + a * b
-        return HodgeSeries(tuple(out))
-
-    def inverse(self) -> "HodgeSeries":
-        a = self.coefficients
-        if a[0] != HodgePolynomial.one():
+    @staticmethod
+    def _unit_inverse(c: HodgePolynomial) -> HodgePolynomial:
+        if c != HodgeSeries._one:
             raise NonInvertibleSeries(
                 "series inverse requires constant coefficient 1"
             )
-        out = [HodgePolynomial.zero() for _ in range(self.order + 1)]
-        out[0] = HodgePolynomial.one()
-        for n in range(1, self.order + 1):
-            acc = HodgePolynomial.zero()
-            for k in range(1, n + 1):
-                acc = acc + a[k] * out[n - k]
-            out[n] = acc.scale(-1)
-        return HodgeSeries(tuple(out))
-
-    def __pow__(self, k: int) -> "HodgeSeries":
-        if not isinstance(k, int):
-            raise InputError(f"series exponent must be an integer, got {k!r}")
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = HodgeSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return c
 
     def substitute_neg(self) -> "HodgeSeries":
         return HodgeSeries(tuple(c.substitute_neg() for c in self.coefficients))
@@ -382,14 +332,17 @@ def sp_generating(dims: BigradedDims, order: int) -> HodgeSeries:
     """
     out = HodgeSeries.one(order)
     for (s, t), dim in dims.entries:
-        mono = HodgePolynomial.monomial(s, t)
         sign = 1 if (s + t) % 2 else -1
-        coeffs = [HodgePolynomial.one()] + [HodgePolynomial.zero()] * order
-        if order >= 1:
-            coeffs[1] = mono.scale(sign)
-        factor = HodgeSeries(tuple(coeffs))
-        out = out * factor ** (sign * dim)
+        out = out * _binomial(s, t, 1, sign, order) ** (sign * dim)
     return out
+
+
+def _binomial(s: int, t: int, n: int, c: int, order: int) -> HodgeSeries:
+    """The series 1 + c x^s y^t q^n, truncated at q^order."""
+    coeffs = [HodgePolynomial.one()] + [HodgePolynomial.zero()] * order
+    if n <= order:
+        coeffs[n] = HodgePolynomial.monomial(s, t, c)
+    return HodgeSeries(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -428,35 +381,9 @@ def hodge_product_rhs(data, d: int, order: int) -> HodgeSeries:
     for n in range(1, order + 1):
         e = _check_xy_exponent(d, n)
         for (s, t), coeff in h.terms:
-            if coeff.denominator != 1:
-                raise InputError(f"dimension {coeff} at ({s},{t}) not an integer")
-            exponent = -int(coeff) if (s + t) % 2 == 0 else int(coeff)
-            coeffs = [HodgePolynomial.one()] + [
-                HodgePolynomial.zero()
-            ] * order
-            coeffs[n] = HodgePolynomial.monomial(s + e, t + e, -1)
-            out = out * HodgeSeries(tuple(coeffs)) ** exponent
+            exponent = -coeff if (s + t) % 2 == 0 else coeff
+            out = out * _binomial(s + e, t + e, n, -1, order) ** exponent
     return out
-
-
-def _assignments(num_data: int, order: int, n: int):
-    """All maps (datum index, cycle length) -> multiplicity with total n."""
-    keys = [(idx, r) for idx in range(num_data) for r in range(1, n + 1)]
-
-    def rec(i: int, remaining: int, acc: tuple):
-        if remaining == 0:
-            yield acc
-            return
-        if i == len(keys):
-            return
-        (idx, r) = keys[i]
-        yield from rec(i + 1, remaining, acc)
-        for mult in range(1, remaining // r + 1):
-            yield from rec(
-                i + 1, remaining - r * mult, acc + (((idx, r), mult),)
-            )
-
-    yield from rec(0, n, ())
 
 
 def hodge_product_lhs(data, d: int, order: int) -> HodgeSeries:
@@ -469,7 +396,7 @@ def hodge_product_lhs(data, d: int, order: int) -> HodgeSeries:
     coefficients = [HodgePolynomial.one()]
     for n in range(1, order + 1):
         acc = HodgePolynomial.zero()
-        for rho in _assignments(len(data), order, n):
+        for rho in type_entries(len(data), n):
             shift = wreath_type_shift(dict(rho), data, d)
             term = HodgePolynomial.one()
             for (idx, r), mult in rho:

@@ -55,17 +55,24 @@ from .wreath import DEFAULT_WREATH_ORDER_CAP, all_types, centralizer_extension
 
 
 # ---------------------------------------------------------------------------
-# truncated series over Q
+# truncated series over a coefficient ring
 
 
 @dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients c_0..c_N of a power series in q, exact rationals."""
+class Series:
+    """Coefficients c_0..c_N of a power series in q, truncated at q^N.
+
+    The ring algebra lives here once.  A subclass names its coefficient
+    ring: ``_zero`` and ``_one``, ``_coerce`` (applied to every coefficient
+    on construction) and ``_unit_inverse`` (the inverse of an invertible
+    constant term, else NonInvertibleSeries).  Coefficients must support
+    ``+``, ``-``, ``*``, unary ``-`` and truth testing (false for zero).
+    """
 
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+        coeffs = tuple(map(self._coerce, self.coefficients))
         if not coeffs:
             raise InputError("a truncated series needs at least c_0")
         object.__setattr__(self, "coefficients", coeffs)
@@ -75,21 +82,14 @@ class TruncatedSeries:
         return len(self.coefficients) - 1
 
     @classmethod
-    def constant(cls, value, order: int) -> "TruncatedSeries":
+    def one(cls, order: int):
         if order < 0:
             raise InputError("truncation order must be >= 0")
-        return cls((Fraction(value),) + (Fraction(0),) * order)
+        return cls((cls._one,) + (cls._zero,) * order)
 
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls.constant(1, order)
-
-    def coefficient(self, n: int) -> Fraction:
-        return self.coefficients[n]
-
-    def _same_order(self, other: "TruncatedSeries") -> None:
-        if not isinstance(other, TruncatedSeries):
-            raise InputError(f"expected a TruncatedSeries, got {other!r}")
+    def _same_order(self, other) -> None:
+        if type(other) is not type(self):
+            raise InputError(f"expected a {type(self).__name__}, got {other!r}")
         if self.order != other.order:
             raise InputError(
                 f"series orders differ: {self.order} vs {other.order}"
@@ -97,47 +97,46 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._same_order(other)
-        return TruncatedSeries(
+        return type(self)(
             tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
         )
 
     def __sub__(self, other):
         self._same_order(other)
-        return TruncatedSeries(
+        return type(self)(
             tuple(a - b for a, b in zip(self.coefficients, other.coefficients))
         )
 
     def __mul__(self, other):
         self._same_order(other)
         a, b = self.coefficients, other.coefficients
-        out = [Fraction(0)] * (self.order + 1)
+        out = [self._zero] * (self.order + 1)
         for i, ai in enumerate(a):
             if not ai:
                 continue
             for j in range(self.order + 1 - i):
                 if b[j]:
-                    out[i + j] += ai * b[j]
-        return TruncatedSeries(tuple(out))
+                    out[i + j] = out[i + j] + ai * b[j]
+        return type(self)(tuple(out))
 
-    def scale(self, value) -> "TruncatedSeries":
-        v = Fraction(value)
-        return TruncatedSeries(tuple(v * c for c in self.coefficients))
-
-    def inverse(self) -> "TruncatedSeries":
+    def inverse(self):
         a = self.coefficients
-        if a[0] == 0:
-            raise NonInvertibleSeries("constant term is zero")
-        out = [Fraction(0)] * (self.order + 1)
-        out[0] = 1 / a[0]
+        u = self._unit_inverse(a[0])
+        out = [self._zero] * (self.order + 1)
+        out[0] = u
         for n in range(1, self.order + 1):
-            out[n] = -sum(a[k] * out[n - k] for k in range(1, n + 1)) / a[0]
-        return TruncatedSeries(tuple(out))
+            acc = self._zero
+            for k in range(1, n + 1):
+                if a[k] and out[n - k]:
+                    acc = acc + a[k] * out[n - k]
+            out[n] = -(acc * u)
+        return type(self)(tuple(out))
 
-    def __pow__(self, k) -> "TruncatedSeries":
+    def __pow__(self, k):
         k = _integer_exponent(k, "series exponent")
         if k < 0:
             return self.inverse() ** (-k)
-        result = TruncatedSeries.one(self.order)
+        result = self.one(self.order)
         base = self
         while k:
             if k & 1:
@@ -145,6 +144,34 @@ class TruncatedSeries:
             base = base * base
             k >>= 1
         return result
+
+
+@dataclass(frozen=True)
+class TruncatedSeries(Series):
+    """A series with exact rational coefficients."""
+
+    _zero = Fraction(0)
+    _one = Fraction(1)
+    _coerce = Fraction
+
+    @staticmethod
+    def _unit_inverse(c: Fraction) -> Fraction:
+        if c == 0:
+            raise NonInvertibleSeries("constant term is zero")
+        return 1 / c
+
+    @classmethod
+    def constant(cls, value, order: int) -> "TruncatedSeries":
+        if order < 0:
+            raise InputError("truncation order must be >= 0")
+        return cls((Fraction(value),) + (Fraction(0),) * order)
+
+    def coefficient(self, n: int) -> Fraction:
+        return self.coefficients[n]
+
+    def scale(self, value) -> "TruncatedSeries":
+        v = Fraction(value)
+        return TruncatedSeries(tuple(v * c for c in self.coefficients))
 
     def exp(self) -> "TruncatedSeries":
         a = self.coefficients
@@ -367,14 +394,14 @@ def rhs_main_formula_multiindex(m: int, chi, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # structural chi_(m) for wreath products over a point
 
-# Caches are keyed by multiplication tables, so equal groups share entries
-# no matter how they were built.
+# Caches are keyed by groups, which hash and compare by their tables, so
+# equal groups share entries no matter how they were built.
 _POINT_CHI_CACHE: dict = {}
 _EXTENSION_CACHE: dict = {}
 
 
 def _extension_cached(group: FiniteGroup, class_index: int, r: int) -> FiniteGroup:
-    key = (group.table, class_index, r)
+    key = (group, class_index, r)
     if key not in _EXTENSION_CACHE:
         rep = conjugacy_classes(group)[class_index].representative
         _EXTENSION_CACHE[key] = centralizer_extension(group, rep, r)
@@ -399,7 +426,7 @@ def point_wreath_chi_m(group: FiniteGroup, size: int, m: int) -> int:
         raise InputError("size and m must be nonnegative")
     if m == 0 or size == 0:
         return 1
-    key = (group.table, size, m)
+    key = (group, size, m)
     if key in _POINT_CHI_CACHE:
         return _POINT_CHI_CACHE[key]
     types = all_types(group, size)
@@ -500,9 +527,7 @@ def _collect_terms(fn, order: int) -> tuple:
     """Values fn(0..order) in order, stopping at the first capped term.
 
     Returns (values, note); note is None when every term landed, else the
-    cap message of the first n that failed.  Terms are computed in the
-    calling thread; the ``workers`` argument of the functions below is
-    accepted and ignored.
+    cap message of the first n that failed.
     """
     values: list = []
     note = None
@@ -522,7 +547,6 @@ def lhs_wreath_series(
     order_cap: int = DEFAULT_WREATH_ORDER_CAP,
     simplex_cap: int = DEFAULT_SIMPLEX_CAP,
     hom_cap: int = DEFAULT_HOM_CAP,
-    workers: int | None = None,
 ) -> TruncatedSeries:
     """The computed series: coefficient n is the invariant of the n-th
     wreath symmetric product of the complex.  Raises SizeCapExceeded naming
@@ -569,7 +593,6 @@ def verify_exp_formula(
     order_cap: int = DEFAULT_WREATH_ORDER_CAP,
     simplex_cap: int = DEFAULT_SIMPLEX_CAP,
     hom_cap: int = DEFAULT_HOM_CAP,
-    workers: int | None = None,
 ) -> dict:
     """Check sum of chi_ES(n-th wreath product) q^n = exp(q chi_ES)."""
     chi = euler_satake(rec)
@@ -593,7 +616,6 @@ def verify_main_formula(
     order_cap: int = DEFAULT_WREATH_ORDER_CAP,
     simplex_cap: int = DEFAULT_SIMPLEX_CAP,
     hom_cap: int = DEFAULT_HOM_CAP,
-    workers: int | None = None,
 ) -> dict:
     """Check the chi_(m) wreath series against the J_{r,m} product formula."""
     chi = chi_m_top(rec, m, cap=hom_cap)
@@ -633,7 +655,6 @@ def macdonald_dimension_check(
     order_cap: int = DEFAULT_WREATH_ORDER_CAP,
     simplex_cap: int = DEFAULT_SIMPLEX_CAP,
     hom_cap: int = DEFAULT_HOM_CAP,
-    workers: int | None = None,
 ) -> dict:
     """Both dimension formulas, as one report.
 

@@ -300,16 +300,17 @@ def standard_form(wreath: WreathProduct, w: WreathElement):
     return d, standard
 
 
-def all_types(base: FiniteGroup, size: int) -> list[TypeFunction]:
-    """Every type of total weight ``size``, in canonical order."""
-    k = len(conjugacy_classes(base))
+def type_entries(k: int, size: int) -> list:
+    """Every map (index, cycle length r) -> multiplicity m with indices
+    below k and sum of r * m equal to ``size``, as sorted entry tuples
+    (((index, r), m), ...) without zero multiplicities."""
     keys = [(c, r) for c in range(k) for r in range(1, size + 1)]
 
     out = []
 
     def rec(i: int, remaining: int, acc: list) -> None:
         if remaining == 0:
-            out.append(TypeFunction(tuple(acc)))
+            out.append(tuple(acc))
             return
         if i == len(keys):
             return
@@ -319,7 +320,13 @@ def all_types(base: FiniteGroup, size: int) -> list[TypeFunction]:
             rec(i + 1, remaining - r * m, acc + [((c, r), m)])
 
     rec(0, size, [])
-    return sorted(out, key=lambda t: t.entries)
+    return out
+
+
+def all_types(base: FiniteGroup, size: int) -> list[TypeFunction]:
+    """Every type of total weight ``size``, in canonical order."""
+    entries = type_entries(len(conjugacy_classes(base)), size)
+    return [TypeFunction(e) for e in sorted(entries)]
 
 
 def centralizer_order_by_formula(base: FiniteGroup, size: int, t: TypeFunction) -> int:

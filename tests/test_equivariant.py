@@ -12,7 +12,6 @@ from orbichar.equivariant import (
     fixed_subcomplex,
     homology_traces,
     orbit_complex,
-    power_with_product_action,
     power_with_wreath_action,
     regularity_failure,
     regularize,
@@ -216,13 +215,6 @@ def test_power_with_wreath_action_s0():
     assert ew.group.order == 8
     # chi(S0 x S0) / |Z2 wr S2| = 4/8
     assert euler_satake(regularize(power)) == Fraction(1, 2)
-
-
-def test_power_with_product_action():
-    rec = s0_swap()
-    power = power_with_product_action(rec, 2)
-    assert power.group.order == 4
-    assert euler_satake(regularize(power)) == 1
 
 
 def test_wreath_power_n1_keeps_complex():

@@ -7,6 +7,7 @@ from orbichar.errors import (
     InputError,
     NonIntegerExponentOfXY,
     NonIntegerShift,
+    NonInvertibleSeries,
 )
 from orbichar.hodge import (
     BigradedDims,
@@ -67,6 +68,47 @@ def test_polynomial_evaluate():
     assert a.evaluate(1, 1) == 4
     assert a.evaluate(-1, -1) == 4
     assert a.evaluate(2, 1) == 1 + 4 + 4
+
+
+def _all_int(p):
+    return all(type(c) is int for _k, c in p.terms)
+
+
+def test_polynomial_coefficients_stay_int():
+    a = HodgePolynomial.from_dict({(0, 0): Fraction(2), (1, 0): -3})
+    b = HodgePolynomial.from_dict({(1, 1): 1, (0, 0): 5})
+    assert a.terms == (((0, 0), 2), ((1, 0), -3))
+    for p in (a, a + b, a - b, a * b, a.scale(-4), a.substitute_neg(), -a):
+        assert _all_int(p), p
+    with pytest.raises(InputError):
+        HodgePolynomial.from_dict({(0, 0): Fraction(1, 2)})
+    with pytest.raises(InputError):
+        a.scale(Fraction(1, 2))
+    with pytest.raises(InputError):
+        HodgePolynomial.monomial(0, 0, 1.5)
+
+
+def test_evaluation_commutes_with_series_ring():
+    dims = hodge_datasets()["abelian-surface"][0][0].dims
+    s = sp_generating(dims, 5)
+    data, d = hodge_datasets()["two-sector-shifted"]
+    t = hodge_product_rhs(data, d, 5)
+    s1, t1 = s.evaluate_xy(1, 1), t.evaluate_xy(1, 1)
+    assert (s * t).evaluate_xy(1, 1) == s1 * t1
+    assert (s - t).evaluate_xy(1, 1) == s1 - t1
+    for k in (-2, -1, 2, 3):
+        assert (s**k).evaluate_xy(1, 1) == s1**k, k
+    assert all(_all_int(c) for c in (s * t**-1).coefficients)
+
+
+def test_series_rejects_bad_coefficients():
+    two = HodgeSeries((poly({(0, 0): 2}), HodgePolynomial.zero()))
+    with pytest.raises(NonInvertibleSeries):
+        two.inverse()
+    with pytest.raises(InputError):
+        HodgeSeries((1, 0))
+    with pytest.raises(InputError):
+        two * HodgeSeries.one(2)
 
 
 def test_series_inverse_geometric():

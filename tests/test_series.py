@@ -396,11 +396,19 @@ def test_macdonald_part2_point_s3():
     assert report["part2"]["lhs"] == ["1", "3", "9", "22", "51"]
 
 
-def test_workers_do_not_change_results():
-    rec = point_s3()
-    a = verify_main_formula(rec, 1, 5, workers=1)
-    b = verify_main_formula(rec, 1, 5, workers=3)
-    assert a == b
+def test_equal_tables_share_cache_entries():
+    from orbichar import series
+    from orbichar.groups import group_from_json
+
+    a = symmetric_group(3)
+    b = group_from_json({"order": 6, "table": [list(row) for row in a.table]})
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != cyclic_group(6)
+    first = point_wreath_chi_m(a, 4, 3)
+    sizes = (len(series._POINT_CHI_CACHE), len(series._EXTENSION_CACHE))
+    assert point_wreath_chi_m(b, 4, 3) == first
+    assert (len(series._POINT_CHI_CACHE), len(series._EXTENSION_CACHE)) == sizes
 
 
 def test_torus_series_low_order():
