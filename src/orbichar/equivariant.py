@@ -9,6 +9,10 @@ group by simplicial automorphisms.  Most invariants are only computed on a
   (3) two simplices with the same image in the vertex-orbit quotient lie in
       the same orbit.
 
+Condition (1) follows from (2), so only (2) and (3) are checked: if g
+preserves s, then for each vertex v of s, g.v lies in s and in the orbit of
+v, and by (2) the only such vertex is v itself.
+
 Under (1) the isotropy group is constant on open simplices, so the
 Euler-Satake sum over simplex orbits is well defined; under (2)+(3) the
 orbit complex is a genuine simplicial complex triangulating the orbit
@@ -38,7 +42,12 @@ from .errors import (
     SizeCapExceeded,
 )
 from .groups import FiniteGroup, direct_product, subgroup
-from .wreath import DEFAULT_WREATH_ORDER_CAP, ExplicitWreath, WreathProduct
+from .wreath import (
+    DEFAULT_WREATH_ORDER_CAP,
+    ExplicitWreath,
+    WreathProduct,
+    product_sums,
+)
 
 
 class EquivariantComplex:
@@ -190,12 +199,6 @@ def regularity_failure(ec: EquivariantComplex) -> str | None:
         labels = [orbit_of[v] for v in s]
         if len(set(labels)) != len(labels):
             return f"simplex {s} meets a vertex orbit twice"
-        if len(s) > 1:
-            for g in elements:
-                if ec.map_simplex(g, s) == s and any(
-                    ec.apply(g, v) != v for v in s
-                ):
-                    return f"element {g} preserves {s} without fixing it"
     by_image: dict[tuple, list] = {}
     for s in ec.cx.simplices:
         by_image.setdefault(tuple(sorted(orbit_of[v] for v in s)), []).append(s)
@@ -413,31 +416,38 @@ def power_with_wreath_action(
     order are capped.
     """
     ec = _require_regular(rec)
-    wreath = WreathProduct(ec.group, n)
-    ew = wreath.to_group(order_cap=order_cap)
+    ew = WreathProduct(ec.group, n).to_group(order_cap=order_cap)
     if n == 1:
-        rows = tuple(
-            tuple(ec.apply(w.components[0], v) for v in ec.cx.vertices)
-            for w in ew.elements
-        )
         return (
-            EquivariantComplex(ec.cx, ew.group, rows, _skip_validation=True),
+            EquivariantComplex(ec.cx, ew.group, ec.action, _skip_validation=True),
             ew,
         )
     cx, tuples = product_complex([ec.cx] * n, cap=simplex_cap)
-    ids = {t: i for i, t in enumerate(tuples)}
+    # A poset tuple is coded by its simplex indices read base k; the poset
+    # holds every tuple, so codes and vertex ids are in bijection.
+    simps = ec.cx.simplices
+    k = len(simps)
+    sid = {s: i for i, s in enumerate(simps)}
+    weights = [k ** (n - 1 - i) for i in range(n)]
+    code_of = [sum(sid[s] * w for s, w in zip(t, weights)) for t in tuples]
+    vertex_of = [0] * len(tuples)
+    for v, c in enumerate(code_of):
+        vertex_of[c] = v
+
+    def vertex_row(columns):
+        codes = product_sums(columns)
+        return [vertex_of[codes[c]] for c in code_of]
+
+    # (g, s) = (g, id) * (e, s): permute the factors, then act factorwise.
+    images = [[sid[ec.map_simplex(x, s)] for s in simps] for x in ec.group.elements()]
+    perm_rows = [
+        vertex_row([[y * weights[p[j]] for y in range(k)] for j in range(n)])
+        for p in sorted(itertools.permutations(range(n)))
+    ]
     rows = []
-    for w in ew.elements:
-        sinv = [0] * n
-        for i, v in enumerate(w.perm):
-            sinv[v] = i
-        row = []
-        for t in tuples:
-            image = tuple(
-                ec.map_simplex(w.components[i], t[sinv[i]]) for i in range(n)
-            )
-            row.append(ids[image])
-        rows.append(tuple(row))
+    for g in itertools.product(ec.group.elements(), repeat=n):
+        comp = vertex_row([[y * w for y in images[x]] for x, w in zip(g, weights)])
+        rows.extend(tuple([comp[v] for v in prow]) for prow in perm_rows)
     return (
         EquivariantComplex(cx, ew.group, tuple(rows), _skip_validation=True),
         ew,

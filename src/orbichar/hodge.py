@@ -250,8 +250,12 @@ class SectorHodgeDatum:
 
 def sector_data_from_json(items) -> tuple:
     """Parse [{"class", "component", "dims": {"s,t": dim}, "angles", "d"}]."""
+    if not isinstance(items, list):
+        raise InputError("hodge sectors must be a JSON list")
     data = []
     for item in items:
+        if not isinstance(item, dict):
+            raise InputError(f"bad sector datum {item!r}: not a JSON object")
         try:
             dims = {}
             for key, dim in dict(item["dims"]).items():
@@ -264,7 +268,7 @@ def sector_data_from_json(items) -> tuple:
                 angles=tuple(Fraction(a) for a in item.get("angles", [])),
                 d=int(item["d"]),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad sector datum {item!r}: {exc}") from exc
         data.append(datum)
     return tuple(data)

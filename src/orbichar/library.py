@@ -336,4 +336,7 @@ def hodge_dataset_from_json(data) -> tuple:
 
     if not isinstance(data, dict) or "sectors" not in data or "d" not in data:
         raise InputError("hodge dataset needs 'd' and 'sectors' fields")
-    return sector_data_from_json(data["sectors"]), int(data["d"])
+    d = data["d"]
+    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+        raise InputError(f"hodge dataset 'd' must be an int >= 0, got {d!r}")
+    return sector_data_from_json(data["sectors"]), d

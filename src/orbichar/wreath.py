@@ -159,10 +159,15 @@ def _greedy_base_generators(base: FiniteGroup, n: int) -> list[WreathElement]:
 
 
 class ExplicitWreath:
-    """A wreath product realized as a FiniteGroup with element dictionaries.
+    """A wreath product realized as a FiniteGroup.
 
-    The table costs |W|^2 memory; the constructor refuses to build anything
-    past ``order_cap``.
+    Element (g, s) has index code(g) * n! + rank(s), where code(g) reads the
+    tuple g as a base-|G| numeral with g[0] most significant and rank(s) is
+    the position of s among the sorted permutations of 0..n-1.  This is the
+    order of ``WreathProduct.elements()``, and ``elements[i]`` is element i.
+    The table is built from these codes and an S_n composition table; it
+    costs |W|^2 memory, and the constructor refuses to build anything past
+    ``order_cap``.
     """
 
     def __init__(self, wreath: WreathProduct, order_cap: int = DEFAULT_WREATH_ORDER_CAP):
@@ -172,14 +177,32 @@ class ExplicitWreath:
             )
         self.wreath = wreath
         self.elements = list(wreath.elements())
-        self.index = {w: i for i, w in enumerate(self.elements)}
+        base, n = wreath.base, wreath.size
+        perms = sorted(itertools.permutations(range(n)))
+        rank = {p: i for i, p in enumerate(perms)}
+        compose = [[rank[perm_compose(s, t)] for t in perms] for s in perms]
+        # (g, s) * (h, t) = (g . s(h), s o t): position j of h lands at
+        # position s[j], so code(g . s(h)) sums one term per position of h.
+        weights = [base.order ** (n - 1 - i) * len(perms) for i in range(n)]
+        # Entries are taken from one list, so all rows share its int objects.
+        ints = list(range(wreath.order))
         table = []
-        for a in self.elements:
-            row = []
-            for b in self.elements:
-                row.append(self.index[wreath.mul(a, b)])
-            table.append(tuple(row))
+        for g in itertools.product(range(base.order), repeat=n):
+            for s, srow in zip(perms, compose):
+                codes = product_sums(
+                    [[x * weights[s[j]] for x in base.table[g[s[j]]]] for j in range(n)]
+                )
+                table.append(tuple([ints[c + x] for c in codes for x in srow]))
         self.group = FiniteGroup(tuple(table), _skip_validation=True)
+
+
+def product_sums(columns) -> list:
+    """col_0[x_0] + col_1[x_1] + ... for every index tuple x, in
+    ``itertools.product`` order (x_0 outermost)."""
+    sums = [0]
+    for col in columns:
+        sums = [a + b for a in sums for b in col]
+    return sums
 
 
 # ---------------------------------------------------------------------------

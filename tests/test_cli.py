@@ -150,6 +150,28 @@ def test_wreath_euler_table_cap(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_wreath_euler_simplex_cap_trips_in_time(capsys):
+    # the 4-fold power of the triangle fails the certificate, and the
+    # simplex cap trips while subdividing it; checking the certificate on
+    # its 194,400 simplices must not take long
+    started = time.monotonic()
+    code, out, err = run(
+        capsys, "wreath", "euler", "--group", "Z2", "--n", "4",
+        "--complex", "circle(3)",
+    )
+    assert time.monotonic() - started < 30
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_wreath_euler_s3_cubed_in_time(capsys):
+    # |W| = 1296: the explicit table is built from integer codes
+    started = time.monotonic()
+    code, report = run_json(capsys, "wreath", "euler", "--group", "S3", "--n", "3")
+    assert time.monotonic() - started < 5
+    assert code == 0 and report["chi_es"] == "1/1296" and report["pass"]
+
+
 def test_wreath_euler_point(capsys):
     code, report = run_json(capsys, "wreath", "euler", "--group", "Z2", "--n", "2")
     assert code == 0
@@ -277,6 +299,24 @@ def test_verify_hodge_json_file(tmp_path, capsys):
         capsys, "verify", "hodge", "--complex", str(path), "--order", "4"
     )
     assert code == 0 and report["equal"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"d": "two", "sectors": []}, {"d": 2, "sectors": [5]}],
+    ids=["d-string", "sector-int"],
+)
+def test_verify_hodge_json_file_rejects_malformed(tmp_path, capsys, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(
+        capsys, "verify", "hodge", "--complex", str(path), "--order", "4"
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_verify_sectors(capsys):

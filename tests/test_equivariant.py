@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbichar.complexes import betti_numbers, euler_characteristic
+from orbichar.complexes import betti_numbers, euler_characteristic, from_maximal
 from orbichar.equivariant import (
     EquivariantComplex,
     action_from_generator_maps,
@@ -13,13 +14,22 @@ from orbichar.equivariant import (
     homology_traces,
     orbit_complex,
     power_with_wreath_action,
+    product_complex,
     regularity_failure,
     regularize,
     restrict_to_subgroup,
+    subdivide_equivariant,
     trivial_action,
 )
 from orbichar.errors import InputError, NotRegular, RegularizationFailed
-from orbichar.groups import cyclic_group, symmetric_group, trivial_group
+from orbichar.groups import (
+    build_group_from_permutations,
+    cyclic_group,
+    orbit,
+    perm_compose,
+    symmetric_group,
+    trivial_group,
+)
 from orbichar.library import (
     circle,
     circle4_rotation,
@@ -67,6 +77,71 @@ def test_regularity_certificate_failures():
     )
     reason = regularity_failure(rot)
     assert reason is not None and "several orbits" in reason
+
+
+def _three_condition_failure(ec):
+    """Test oracle: the certificate as it was first written, checking
+    condition (1) directly for every simplex and element."""
+    orbit_of = {}
+    for orbit in ec.vertex_orbits():
+        for v in orbit:
+            orbit_of[v] = orbit[0]
+    elements = range(ec.group.order)
+    for s in ec.cx.simplices:
+        labels = [orbit_of[v] for v in s]
+        if len(set(labels)) != len(labels):
+            return f"simplex {s} meets a vertex orbit twice"
+        if len(s) > 1:
+            for g in elements:
+                if ec.map_simplex(g, s) == s and any(
+                    ec.apply(g, v) != v for v in s
+                ):
+                    return f"element {g} preserves {s} without fixing it"
+    by_image = {}
+    for s in ec.cx.simplices:
+        by_image.setdefault(tuple(sorted(orbit_of[v] for v in s)), []).append(s)
+    for image, group_of in by_image.items():
+        if len(group_of) == 1:
+            continue
+        orbit = {ec.map_simplex(g, group_of[0]) for g in elements}
+        if set(group_of) != orbit:
+            return f"simplices over {image} fall into several orbits"
+    return None
+
+
+@st.composite
+def _invariant_complexes(draw):
+    nv = draw(st.integers(min_value=1, max_value=6))
+    gens = draw(st.lists(st.permutations(range(nv)), min_size=1, max_size=2))
+    group = build_group_from_permutations(gens, degree=nv)
+    # the group's elements are the sorted closure, as in the builder
+    perms = sorted(orbit(tuple(range(nv)), [tuple(p) for p in gens], perm_compose))
+    seeds = draw(
+        st.lists(
+            st.sets(st.integers(min_value=0, max_value=nv - 1), min_size=1, max_size=4),
+            max_size=4,
+        )
+    )
+    maximal = {tuple(sorted(p[v] for v in s)) for s in seeds for p in perms}
+    maximal |= {(v,) for v in range(nv)}
+    cx = from_maximal(maximal)
+    return EquivariantComplex(cx, group, perms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_invariant_complexes())
+def test_certificate_matches_three_conditions(ec):
+    assert regularity_failure(ec) == _three_condition_failure(ec)
+    sd = subdivide_equivariant(ec)
+    assert regularity_failure(sd) == _three_condition_failure(sd)
+
+
+def test_certificate_matches_three_conditions_on_presets():
+    for name, rec in suite():
+        assert regularity_failure(rec.ec) == _three_condition_failure(rec.ec), name
+    for rec, n in [(s0_swap(), 2), (edge_swap(), 2), (circle4_rotation(), 2)]:
+        power, _ew = power_with_wreath_action(rec, n)
+        assert regularity_failure(power) == _three_condition_failure(power)
 
 
 def test_subdivision_rounds():
@@ -215,6 +290,31 @@ def test_power_with_wreath_action_s0():
     assert ew.group.order == 8
     # chi(S0 x S0) / |Z2 wr S2| = 4/8
     assert euler_satake(regularize(power)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "preset, n",
+    [(s0_swap, 3), (s0_swap, 4), (edge_swap, 2), (edge_swap, 3),
+     (circle4_rotation, 2)],
+    ids=["S0-swap-3", "S0-swap-4", "edge-swap-2", "edge-swap-3",
+         "circle4-rotation-2"],
+)
+def test_power_rows_match_elementwise_formula(preset, n):
+    rec = preset()
+    ec = rec.ec
+    power, ew = power_with_wreath_action(rec, n)
+    _cx, tuples = product_complex([ec.cx] * n)
+    ids = {t: i for i, t in enumerate(tuples)}
+    assert len(power.action) == len(ew.elements)
+    for w, row in zip(ew.elements, power.action):
+        sinv = [0] * n
+        for i, v in enumerate(w.perm):
+            sinv[v] = i
+        oracle = tuple(
+            ids[tuple(ec.map_simplex(w.components[i], t[sinv[i]]) for i in range(n))]
+            for t in tuples
+        )
+        assert row == oracle
 
 
 def test_wreath_power_n1_keeps_complex():

@@ -51,6 +51,24 @@ def test_group_law_explicit():
             assert ew.elements[ab] == w.mul(ew.elements[a], ew.elements[b])
 
 
+@pytest.mark.parametrize(
+    "base, n",
+    [(cyclic_group(2), 4), (cyclic_group(3), 3), (symmetric_group(3), 2),
+     (dihedral_group(4), 2)],
+    ids=["Z2-4", "Z3-3", "S3-2", "D4-2"],
+)
+def test_explicit_table_matches_mul(base, n):
+    # the integer-coded table against WreathProduct.mul, for every pair
+    w = WreathProduct(base, n)
+    ew = w.to_group()
+    els = ew.elements
+    assert len(els) == w.order and els == list(w.elements())
+    index = {x: i for i, x in enumerate(els)}
+    for a, row in enumerate(ew.group.table):
+        for b, ab in enumerate(row):
+            assert ab == index[w.mul(els[a], els[b])]
+
+
 def test_wreath_element_json_round_trip():
     base = symmetric_group(3)
     w = WreathProduct(base, 2)
