@@ -5,11 +5,13 @@ simplex family (each simplex a sorted tuple of vertex ids, the family sorted
 by dimension then lexicographically).  Vertex ids are arbitrary integers so
 that subcomplexes can keep their parent's labels.
 
-Betti numbers are computed over Q from integer boundary matrices using
-sparse fraction-free Gaussian elimination; no floating point anywhere.
+Betti numbers, homology bases and coordinates in them all come from one
+sparse Gaussian elimination over Q (``_reduce``) on integer boundary
+columns; no floating point anywhere.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InputError, SizeCapExceeded
@@ -138,7 +140,15 @@ def barycentric_subdivision(cx: SimplicialComplex):
 
     New vertex i is simplex ``cx.simplices[i]``; simplices are the chains of
     the face partial order.  Returns (subdivision, vertex_of_simplex dict).
+    The size is known in advance: a d-simplex tops Fubini(d+1) chains, one
+    per ordered set partition of its vertices, so the cap is checked before
+    any chain is built.
     """
+    size = sum(f * _fubini(d + 1) for d, f in enumerate(cx.f_vector()))
+    if size > DEFAULT_SIMPLEX_CAP:
+        raise SizeCapExceeded(
+            f"chain enumeration exceeds simplex cap {DEFAULT_SIMPLEX_CAP}"
+        )
     vertex_of = {s: i for i, s in enumerate(cx.simplices)}
     chains = _chains_of_poset(
         list(range(len(cx.simplices))),
@@ -146,6 +156,14 @@ def barycentric_subdivision(cx: SimplicialComplex):
     )
     sd = SimplicialComplex(chains, _skip_validation=True)
     return sd, vertex_of
+
+
+def _fubini(n: int) -> int:
+    """Number of ordered set partitions of an n-set (1, 1, 3, 13, 75, ...)."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(math.comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    return a[n]
 
 
 def _proper_faces(s, vertex_of):
@@ -161,8 +179,9 @@ def _chains_of_poset(elements, predecessors, cap: int = DEFAULT_SIMPLEX_CAP):
     """All nonempty chains of a finite poset, as sorted tuples of elements.
 
     ``predecessors(e)`` lists the strict predecessors of e.  Elements must
-    be comparable ints (chains are emitted as sorted tuples, which is safe
-    because predecessor ids are always generated before their successors).
+    be ints listed in increasing order, and that order must extend the
+    partial order (each element comes after its predecessors), so that
+    every chain is emitted as a sorted tuple.
     """
     chains_ending = {}
     out = []
@@ -197,37 +216,25 @@ def staircase_product(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialC
     if not x.vertices or not y.vertices:
         return SimplicialComplex([])
     stride = max(y.vertices) + 1
-
-    def enc(u, v):
-        return u * stride + v
-
     simps = set()
     for sx in x.simplices:
         for sy in y.simplices:
-            # all monotone staircase paths (chains in the grid poset)
-            pairs = [(u, v) for u in sx for v in sy]
-            pairs.sort()
-            _grid_chains(pairs, sx, sy, enc, simps)
+            # The chains of the grid poset sx x sy.  Codes increase with the
+            # lexicographic order of pairs, which extends the grid order.
+            codes = [u * stride + v for u in sx for v in sy]
+            simps.update(
+                _chains_of_poset(
+                    codes,
+                    lambda e: [
+                        c
+                        for c in codes
+                        if c != e
+                        and c // stride <= e // stride
+                        and c % stride <= e % stride
+                    ],
+                )
+            )
     return SimplicialComplex(simps, _skip_validation=True)
-
-
-def _grid_chains(pairs, sx, sy, enc, out):
-    n = len(pairs)
-    le = {}
-    for i in range(n):
-        for j in range(n):
-            (a, b), (c, d) = pairs[i], pairs[j]
-            le[i, j] = (a <= c and b <= d) and (i != j)
-    chains_ending = [[] for _ in range(n)]
-    for j in range(n):
-        mine = [(j,)]
-        for i in range(n):
-            if le[i, j]:
-                for ch in chains_ending[i]:
-                    mine.append(ch + (j,))
-        chains_ending[j] = mine
-        for ch in mine:
-            out.add(tuple(sorted(enc(*pairs[k]) for k in ch)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,29 +264,48 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> tuple[dict, int, int]:
     return columns, len(rows), len(cols)
 
 
-def _sparse_rank(columns: dict, nrows: int) -> int:
-    """Rank over Q of a sparse integer matrix by column elimination."""
-    pivots: dict = {}  # pivot row -> normalized column (dict row -> Fraction)
-    rank = 0
-    for j in sorted(columns):
-        col = {r: Fraction(v) for r, v in columns[j].items() if v}
+def _reduce(vectors) -> list:
+    """Gaussian elimination over Q on sparse vectors, in order.
+
+    Each vector is a dict index -> value.  Entry i of the result is None
+    when vectors[i] is independent of the vectors before it; otherwise it
+    is a dict j -> c over earlier independent j with
+    vectors[i] == sum of c * vectors[j].
+    """
+    # pivot index -> (reduced vector scaled to 1 there, the same vector as
+    # a combination of the input vectors)
+    pivots: dict = {}
+    out = []
+    for i, v in enumerate(vectors):
+        col = {r: Fraction(x) for r, x in v.items() if x}
+        used: dict = {}  # col == v - sum of used[j] * vectors[j]
         while col:
-            # eliminate against existing pivots, largest support first
             r = min(col)
-            if r in pivots:
-                coef = col[r]
-                for rr, vv in pivots[r].items():
-                    nv = col.get(rr, Fraction(0)) - coef * vv
-                    if nv:
-                        col[rr] = nv
-                    elif rr in col:
-                        del col[rr]
-            else:
-                coef = col[r]
-                pivots[r] = {rr: vv / coef for rr, vv in col.items()}
-                rank += 1
+            coef = col[r]
+            if r not in pivots:
                 break
-    return rank
+            pcol, pcombo = pivots[r]
+            for rr, x in pcol.items():
+                nv = col.get(rr, 0) - coef * x
+                if nv:
+                    col[rr] = nv
+                else:
+                    del col[rr]
+            for j, c in pcombo.items():
+                used[j] = used.get(j, 0) + coef * c
+        if col:
+            pcombo = {j: -c / coef for j, c in used.items() if c}
+            pcombo[i] = 1 / coef
+            pivots[r] = ({rr: x / coef for rr, x in col.items()}, pcombo)
+            out.append(None)
+        else:
+            out.append({j: c for j, c in used.items() if c})
+    return out
+
+
+def _sparse_rank(columns: dict) -> int:
+    """Rank over Q of a sparse matrix given by its columns."""
+    return sum(rel is None for rel in _reduce(columns.values()))
 
 
 def betti_numbers(cx: SimplicialComplex) -> list[int]:
@@ -290,8 +316,7 @@ def betti_numbers(cx: SimplicialComplex) -> list[int]:
     counts = cx.f_vector()
     ranks = [0] * (d + 2)  # rank of boundary_k for k = 0..d+1
     for k in range(1, d + 1):
-        columns, nrows, _ = boundary_matrix(cx, k)
-        ranks[k] = _sparse_rank(columns, nrows)
+        ranks[k] = _sparse_rank(boundary_matrix(cx, k)[0])
     return [counts[k] - ranks[k] - ranks[k + 1] for k in range(d + 1)]
 
 
@@ -304,113 +329,24 @@ def signed_total_dimension(betti: list[int]) -> int:
 # homology with explicit bases (for induced-map traces)
 
 
-def _dense_columns(columns: dict, ncols: int, nrows: int) -> list:
-    out = []
-    for j in range(ncols):
-        v = [Fraction(0)] * nrows
-        for r, val in columns.get(j, {}).items():
-            v[r] = Fraction(val)
-        out.append(v)
-    return out
-
-
-def _column_space_basis(vectors: list) -> list:
-    """Subset of the given vectors forming a basis of their span."""
-    basis = []
-    pivots = []  # (row, vector) with vector normalized at row
-    for v in vectors:
-        w = list(v)
-        for (r, b) in pivots:
-            c = w[r]
-            if c:
-                w = [wi - c * bi for wi, bi in zip(w, b)]
-        nz = next((i for i, x in enumerate(w) if x), None)
-        if nz is not None:
-            pivots.append((nz, [x / w[nz] for x in w]))
-            basis.append(v)
-    return basis
-
-
-def _solve_in_basis(basis: list, targets: list) -> list:
-    """Coordinates of each target in the given (independent) basis."""
-    if not basis:
-        return [[] for _ in targets]
-    nrows = len(basis[0])
-    ncols = len(basis)
-    aug = [
-        [basis[j][i] for j in range(ncols)] + [t[i] for t in targets]
-        for i in range(nrows)
-    ]
-    pivot_cols = []
-    row = 0
-    for col in range(ncols):
-        pr = next((r for r in range(row, nrows) if aug[r][col]), None)
-        if pr is None:
-            raise InputError("basis vectors are dependent")
-        aug[row], aug[pr] = aug[pr], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[row])]
-        pivot_cols.append(row)
-        row += 1
-    for r in range(row, nrows):
-        if any(aug[r][ncols:]):
-            raise InputError("target vector outside the span of the basis")
-    out = []
-    for t in range(len(targets)):
-        out.append([aug[pivot_cols[j]][ncols + t] for j in range(ncols)])
-    return out
-
-
 def homology_basis(cx: SimplicialComplex, k: int):
     """Cycle representatives of a basis of H_k(X; Q).
 
-    Returns (generators, boundary_basis): lists of dense vectors over the
-    k-simplices; the concatenation is a basis of the cycle space.
+    Returns (generators, boundary_basis): lists of sparse vectors (dicts)
+    over the k-simplices; together they are a basis of the cycle space.
     """
-    simps_k = cx.simplices_of_dim(k)
-    nk = len(simps_k)
-    columns, nrows, ncols = boundary_matrix(cx, k)
-    dense = _dense_columns(columns, ncols, nrows)
-    # kernel of boundary_k via column reduction of the transpose-free form
-    kernel = _kernel_basis(dense, nk)
-    bcols, _, bn = boundary_matrix(cx, k + 1)
-    bdense = _dense_columns(bcols, bn, nk)
-    boundary = _column_space_basis(bdense)
-    # extend the boundary basis to the kernel by greedy independence
-    gens = []
-    current = list(boundary)
-    for v in kernel:
-        if len(_column_space_basis(current + [v])) > len(current):
-            current.append(v)
-            gens.append(v)
+    columns = boundary_matrix(cx, k)[0]
+    # A column that depends on earlier ones gives a cycle: e_j - relation.
+    kernel = []
+    for j, rel in enumerate(_reduce(columns.values())):
+        if rel is not None:
+            z = {i: -c for i, c in rel.items()}
+            z[j] = Fraction(1)
+            kernel.append(z)
+    bcols = list(boundary_matrix(cx, k + 1)[0].values())
+    boundary = [c for c, rel in zip(bcols, _reduce(bcols)) if rel is None]
+    # Boundaries are cycles, so the kernel vectors independent of them and
+    # of each other extend the boundary basis to a cycle basis.
+    tail = _reduce(boundary + kernel)[len(boundary):]
+    gens = [z for z, rel in zip(kernel, tail) if rel is None]
     return gens, boundary
-
-
-def _kernel_basis(dense_columns: list, ncols: int) -> list:
-    """Basis of the kernel of the matrix with the given dense columns."""
-    if ncols == 0:
-        return []
-    nrows = len(dense_columns[0]) if dense_columns else 0
-    # row reduce [A | I] columns: track column operations on the identity
-    cols = [list(c) for c in dense_columns]
-    ident = [[Fraction(1 if i == j else 0) for i in range(ncols)] for j in range(ncols)]
-    pivots = {}
-    for j in range(ncols):
-        col = cols[j]
-        for r, pj in pivots.items():
-            c = col[r]
-            if c:
-                cols[j] = [x - c * y for x, y in zip(col, cols[pj])]
-                ident[j] = [x - c * y for x, y in zip(ident[j], ident[pj])]
-                col = cols[j]
-        nz = next((i for i in range(nrows) if col[i]), None)
-        if nz is not None:
-            pv = col[nz]
-            cols[j] = [x / pv for x in col]
-            ident[j] = [x / pv for x in ident[j]]
-            pivots[nz] = j
-    return [ident[j] for j in range(ncols) if not any(cols[j])]

@@ -31,8 +31,10 @@ from fractions import Fraction
 from .complexes import (
     SimplicialComplex,
     _chains_of_poset,
+    _reduce,
     barycentric_subdivision,
     DEFAULT_SIMPLEX_CAP,
+    homology_basis,
 )
 from .errors import (
     InputError,
@@ -43,7 +45,6 @@ from .errors import (
 )
 from .groups import FiniteGroup, direct_product, subgroup
 from .wreath import (
-    DEFAULT_WREATH_ORDER_CAP,
     ExplicitWreath,
     WreathProduct,
     product_sums,
@@ -405,7 +406,6 @@ def equivariant_product(
 def power_with_wreath_action(
     rec: RegularEquivariantComplex,
     n: int,
-    order_cap: int = DEFAULT_WREATH_ORDER_CAP,
     simplex_cap: int = DEFAULT_SIMPLEX_CAP,
 ) -> tuple[EquivariantComplex, ExplicitWreath]:
     """The n-fold product with the wreath action: the tuple part acts
@@ -416,7 +416,7 @@ def power_with_wreath_action(
     order are capped.
     """
     ec = _require_regular(rec)
-    ew = WreathProduct(ec.group, n).to_group(order_cap=order_cap)
+    ew = WreathProduct(ec.group, n).to_group()
     if n == 1:
         return (
             EquivariantComplex(ec.cx, ew.group, ec.action, _skip_validation=True),
@@ -464,32 +464,29 @@ def homology_traces(rec: RegularEquivariantComplex, k: int) -> list[Fraction]:
     Orientation signs come from the parity of the permutation each element
     induces on the sorted vertex list of a simplex.
     """
-    from .complexes import homology_basis, _solve_in_basis
-
     ec = _require_regular(rec)
     simps_k = ec.cx.simplices_of_dim(k)
     pos = {s: i for i, s in enumerate(simps_k)}
     gens, boundary = homology_basis(ec.cx, k)
-    if not gens:
-        return [Fraction(0)] * ec.group.order
-    basis = boundary + gens
-    traces = []
+    images = []
     for g in range(ec.group.order):
-        mapped = []
         for z in gens:
-            out = [Fraction(0)] * len(simps_k)
-            for i, c in enumerate(z):
-                if not c:
-                    continue
-                s = simps_k[i]
-                vs = [ec.apply(g, v) for v in s]
-                sign = _sort_sign(vs)
-                out[pos[tuple(sorted(vs))]] += c * sign
-            mapped.append(out)
-        coords = _solve_in_basis(basis, mapped)
-        nb = len(boundary)
-        traces.append(sum(coords[i][nb + i] for i in range(len(gens))))
-    return traces
+            out: dict = {}
+            for i, c in z.items():
+                vs = [ec.apply(g, v) for v in simps_k[i]]
+                j = pos[tuple(sorted(vs))]
+                out[j] = out.get(j, 0) + c * _sort_sign(vs)
+            images.append(out)
+    # g.z is a cycle, so it depends on the cycle basis boundary + gens; its
+    # relation gives its coordinates, and the gens' coordinates sum to the
+    # trace.
+    basis = boundary + gens
+    rels = _reduce(basis + images)[len(basis):]
+    nb, ng = len(boundary), len(gens)
+    return [
+        Fraction(sum(rels[g * ng + i].get(nb + i, 0) for i in range(ng)))
+        for g in range(ec.group.order)
+    ]
 
 
 def _sort_sign(values: list) -> int:

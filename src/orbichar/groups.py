@@ -144,15 +144,14 @@ def _find_identity(table) -> int:
 
 
 def _find_inverses(table, identity) -> tuple:
-    n = len(table)
+    # In an associative table a right inverse of an invertible element is
+    # its inverse, so the first identity in row a decides.
     inverse = []
-    for a in range(n):
-        for b in range(n):
-            if table[a][b] == identity and table[b][a] == identity:
-                inverse.append(b)
-                break
-        else:
+    for a, row in enumerate(table):
+        b = row.index(identity) if identity in row else None
+        if b is None or table[b][a] != identity:
             raise NoInverse(f"element {a} has no two-sided inverse")
+        inverse.append(b)
     return tuple(inverse)
 
 

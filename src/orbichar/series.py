@@ -51,7 +51,7 @@ from .errors import (
 from .groups import FiniteGroup, conjugacy_classes, orbit
 from .homs import DEFAULT_HOM_CAP, free_abelian
 from .sectors import chi_m_top, gamma_sectors
-from .wreath import DEFAULT_WREATH_ORDER_CAP, all_types, centralizer_extension
+from .wreath import all_types, centralizer_extension
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +476,6 @@ def _wreath_coefficient(
     rec: RegularEquivariantComplex,
     n: int,
     kind: tuple,
-    order_cap: int,
     simplex_cap: int,
     hom_cap: int,
 ) -> Fraction:
@@ -495,7 +494,7 @@ def _wreath_coefficient(
             return euler_satake(rec_n)
         return Fraction(chi_m_top(rec_n, m, cap=hom_cap))
 
-    return _regular_power(rec, n, term, {}, order_cap, simplex_cap)
+    return _regular_power(rec, n, term, {}, simplex_cap)
 
 
 def _regular_power(
@@ -503,7 +502,6 @@ def _regular_power(
     n: int,
     term,
     built: dict,
-    order_cap: int,
     simplex_cap: int,
 ):
     """``term`` of the regularized n-th wreath power of the complex.
@@ -514,9 +512,7 @@ def _regular_power(
     """
     try:
         if n not in built:
-            ec, _ew = power_with_wreath_action(
-                rec, n, order_cap=order_cap, simplex_cap=simplex_cap
-            )
+            ec, _ew = power_with_wreath_action(rec, n, simplex_cap=simplex_cap)
             built[n] = regularize(ec)
         return term(built[n])
     except CapExceeded as exc:
@@ -544,7 +540,6 @@ def lhs_wreath_series(
     rec: RegularEquivariantComplex,
     kind,
     order: int,
-    order_cap: int = DEFAULT_WREATH_ORDER_CAP,
     simplex_cap: int = DEFAULT_SIMPLEX_CAP,
     hom_cap: int = DEFAULT_HOM_CAP,
 ) -> TruncatedSeries:
@@ -555,7 +550,7 @@ def lhs_wreath_series(
     parsed = _parse_kind(kind)
 
     def fn(n: int) -> Fraction:
-        return _wreath_coefficient(rec, n, parsed, order_cap, simplex_cap, hom_cap)
+        return _wreath_coefficient(rec, n, parsed, simplex_cap, hom_cap)
 
     values, note = _collect_terms(fn, order)
     if note is not None:
@@ -590,7 +585,6 @@ def _compare_report(lhs_values: list, rhs: TruncatedSeries, note) -> dict:
 def verify_exp_formula(
     rec: RegularEquivariantComplex,
     order: int,
-    order_cap: int = DEFAULT_WREATH_ORDER_CAP,
     simplex_cap: int = DEFAULT_SIMPLEX_CAP,
     hom_cap: int = DEFAULT_HOM_CAP,
 ) -> dict:
@@ -599,9 +593,7 @@ def verify_exp_formula(
     rhs = rhs_exp_formula(chi, order)
 
     def fn(n: int) -> Fraction:
-        return _wreath_coefficient(
-            rec, n, ("es", None), order_cap, simplex_cap, hom_cap
-        )
+        return _wreath_coefficient(rec, n, ("es", None), simplex_cap, hom_cap)
 
     values, note = _collect_terms(fn, order)
     report = {"identity": "exp-formula", "chi_es": str(chi), "order": order}
@@ -613,7 +605,6 @@ def verify_main_formula(
     rec: RegularEquivariantComplex,
     m: int,
     order: int,
-    order_cap: int = DEFAULT_WREATH_ORDER_CAP,
     simplex_cap: int = DEFAULT_SIMPLEX_CAP,
     hom_cap: int = DEFAULT_HOM_CAP,
 ) -> dict:
@@ -623,7 +614,7 @@ def verify_main_formula(
     parsed = _parse_kind(top_m(m))
 
     def fn(n: int) -> Fraction:
-        return _wreath_coefficient(rec, n, parsed, order_cap, simplex_cap, hom_cap)
+        return _wreath_coefficient(rec, n, parsed, simplex_cap, hom_cap)
 
     values, note = _collect_terms(fn, order)
     report = {
@@ -652,7 +643,6 @@ def _z_sector_dimension(rec: RegularEquivariantComplex, hom_cap: int) -> int:
 def macdonald_dimension_check(
     rec: RegularEquivariantComplex,
     order: int,
-    order_cap: int = DEFAULT_WREATH_ORDER_CAP,
     simplex_cap: int = DEFAULT_SIMPLEX_CAP,
     hom_cap: int = DEFAULT_HOM_CAP,
 ) -> dict:
@@ -688,7 +678,6 @@ def macdonald_dimension_check(
             n,
             lambda rec_n: signed_total_dimension(betti_numbers(orbit_complex(rec_n))),
             built,
-            order_cap,
             simplex_cap,
         )
 
@@ -704,7 +693,6 @@ def macdonald_dimension_check(
             n,
             lambda rec_n: _z_sector_dimension(rec_n, hom_cap),
             built,
-            order_cap,
             simplex_cap,
         )
 

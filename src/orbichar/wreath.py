@@ -136,8 +136,8 @@ class WreathProduct:
             gens.append(WreathElement((e,) * n, tuple(cyc)))
         return gens
 
-    def to_group(self, order_cap: int = DEFAULT_WREATH_ORDER_CAP) -> "ExplicitWreath":
-        return ExplicitWreath(self, order_cap=order_cap)
+    def to_group(self) -> "ExplicitWreath":
+        return ExplicitWreath(self)
 
 
 def _greedy_base_generators(base: FiniteGroup, n: int) -> list[WreathElement]:
@@ -167,13 +167,14 @@ class ExplicitWreath:
     order of ``WreathProduct.elements()``, and ``elements[i]`` is element i.
     The table is built from these codes and an S_n composition table; it
     costs |W|^2 memory, and the constructor refuses to build anything past
-    ``order_cap``.
+    ``DEFAULT_WREATH_ORDER_CAP``.
     """
 
-    def __init__(self, wreath: WreathProduct, order_cap: int = DEFAULT_WREATH_ORDER_CAP):
-        if wreath.order > order_cap:
+    def __init__(self, wreath: WreathProduct):
+        if wreath.order > DEFAULT_WREATH_ORDER_CAP:
             raise OrderCapExceeded(
-                f"wreath product order {wreath.order} exceeds cap {order_cap}"
+                f"wreath product order {wreath.order} exceeds cap "
+                f"{DEFAULT_WREATH_ORDER_CAP}"
             )
         self.wreath = wreath
         self.elements = list(wreath.elements())

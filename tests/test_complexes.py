@@ -1,7 +1,12 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orbichar import complexes
 from orbichar.errors import InputError, SizeCapExceeded
 from orbichar.complexes import (
+    _reduce,
     SimplicialComplex,
     barycentric_subdivision,
     betti_numbers,
@@ -13,7 +18,16 @@ from orbichar.complexes import (
     signed_total_dimension,
     staircase_product,
 )
-from orbichar.library import circle, edge, octahedron, point, torus, two_points
+from orbichar.library import (
+    EQUIVARIANT_PRESETS,
+    builtin_complex,
+    circle,
+    edge,
+    octahedron,
+    point,
+    torus,
+    two_points,
+)
 
 
 def test_from_maximal_closes_faces():
@@ -134,3 +148,90 @@ def test_chain_cap():
 
     with pytest.raises(SizeCapExceeded):
         product_complex([circle(3)] * 3, cap=10)
+
+
+# ---------------------------------------------------------------------------
+# the one elimination routine
+
+
+def _dense_rank(vectors, width):
+    """Rank over Q by dense row reduction (an oracle independent of _reduce)."""
+    rows = [[Fraction(v.get(i, 0)) for i in range(width)] for v in vectors]
+    rank = 0
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                c = rows[r][col] / rows[rank][col]
+                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+_sparse_vectors = st.lists(
+    st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=4),
+    max_size=9,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_vectors)
+def test_reduce_matches_dense_rank(vectors):
+    rels = _reduce(vectors)
+    assert len(rels) == len(vectors)
+    for i, (v, rel) in enumerate(zip(vectors, rels)):
+        independent = _dense_rank(vectors[: i + 1], 6) > _dense_rank(vectors[:i], 6)
+        assert (rel is None) == independent
+        if rel is None:
+            continue
+        assert all(j < i and rels[j] is None for j in rel)
+        rebuilt = {}
+        for j, c in rel.items():
+            for r, x in vectors[j].items():
+                rebuilt[r] = rebuilt.get(r, 0) + c * x
+        assert {r: x for r, x in rebuilt.items() if x} == {
+            r: x for r, x in v.items() if x
+        }
+
+
+# ---------------------------------------------------------------------------
+# the subdivision size is known before any chain is built
+
+
+def _predicted_subdivision_size(cx):
+    fubini = [1, 1, 3, 13, 75, 541]
+    return sum(f * fubini[d + 1] for d, f in enumerate(cx.f_vector()))
+
+
+def test_predicted_subdivision_size_is_exact():
+    named = {
+        name: builtin_complex(name)
+        for name in ("point", "S0", "edge", "octahedron", "torus", "circle(3)")
+    }
+    named.update((name, build().cx) for name, build in EQUIVARIANT_PRESETS.items())
+    for name, cx in named.items():
+        assert len(barycentric_subdivision(cx)[0].simplices) == (
+            _predicted_subdivision_size(cx)
+        ), name
+    assert _predicted_subdivision_size(octahedron()) == 146
+    assert _predicted_subdivision_size(torus()) == 324
+
+
+def test_subdivision_cap_trips_before_any_chain(monkeypatch):
+    cx = torus()
+    size = _predicted_subdivision_size(cx)
+
+    def no_chains(*args):
+        raise AssertionError("chains were built past the cap")
+
+    monkeypatch.setattr(complexes, "DEFAULT_SIMPLEX_CAP", size - 1)
+    monkeypatch.setattr(complexes, "_chains_of_poset", no_chains)
+    monkeypatch.setattr(complexes, "_proper_faces", no_chains)
+    with pytest.raises(SizeCapExceeded, match=f"simplex cap {size - 1}"):
+        barycentric_subdivision(cx)
+    monkeypatch.undo()
+    monkeypatch.setattr(complexes, "DEFAULT_SIMPLEX_CAP", size)
+    assert len(barycentric_subdivision(cx)[0].simplices) == size

@@ -31,6 +31,7 @@ from orbichar.groups import (
     trivial_group,
 )
 from orbichar.library import (
+    EQUIVARIANT_PRESETS,
     circle,
     circle4_rotation,
     edge,
@@ -267,6 +268,32 @@ def test_homology_traces_identity_is_betti():
     rec = octahedron_antipodal()
     for k in (0, 1, 2):
         assert homology_traces(rec, k)[0] == betti_numbers(rec.cx)[k]
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("octahedron-antipodal", [[1, 1], [0, 0], [1, -1]]),
+        ("octahedron-reflection", [[1, 1], [0, 0], [1, -1]]),
+        ("S0-swap", [[2, 0]]),
+        ("circle4-rotation", [[1, 1], [1, 1]]),
+        ("edge-swap", [[1, 1], [0, 0]]),
+    ],
+)
+def test_homology_traces_on_presets(name, expected):
+    rec = EQUIVARIANT_PRESETS[name]()
+    assert [homology_traces(rec, k) for k in range(rec.cx.dim() + 1)] == expected
+
+
+def test_homology_traces_orientation_signs():
+    # The reflection v -> -v of the hexagon passes the certificate as it
+    # stands and reverses the vertex order of four edges, so its trace on
+    # H_1 depends on the orientation signs.
+    cx = circle(6)
+    ec = EquivariantComplex(cx, cyclic_group(2), (cx.vertices, (0, 5, 4, 3, 2, 1)))
+    rec = regularize(ec)
+    assert rec.subdivision_rounds == 0
+    assert [homology_traces(rec, k) for k in range(2)] == [[1, 1], [1, -1]]
 
 
 def test_equivariant_product_es_multiplies():

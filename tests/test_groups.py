@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbichar.errors import InputError, OrderCapExceeded
+from orbichar.errors import InputError, NoInverse, OrderCapExceeded
 from orbichar.groups import (
     FiniteGroup,
     build_group,
@@ -23,6 +23,16 @@ from orbichar.groups import (
     symmetric_group,
     trivial_group,
 )
+
+
+def test_monoid_without_inverse_is_rejected():
+    # Associative with identity 0, but 1 * x is never 0.
+    with pytest.raises(NoInverse, match="element 1"):
+        FiniteGroup([[0, 1], [1, 1]])
+    # A right inverse alone is not enough: 1 * 2 = 0 but 2 * 1 = 2 (the table
+    # is not associative, so only an unvalidated table can get this far).
+    with pytest.raises(NoInverse, match="element 1"):
+        FiniteGroup([[0, 1, 2], [1, 1, 0], [2, 2, 2]], _skip_validation=True)
 
 
 def test_cyclic_group_basics():

@@ -312,9 +312,10 @@ def test_lhs_series_kind_validation():
 
 
 def test_lhs_order_cap_reports_largest_feasible():
+    # |Z2 wr S5| = 3840 exceeds the default wreath order cap of 2000.
     rec = s0_swap()
-    with pytest.raises(SizeCapExceeded):
-        lhs_wreath_series(rec, "es", 6, order_cap=100)
+    with pytest.raises(SizeCapExceeded, match="n=5"):
+        lhs_wreath_series(rec, "es", 6)
 
 
 # ---------------------------------------------------------------------------
