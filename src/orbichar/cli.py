@@ -45,19 +45,13 @@ def cmd_euler(args) -> tuple[dict, int]:
     rec = library.load_equivariant(args.complex, args.group)
     pres = parse_presentation(args.gamma or "Z")
     decomp = gamma_sectors(rec, pres, cap=args.cap_homs)
-    rep = decomp.report(rec.group)
     report = {
         "command": "euler",
         "complex": args.complex,
         "group_order": rec.group.order,
         "subdivision_rounds": rec.subdivision_rounds,
-        "gamma": rep["gamma"],
-        "sector_count": rep["sector_count"],
-        "dropped_classes": rep["dropped_classes"],
-        "chi_gamma_es": rep["chi_es"],
-        "chi_gamma_top": rep["chi_top"],
-        "sectors": rep["sectors"],
     }
+    report.update(decomp.report(rec.group))
     return report, EXIT_PASS
 
 
@@ -92,20 +86,18 @@ def cmd_wreath(args) -> tuple[dict, int]:
     if args.what == "centralizers":
         by_type = classify_conjugacy_by_type(base, n)
         rows = []
-        all_equal = True
         for t in all_types(base, n):
             formula = centralizer_order_by_formula(base, n, t)
             brute = wreath.order // len(by_type[t].members)
-            equal = formula == brute
-            all_equal = all_equal and equal
             rows.append(
                 {
                     "type": t.to_json(base),
                     "centralizer_formula": formula,
                     "centralizer_bruteforce": brute,
-                    "equal": equal,
+                    "equal": formula == brute,
                 }
             )
+        all_equal = all(row["equal"] for row in rows)
         report = {
             "command": "wreath-centralizers",
             "group": args.group,
@@ -176,13 +168,11 @@ def _verify_jcount(args):
     r_max = args.n if args.n is not None else 12
     m_max = args.m if args.m is not None else 3
     rows = []
-    all_equal = True
     for m in range(1, m_max + 1):
         for r in range(1, r_max + 1):
             formula = series.subgroup_count(r, m).value
             brute = series.sublattice_count_bruteforce(r, m)
             equal = formula == brute
-            all_equal = all_equal and equal
             rows.append(
                 {"r": r, "m": m, "formula": formula, "bruteforce": brute, "equal": equal}
             )
@@ -191,7 +181,7 @@ def _verify_jcount(args):
         "r_max": r_max,
         "m_max": m_max,
         "rows": rows,
-        "equal": all_equal,
+        "equal": all(row["equal"] for row in rows),
     }
 
 
@@ -212,17 +202,14 @@ def _verify_hodge(args):
     else:
         datasets = library.hodge_datasets()
     reports = {}
-    all_equal = True
     for name in sorted(datasets):
         data, d = datasets[name]
-        rep = hodge_product_check(data, d, order)
-        all_equal = all_equal and rep["equal"]
-        reports[name] = rep
+        reports[name] = hodge_product_check(data, d, order)
     return {
         "identity": "hodge-product-formula",
         "order": order,
         "datasets": reports,
-        "equal": all_equal,
+        "equal": all(rep["equal"] for rep in reports.values()),
     }
 
 
@@ -242,7 +229,6 @@ def _verify_sectors(args):
 def _verify_products(args):
     pres = parse_presentation(args.gamma or "Z")
     rows = []
-    all_equal = True
     for a, b in library.PRODUCT_PAIRS:
         rep = product_sectors_check(
             library.builtin_equivariant(a),
@@ -251,13 +237,12 @@ def _verify_products(args):
             cap=args.cap_homs,
         )
         rep["pair"] = [a, b]
-        all_equal = all_equal and rep["equal"]
         rows.append(rep)
     return {
         "identity": "product-multiplicativity",
         "gamma": pres.name,
         "pairs": rows,
-        "equal": all_equal,
+        "equal": all(rep["equal"] for rep in rows),
     }
 
 

@@ -40,10 +40,11 @@ from .errors import (
     InputError,
     NotBijection,
     NotRegular,
+    OrderCapExceeded,
     RegularizationFailed,
     SizeCapExceeded,
 )
-from .groups import FiniteGroup, direct_product, subgroup
+from .groups import FiniteGroup, direct_product, orbit, orbits, subgroup
 from .wreath import (
     ExplicitWreath,
     WreathProduct,
@@ -99,15 +100,10 @@ class EquivariantComplex:
         return tuple(sorted(row[pos[v]] for v in s))
 
     def vertex_orbits(self) -> list[tuple]:
-        seen = set()
-        orbits = []
-        for v in self.cx.vertices:
-            if v in seen:
-                continue
-            orbit = {self.apply(g, v) for g in self.group.elements()}
-            seen.update(orbit)
-            orbits.append(tuple(sorted(orbit)))
-        return orbits
+        return orbits(
+            self.cx.vertices,
+            lambda v: {self.apply(g, v) for g in self.group.elements()},
+        )
 
     def __repr__(self):
         return f"EquivariantComplex(f={self.cx.f_vector()}, |G|={self.group.order})"
@@ -124,13 +120,13 @@ def action_from_generator_maps(cx, group, maps: dict) -> EquivariantComplex:
     """Build the action table from vertex maps of a few elements.
 
     ``maps[g]`` is a dict (or aligned tuple) for element g; the remaining
-    elements are derived by composing along a breadth-first closure.  Raises
-    if the given maps are inconsistent with the group law.
+    elements are derived by closing the pairs (element, vertex row) under
+    the given ones.  Raises if the given maps are inconsistent with the
+    group law, that is, if two rows reach one element.
     """
     n = len(cx.vertices)
     vpos = {v: i for i, v in enumerate(cx.vertices)}
-    rows: dict[int, tuple] = {group.identity: tuple(cx.vertices)}
-    norm = {}
+    norm = []
     for g, m in maps.items():
         if isinstance(m, dict):
             row = tuple(m[v] for v in cx.vertices)
@@ -140,20 +136,21 @@ def action_from_generator_maps(cx, group, maps: dict) -> EquivariantComplex:
             raise InputError(f"vertex map for element {g} has wrong length")
         if not all(v in vpos for v in row):
             raise InputError(f"vertex map for element {g} leaves the complex")
-        norm[g] = row
-    rows.update(norm)
-    frontier = list(rows)
-    while frontier:
-        h = frontier.pop()
-        for g, grow in norm.items():
-            gh = group.table[g][h]
-            comp = tuple(grow[vpos[v]] for v in rows[h])
-            if gh in rows:
-                if rows[gh] != comp:
-                    raise InputError("generator maps are inconsistent")
-            else:
-                rows[gh] = comp
-                frontier.append(gh)
+        norm.append((g, row))
+
+    def step(pair, generator):
+        (h, row), (g, grow) = pair, generator
+        return group.table[g][h], tuple(grow[vpos[v]] for v in row)
+
+    # More pairs than elements means two rows for one element.
+    start = (group.identity, tuple(cx.vertices))
+    try:
+        pairs = orbit(start, norm, step, cap=group.order)
+    except OrderCapExceeded:
+        raise InputError("generator maps are inconsistent") from None
+    rows = dict(pairs)
+    if len(rows) != len(pairs):
+        raise InputError("generator maps are inconsistent")
     if len(rows) != group.order:
         raise InputError("given elements do not generate the group")
     return EquivariantComplex(
@@ -250,17 +247,7 @@ def _require_regular(rec) -> EquivariantComplex:
 def euler_satake(rec: RegularEquivariantComplex) -> Fraction:
     """Sum over simplex orbits of (-1)^dim / |isotropy|."""
     ec = _require_regular(rec)
-    elements = range(ec.group.order)
-    seen = set()
-    total = Fraction(0)
-    for s in ec.cx.simplices:
-        if s in seen:
-            continue
-        images = [ec.map_simplex(g, s) for g in elements]
-        stab = sum(1 for t in images if t == s)
-        seen.update(images)
-        total += Fraction((-1) ** (len(s) - 1), stab)
-    return total
+    return _satake_sum(ec, ec.cx.simplices, ec.cx.simplex_set)
 
 
 def euler_satake_subcomplex(rec: RegularEquivariantComplex, simplices) -> Fraction:
@@ -273,18 +260,24 @@ def euler_satake_subcomplex(rec: RegularEquivariantComplex, simplices) -> Fracti
         for i in range(len(s)):
             if len(s) > 1 and s[:i] + s[i + 1 :] not in subset:
                 raise InputError(f"subset is not closed under faces at {s}")
-    elements = range(ec.group.order)
-    seen = set()
-    total = Fraction(0)
-    for s in sorted(subset, key=lambda t: (len(t), t)):
-        if s in seen:
-            continue
-        images = [ec.map_simplex(g, s) for g in elements]
-        if any(t not in subset for t in images):
+    return _satake_sum(ec, sorted(subset), subset)
+
+
+def _satake_sum(ec: EquivariantComplex, simplices, inside) -> Fraction:
+    """(-1)^dim / |isotropy| summed over the orbits through ``simplices``;
+    the isotropy order is |G| / orbit size.  Raises InputError if an orbit
+    leaves ``inside``."""
+    order = ec.group.order
+
+    def images(s: tuple) -> set:
+        out = {ec.map_simplex(g, s) for g in range(order)}
+        if not out <= inside:
             raise InputError("subset is not invariant under the action")
-        stab = sum(1 for t in images if t == s)
-        seen.update(images)
-        total += Fraction((-1) ** (len(s) - 1), stab)
+        return out
+
+    total = Fraction(0)
+    for members in orbits(simplices, images):
+        total += Fraction((-1) ** (len(members[0]) - 1), order // len(members))
     return total
 
 

@@ -186,6 +186,24 @@ def orbit(start, generators, act, cap: int | None = None) -> set:
     return seen
 
 
+def orbits(items, orbit_of) -> list[tuple]:
+    """The orbits through ``items``, each a sorted tuple.
+
+    Walks ``items`` in order; each item not yet in an orbit opens its own,
+    ``orbit_of(x)``.  When ``items`` is sorted and holds every orbit it
+    meets, each orbit is opened by its least member and the orbits come
+    in order of least member.
+    """
+    seen = set()
+    out = []
+    for x in items:
+        if x not in seen:
+            members = tuple(sorted(orbit_of(x)))
+            seen.update(members)
+            out.append(members)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # permutation closures
 
@@ -267,18 +285,15 @@ def conjugacy_classes(group: FiniteGroup) -> tuple[ConjugacyClass, ...]:
     if group._classes is None:
         n = group.order
         table, inverse = group.table, group.inverse
-        class_of = [-1] * n
-        classes = []
-        for x in range(n):
-            if class_of[x] >= 0:
-                continue
-            orbit = {table[table[g][x]][inverse[g]] for g in range(n)}
-            for y in orbit:
-                class_of[y] = len(classes)
-            members = tuple(sorted(orbit))
-            classes.append(ConjugacyClass(members[0], members))
+        classes = orbits(
+            range(n), lambda x: {table[table[g][x]][inverse[g]] for g in range(n)}
+        )
+        class_of = [0] * n
+        for i, members in enumerate(classes):
+            for y in members:
+                class_of[y] = i
         group._class_of = tuple(class_of)
-        group._classes = tuple(classes)
+        group._classes = tuple(ConjugacyClass(m[0], m) for m in classes)
     return group._classes
 
 

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import EnumerationCapExceeded, InputError, InvalidWord
-from .groups import FiniteGroup
+from .groups import FiniteGroup, orbits
 
 DEFAULT_HOM_CAP = 10**8
 
@@ -122,22 +122,16 @@ class GroupHom:
 
 
 def evaluate_word(group: FiniteGroup, images, word) -> int:
-    validate_word(word, len(images))
+    return _evaluate(group, images, validate_word(word, len(images)))
+
+
+def _evaluate(group: FiniteGroup, images, word) -> int:
+    """The image of a word whose letters are known to be in range."""
     x = group.identity
     for letter in word:
         a = images[letter - 1] if letter > 0 else group.inverse[images[-letter - 1]]
         x = group.table[x][a]
     return x
-
-
-def _word_prefix_check(group, images, word, assigned):
-    """Evaluate a relator whose letters all reference assigned generators."""
-    x = group.identity
-    for letter in word:
-        idx = abs(letter) - 1
-        a = images[idx] if letter > 0 else group.inverse[images[idx]]
-        x = group.table[x][a]
-    return x == group.identity
 
 
 def enumerate_homs(
@@ -167,7 +161,7 @@ def enumerate_homs(
     def assign(i: int) -> None:
         for x in range(n):
             images[i] = x
-            if all(_word_prefix_check(group, images, w, i) for w in buckets[i]):
+            if all(_evaluate(group, images, w) == group.identity for w in buckets[i]):
                 if i + 1 == k:
                     out.append(GroupHom(group, tuple(images)))
                 else:
@@ -194,19 +188,16 @@ def hom_classes(
     representative.  Orbit sizes always sum to the total homomorphism count.
     """
     homs = enumerate_homs(presentation, group, cap=cap)
-    if presentation.generators == 0:
-        return [HomClass(GroupHom(group, ()), 1)]
     table, inverse = group.table, group.inverse
-    visited = set()
-    classes = []
-    for hom in homs:  # already lex-sorted, so first unvisited is the min
-        t = hom.images
-        if t in visited:
-            continue
-        orbit = {
+
+    def conjugates(t: tuple) -> set:
+        return {
             tuple(table[table[g][x]][inverse[g]] for x in t)
             for g in range(group.order)
         }
-        visited.update(orbit)
-        classes.append(HomClass(GroupHom(group, min(orbit)), len(orbit)))
-    return classes
+
+    # The homs are lex-sorted, so each orbit opens at its lex-min member.
+    return [
+        HomClass(GroupHom(group, members[0]), len(members))
+        for members in orbits([h.images for h in homs], conjugates)
+    ]

@@ -6,6 +6,7 @@ objects, so callers may mutate-by-wrapping freely.
 """
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from .equivariant import (
     regularize,
     trivial_action,
 )
-from .errors import InputError
+from .errors import InputError, OrderCapExceeded
 from .groups import (
     FiniteGroup,
     cyclic_group,
@@ -30,6 +31,7 @@ from .groups import (
     trivial_group,
 )
 from .hodge import BigradedDims, SectorHodgeDatum
+from .wreath import DEFAULT_WREATH_ORDER_CAP
 
 # ---------------------------------------------------------------------------
 # groups
@@ -40,17 +42,28 @@ _GROUP_RE = re.compile(r"([ZSD])(\d+)$")
 
 
 def builtin_group(spec: str) -> FiniteGroup:
-    """A group from a short spec: ``trivial`` or ``Zn`` / ``Sn`` / ``Dn``."""
+    """A group from a short spec: ``trivial`` or ``Zn`` / ``Sn`` / ``Dn``.
+
+    Raises OrderCapExceeded, before building anything, when the order (n,
+    n! or 2n) exceeds the explicit-table cap.
+    """
     if spec == "trivial":
         return trivial_group()
     m = _GROUP_RE.match(spec)
     if m:
         kind, n = m.group(1), int(m.group(2))
+        # For S_n, min(n, 20)! is past the cap exactly when n! is, and n!
+        # itself can be too long to compute or print.
+        order = {"Z": n, "D": 2 * n, "S": math.factorial(min(n, 20))}[kind]
+        if order > DEFAULT_WREATH_ORDER_CAP:
+            shown = f"{n}!" if kind == "S" else order
+            raise OrderCapExceeded(
+                f"group {spec} has order {shown}, above the explicit-table"
+                f" cap {DEFAULT_WREATH_ORDER_CAP}"
+            )
         if kind == "Z":
             return cyclic_group(n)
         if kind == "S":
-            if n > 8:
-                raise InputError(f"symmetric group spec {spec!r} is too large")
             return symmetric_group(n)
         return dihedral_group(n)
     raise InputError(

@@ -72,8 +72,8 @@ class SectorDecomposition:
             or f"<{self.presentation.generators} generators>",
             "sector_count": len(self.sectors),
             "dropped_classes": self.dropped_classes,
-            "chi_es": str(self.chi_es()),
-            "chi_top": self.chi_top(),
+            "chi_gamma_es": str(self.chi_es()),
+            "chi_gamma_top": self.chi_top(),
             "sectors": [
                 {
                     "images": [group.label(x) for x in s.hom_class.representative.images],

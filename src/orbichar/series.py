@@ -271,13 +271,14 @@ def subgroup_count(r: int, m: int) -> SubgroupCount:
     """
     if r < 1 or m < 1:
         raise InputError(f"subgroup counts need r, m >= 1, got r={r}, m={m}")
-    value = 0
-    for js in _ordered_factorizations(r, m):
-        weight = 1
-        for i in range(1, m):
-            weight *= js[i] ** i
-        value += weight
+    value = sum(_weight(js) for js in _ordered_factorizations(r, m))
     return SubgroupCount(r, m, value)
+
+
+def _weight(js) -> int:
+    """j_2 * j_3^2 * ... * j_m^(m-1): the number of upper-triangular normal
+    forms with diagonal (j_1..j_m)."""
+    return math.prod(j**i for i, j in enumerate(js))
 
 
 def sublattice_count_bruteforce(r: int, m: int, exhaustive: bool = False) -> int:
@@ -382,11 +383,8 @@ def rhs_main_formula_multiindex(m: int, chi, order: int) -> TruncatedSeries:
         return one_minus_q_power(1, order) ** (-chi_int)
     out = TruncatedSeries.one(order)
     for js in _bounded_index_tuples(m, order):
-        weight = 1
-        for i in range(1, m):
-            weight *= js[i] ** i
         out = out * one_minus_q_power(math.prod(js), order) ** (
-            -weight * chi_int
+            -_weight(js) * chi_int
         )
     return out
 
@@ -547,15 +545,19 @@ def lhs_wreath_series(
     wreath symmetric product of the complex.  Raises SizeCapExceeded naming
     the first infeasible n; the verify_* wrappers instead report the largest
     feasible truncation."""
-    parsed = _parse_kind(kind)
-
-    def fn(n: int) -> Fraction:
-        return _wreath_coefficient(rec, n, parsed, simplex_cap, hom_cap)
-
-    values, note = _collect_terms(fn, order)
+    values, note = _lhs_values(rec, kind, order, simplex_cap, hom_cap)
     if note is not None:
         raise SizeCapExceeded(note)
     return TruncatedSeries(tuple(values))
+
+
+def _lhs_values(rec, kind, order: int, simplex_cap: int, hom_cap: int) -> tuple:
+    """Coefficients 0..order of the chosen wreath series, as
+    ``_collect_terms`` returns them."""
+    parsed = _parse_kind(kind)
+    return _collect_terms(
+        lambda n: _wreath_coefficient(rec, n, parsed, simplex_cap, hom_cap), order
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +593,7 @@ def verify_exp_formula(
     """Check sum of chi_ES(n-th wreath product) q^n = exp(q chi_ES)."""
     chi = euler_satake(rec)
     rhs = rhs_exp_formula(chi, order)
-
-    def fn(n: int) -> Fraction:
-        return _wreath_coefficient(rec, n, ("es", None), simplex_cap, hom_cap)
-
-    values, note = _collect_terms(fn, order)
+    values, note = _lhs_values(rec, "es", order, simplex_cap, hom_cap)
     report = {"identity": "exp-formula", "chi_es": str(chi), "order": order}
     report.update(_compare_report(values, rhs, note))
     return report
@@ -611,12 +609,7 @@ def verify_main_formula(
     """Check the chi_(m) wreath series against the J_{r,m} product formula."""
     chi = chi_m_top(rec, m, cap=hom_cap)
     rhs = rhs_main_formula(m, chi, order)
-    parsed = _parse_kind(top_m(m))
-
-    def fn(n: int) -> Fraction:
-        return _wreath_coefficient(rec, n, parsed, simplex_cap, hom_cap)
-
-    values, note = _collect_terms(fn, order)
+    values, note = _lhs_values(rec, top_m(m), order, simplex_cap, hom_cap)
     report = {
         "identity": "main-product-formula",
         "m": m,
@@ -662,10 +655,10 @@ def macdonald_dimension_check(
         d1 = signed_total_dimension(betti_numbers(orbit_complex(rec)))
         d2 = _z_sector_dimension(rec, hom_cap)
 
-    rhs1 = one_minus_q_power(1, order) ** (-d1)
-    rhs2 = TruncatedSeries.one(order)
-    for j in range(1, order + 1):
-        rhs2 = rhs2 * one_minus_q_power(j, order) ** (-d2)
+    # The m = 0 product is (1-q)^(-d1), and J_{r,1} = 1 for every r, so the
+    # m = 1 product is that of (1-q^r)^(-d2) over r >= 1.
+    rhs1 = rhs_main_formula(0, d1, order)
+    rhs2 = rhs_main_formula(1, d2, order)
 
     # Both parts read the same wreath powers; each is built once.
     built: dict = {}

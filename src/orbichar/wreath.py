@@ -34,6 +34,7 @@ from .groups import (
     class_index,
     conjugacy_classes,
     orbit,
+    orbits,
     perm_compose,
     perm_inverse,
     subgroup,
@@ -384,20 +385,17 @@ def classify_conjugacy_by_type(base: FiniteGroup, size: int) -> dict:
             f" cross-check cap {BRUTE_FORCE_ORDER_CAP}"
         )
     gens = wreath.generators()
-    seen = set()
     out = {}
-    for w in wreath.elements():
-        if w in seen:
-            continue
-        members = orbit(w, gens, lambda x, g: wreath.conj(g, x))
-        seen |= members
+    for members in orbits(
+        wreath.elements(), lambda w: orbit(w, gens, lambda x, g: wreath.conj(g, x))
+    ):
         types = {type_of(wreath, x) for x in members}
         if len(types) != 1:
             raise InputError("type is not constant on a conjugacy class")
         t = types.pop()
         if t in out:
             raise InputError("two conjugacy classes share a type")
-        out[t] = ConjugacyClass(w, tuple(sorted(members)))
+        out[t] = ConjugacyClass(members[0], members)
     return out
 
 

@@ -6,11 +6,14 @@ arithmetic; each test also enforces its runtime budget.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import orbichar
 from orbichar.complexes import euler_characteristic
 from orbichar.equivariant import (
     equivariant_product,
@@ -220,6 +223,10 @@ def test_criterion_10_deterministic_reports():
         ["euler", "--complex", "octahedron-antipodal", "--gamma", "Z"],
         ["wreath", "classes", "--group", "Z2", "--n", "3"],
     ]
+    # The subprocesses import the package this test imported, installed or not.
+    src = str(Path(orbichar.__file__).resolve().parent.parent)
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     ok = True
     for cmd in commands:
         outputs = []
@@ -228,6 +235,7 @@ def test_criterion_10_deterministic_reports():
                 [sys.executable, "-m", "orbichar.cli", *cmd, "--workers", workers],
                 capture_output=True,
                 check=True,
+                env=env,
             )
             outputs.append(proc.stdout)
         ok = ok and outputs[0] == outputs[1] and json.loads(outputs[0])

@@ -150,6 +150,19 @@ def test_wreath_euler_table_cap(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("group", ["Z10000", "S7", "D3000"])
+def test_builtin_group_order_cap(capsys, group):
+    # the order is checked before any table is built
+    started = time.monotonic()
+    code, out, err = run(
+        capsys, "euler", "--complex", "point", "--group", group, "--gamma", "trivial"
+    )
+    assert time.monotonic() - started < 5
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "cap 2000" in err and "Traceback" not in err
+
+
 def test_wreath_euler_simplex_cap_trips_in_time(capsys):
     # the 4-fold power of the triangle fails the certificate, and the
     # simplex cap trips while subdividing it; checking the certificate on

@@ -64,6 +64,11 @@ def test_action_must_respect_group_law():
     broken = {0: 1, 1: 0, 2: 2}  # an involution cannot generate Z/3
     with pytest.raises(InputError):
         action_from_generator_maps(cx, g, {1: broken})
+    # A reflection given as the generator of Z/5 reaches ten (element, row)
+    # pairs; the closure's cap at |G| is reported as the clash it is.
+    reflection = {v: (5 - v) % 5 for v in range(5)}
+    with pytest.raises(InputError, match="inconsistent"):
+        action_from_generator_maps(circle(5), cyclic_group(5), {1: reflection})
 
 
 def test_regularity_certificate_failures():
@@ -214,6 +219,15 @@ def test_subcomplex_additivity():
         - euler_satake_subcomplex(rec, a & b)
         == chi_union
     )
+
+
+def test_subcomplex_of_everything_is_euler_satake():
+    recs = [rec for _name, rec in suite()]
+    for rec in (s0_swap(), edge_swap()):
+        power, _ew = power_with_wreath_action(rec, 2)
+        recs.append(regularize(power))
+    for rec in recs:
+        assert euler_satake(rec) == euler_satake_subcomplex(rec, rec.cx.simplices)
 
 
 def test_subcomplex_must_be_invariant():

@@ -16,6 +16,7 @@ from orbichar.groups import (
     group_from_json,
     is_central,
     orbit,
+    orbits,
     perm_compose,
     perm_cycle_label,
     perm_inverse,
@@ -179,6 +180,37 @@ def test_orbit_cap_trips_before_growing_past_it():
     with pytest.raises(OrderCapExceeded):
         build_group_from_permutations(gens, order_cap=23)
     assert build_group_from_permutations(gens, order_cap=24).order == 24
+
+
+def _check_orbits(items, act, elements):
+    opened = []
+
+    def orbit_of(x):
+        opened.append(x)
+        return {act(g, x) for g in elements}
+
+    out = orbits(items, orbit_of)
+    # disjoint and covering
+    assert sorted(x for o in out for x in o) == sorted(items)
+    for o in out:
+        assert list(o) == sorted(o)
+        assert {act(g, x) for g in elements for x in o} == set(o)
+    # each orbit is opened once, by its least member, in order of least member
+    assert opened == [o[0] for o in out] == sorted(opened)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=2)
+    )
+)
+def test_orbits_of_conjugation_and_vertex_action(gens):
+    degree = len(gens[0])
+    group = build_group_from_permutations(gens, degree=degree)
+    _check_orbits(range(group.order), group.conj, group.elements())
+    perms = sorted(orbit(tuple(range(degree)), [tuple(p) for p in gens], perm_compose))
+    _check_orbits(range(degree), lambda p, v: p[v], perms)
 
 
 def test_group_from_json_table_and_perms():

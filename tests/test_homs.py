@@ -75,6 +75,7 @@ def test_trivial_presentation_single_hom():
     classes = hom_classes(trivial_presentation(), symmetric_group(3))
     assert len(classes) == 1
     assert classes[0].representative.images == ()
+    assert classes[0].orbit_size == 1
 
 
 def test_free_vs_abelian_into_abelian_group():
