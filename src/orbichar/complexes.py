@@ -147,7 +147,8 @@ def barycentric_subdivision(cx: SimplicialComplex):
     size = sum(f * _fubini(d + 1) for d, f in enumerate(cx.f_vector()))
     if size > DEFAULT_SIMPLEX_CAP:
         raise SizeCapExceeded(
-            f"chain enumeration exceeds simplex cap {DEFAULT_SIMPLEX_CAP}"
+            f"barycentric subdivision has {size} simplices,"
+            f" above simplex cap {DEFAULT_SIMPLEX_CAP}"
         )
     vertex_of = {s: i for i, s in enumerate(cx.simplices)}
     chains = _chains_of_poset(
@@ -175,13 +176,14 @@ def _proper_faces(s, vertex_of):
     return out
 
 
-def _chains_of_poset(elements, predecessors, cap: int = DEFAULT_SIMPLEX_CAP):
+def _chains_of_poset(elements, predecessors):
     """All nonempty chains of a finite poset, as sorted tuples of elements.
 
     ``predecessors(e)`` lists the strict predecessors of e.  Elements must
     be ints listed in increasing order, and that order must extend the
     partial order (each element comes after its predecessors), so that
-    every chain is emitted as a sorted tuple.
+    every chain is emitted as a sorted tuple.  Raises SizeCapExceeded once
+    the chains outnumber ``DEFAULT_SIMPLEX_CAP``.
     """
     chains_ending = {}
     out = []
@@ -193,9 +195,9 @@ def _chains_of_poset(elements, predecessors, cap: int = DEFAULT_SIMPLEX_CAP):
                 mine.append(ch + (e,))
         chains_ending[e] = mine
         total += len(mine)
-        if total > cap:
+        if total > DEFAULT_SIMPLEX_CAP:
             raise SizeCapExceeded(
-                f"chain enumeration exceeds simplex cap {cap}"
+                f"chain enumeration exceeds simplex cap {DEFAULT_SIMPLEX_CAP}"
             )
         out.extend(mine)
     return out

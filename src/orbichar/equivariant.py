@@ -28,12 +28,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from . import complexes
 from .complexes import (
     SimplicialComplex,
     _chains_of_poset,
     _reduce,
     barycentric_subdivision,
-    DEFAULT_SIMPLEX_CAP,
     homology_basis,
 )
 from .errors import (
@@ -327,11 +327,12 @@ def restrict_to_subgroup(
 # products and powers
 
 
-def _poset_elements(cxs: list[SimplicialComplex], cap: int):
+def _poset_elements(cxs: list[SimplicialComplex]):
     """Elements of the product face poset, topologically sorted, with ids."""
     total = 1
     for cx in cxs:
         total *= len(cx.simplices)
+    cap = complexes.DEFAULT_SIMPLEX_CAP
     if total > cap:
         raise SizeCapExceeded(f"product poset has {total} cells, cap {cap}")
     tuples = sorted(
@@ -356,29 +357,25 @@ def _tuple_predecessors(t: tuple, ids: dict):
             yield ids[combo]
 
 
-def product_complex(
-    cxs: list[SimplicialComplex], cap: int = DEFAULT_SIMPLEX_CAP
-) -> tuple[SimplicialComplex, list]:
+def product_complex(cxs: list[SimplicialComplex]) -> tuple[SimplicialComplex, list]:
     """Order complex of the product face poset: a triangulation of the
     product of the factors on which factor-permuting and factorwise actions
     are simplicial.  Returns (complex, poset tuples by vertex id)."""
-    tuples, ids = _poset_elements(cxs, cap)
+    tuples, ids = _poset_elements(cxs)
     chains = _chains_of_poset(
-        range(len(tuples)),
-        lambda i: _tuple_predecessors(tuples[i], ids),
-        cap=cap,
+        range(len(tuples)), lambda i: _tuple_predecessors(tuples[i], ids)
     )
     return SimplicialComplex(chains, _skip_validation=True), tuples
 
 
 def equivariant_product(
-    a: EquivariantComplex, b: EquivariantComplex, cap: int = DEFAULT_SIMPLEX_CAP
+    a: EquivariantComplex, b: EquivariantComplex
 ) -> tuple[EquivariantComplex, FiniteGroup, list]:
     """Product of two actions over the direct product group.
 
     Returns (equivariant complex, product group, element pairs).
     """
-    cx, tuples = product_complex([a.cx, b.cx], cap=cap)
+    cx, tuples = product_complex([a.cx, b.cx])
     ids = {t: i for i, t in enumerate(tuples)}
     prod, pairs = direct_product(a.group, b.group)
     rows = []
@@ -397,9 +394,7 @@ def equivariant_product(
 
 
 def power_with_wreath_action(
-    rec: RegularEquivariantComplex,
-    n: int,
-    simplex_cap: int = DEFAULT_SIMPLEX_CAP,
+    rec: RegularEquivariantComplex, n: int
 ) -> tuple[EquivariantComplex, ExplicitWreath]:
     """The n-fold product with the wreath action: the tuple part acts
     factorwise, the permutation part permutes factors.
@@ -415,7 +410,7 @@ def power_with_wreath_action(
             EquivariantComplex(ec.cx, ew.group, ec.action, _skip_validation=True),
             ew,
         )
-    cx, tuples = product_complex([ec.cx] * n, cap=simplex_cap)
+    cx, tuples = product_complex([ec.cx] * n)
     # A poset tuple is coded by its simplex indices read base k; the poset
     # holds every tuple, so codes and vertex ids are in bijection.
     simps = ec.cx.simplices

@@ -31,7 +31,9 @@ from .errors import (
 _EXHAUSTIVE_ASSOC_BOUND = 64
 _ASSOC_SAMPLES = 20000
 
-DEFAULT_ORDER_CAP = 10**6
+# Largest group built as an explicit |G|^2 multiplication table: wreath
+# powers, built-in groups and permutation closures all stop here.
+TABLE_ORDER_CAP = 2000
 
 
 class FiniteGroup:
@@ -217,7 +219,7 @@ def check_perm(p, degree: int) -> tuple:
 
 def perm_compose(p: tuple, q: tuple) -> tuple:
     """(p o q)(x) = p(q(x))."""
-    return tuple(p[q[x]] for x in range(len(p)))
+    return tuple([p[i] for i in q])
 
 
 def perm_inverse(p: tuple) -> tuple:
@@ -246,12 +248,10 @@ def perm_cycle_label(p: tuple) -> str:
     return "".join(parts) if parts else "()"
 
 
-def build_group_from_permutations(
-    generators, degree: int | None = None, order_cap: int = DEFAULT_ORDER_CAP
-) -> FiniteGroup:
+def build_group_from_permutations(generators, degree: int | None = None) -> FiniteGroup:
     """Close a set of permutations under composition and build the group.
 
-    Raises OrderCapExceeded if the closure grows past ``order_cap``.
+    Raises OrderCapExceeded if the closure grows past ``TABLE_ORDER_CAP``.
     """
     generators = [tuple(g) for g in generators]
     if degree is None:
@@ -259,9 +259,16 @@ def build_group_from_permutations(
             raise InputError("need a degree when no generators are given")
         degree = len(generators[0])
     gens = [check_perm(g, degree) for g in generators]
-    elems = sorted(orbit(tuple(range(degree)), gens, perm_compose, cap=order_cap))
+    identity = tuple(range(degree))
+    elems = sorted(orbit(identity, gens, perm_compose, cap=TABLE_ORDER_CAP))
     index = {p: i for i, p in enumerate(elems)}
-    table = [[index[perm_compose(p, q)] for q in elems] for p in elems]
+    # Row x lists the indices of x o q, so row(x o g)[q] = row(x)[row(g)[q]]
+    # and the rows close from the generators' rows.  The identity is the
+    # least permutation, elems[0], so row(x)[0] is the index of x: sorting
+    # the rows puts each at its element's index.
+    gen_rows = [tuple(index[perm_compose(g, q)] for q in elems) for g in gens]
+    start = tuple(range(len(elems)))
+    table = sorted(orbit(start, gen_rows, lambda row, g: tuple([row[i] for i in g])))
     labels = [perm_cycle_label(p) for p in elems]
     return FiniteGroup(table, labels=labels, _skip_validation=True)
 

@@ -134,19 +134,18 @@ def _evaluate(group: FiniteGroup, images, word) -> int:
     return x
 
 
-def enumerate_homs(
-    presentation: Presentation, group: FiniteGroup, cap: int = DEFAULT_HOM_CAP
-) -> list[GroupHom]:
+def enumerate_homs(presentation: Presentation, group: FiniteGroup) -> list[GroupHom]:
     """All homomorphisms, sorted lexicographically by image tuple.
 
-    The candidate space has |G|^k points; if that exceeds ``cap`` the call
-    raises EnumerationCapExceeded rather than returning a partial answer.
+    The candidate space has |G|^k points; if that exceeds ``DEFAULT_HOM_CAP``
+    the call raises EnumerationCapExceeded rather than returning a partial
+    answer.
     """
     k = presentation.generators
     n = group.order
-    if n**k > cap:
+    if n**k > DEFAULT_HOM_CAP:
         raise EnumerationCapExceeded(
-            f"|G|^k = {n}^{k} exceeds enumeration cap {cap}"
+            f"|G|^k = {n}^{k} exceeds enumeration cap {DEFAULT_HOM_CAP}"
         )
     if k == 0:
         return [GroupHom(group, ())]
@@ -179,15 +178,13 @@ class HomClass:
     orbit_size: int
 
 
-def hom_classes(
-    presentation: Presentation, group: FiniteGroup, cap: int = DEFAULT_HOM_CAP
-) -> list[HomClass]:
+def hom_classes(presentation: Presentation, group: FiniteGroup) -> list[HomClass]:
     """Orbits of Hom(P, G) under pointwise conjugation by G.
 
     Canonical output: lex-min representative per orbit, classes sorted by
     representative.  Orbit sizes always sum to the total homomorphism count.
     """
-    homs = enumerate_homs(presentation, group, cap=cap)
+    homs = enumerate_homs(presentation, group)
     table, inverse = group.table, group.inverse
 
     def conjugates(t: tuple) -> set:

@@ -22,6 +22,7 @@ from .equivariant import (
     regularize,
     trivial_action,
 )
+from . import groups
 from .errors import InputError, OrderCapExceeded
 from .groups import (
     FiniteGroup,
@@ -31,7 +32,6 @@ from .groups import (
     trivial_group,
 )
 from .hodge import BigradedDims, SectorHodgeDatum
-from .wreath import DEFAULT_WREATH_ORDER_CAP
 
 # ---------------------------------------------------------------------------
 # groups
@@ -51,15 +51,24 @@ def builtin_group(spec: str) -> FiniteGroup:
         return trivial_group()
     m = _GROUP_RE.match(spec)
     if m:
-        kind, n = m.group(1), int(m.group(2))
+        kind, digits = m.group(1), m.group(2).lstrip("0") or "0"
+        cap = groups.TABLE_ORDER_CAP
+        # An n with more digits than the cap is past it for every kind, and
+        # is not converted: int() refuses strings of thousands of digits.
+        if len(digits) > len(str(cap)):
+            raise OrderCapExceeded(
+                f"group {kind}n with a {len(digits)}-digit n has order above"
+                f" the explicit-table cap {cap}"
+            )
+        n = int(digits)
         # For S_n, min(n, 20)! is past the cap exactly when n! is, and n!
         # itself can be too long to compute or print.
         order = {"Z": n, "D": 2 * n, "S": math.factorial(min(n, 20))}[kind]
-        if order > DEFAULT_WREATH_ORDER_CAP:
+        if order > cap:
             shown = f"{n}!" if kind == "S" else order
             raise OrderCapExceeded(
                 f"group {spec} has order {shown}, above the explicit-table"
-                f" cap {DEFAULT_WREATH_ORDER_CAP}"
+                f" cap {cap}"
             )
         if kind == "Z":
             return cyclic_group(n)

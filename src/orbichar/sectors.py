@@ -31,7 +31,6 @@ from .equivariant import (
 from .errors import BadExtension, InputError
 from .groups import FiniteGroup, central_cyclic_extension, centralizer, subgroup
 from .homs import (
-    DEFAULT_HOM_CAP,
     HomClass,
     Presentation,
     free_abelian,
@@ -108,11 +107,9 @@ def sector_for_class(
 
 
 def gamma_sectors(
-    rec: RegularEquivariantComplex,
-    presentation: Presentation,
-    cap: int = DEFAULT_HOM_CAP,
+    rec: RegularEquivariantComplex, presentation: Presentation
 ) -> SectorDecomposition:
-    classes = hom_classes(presentation, rec.group, cap=cap)
+    classes = hom_classes(presentation, rec.group)
     sectors = []
     dropped = 0
     for cls in classes:
@@ -124,27 +121,19 @@ def gamma_sectors(
     return SectorDecomposition(presentation, tuple(sectors), dropped)
 
 
-def chi_gamma_es(
-    rec: RegularEquivariantComplex,
-    presentation: Presentation,
-    cap: int = DEFAULT_HOM_CAP,
-) -> Fraction:
-    return gamma_sectors(rec, presentation, cap=cap).chi_es()
+def chi_gamma_es(rec: RegularEquivariantComplex, presentation: Presentation) -> Fraction:
+    return gamma_sectors(rec, presentation).chi_es()
 
 
-def chi_gamma_top(
-    rec: RegularEquivariantComplex,
-    presentation: Presentation,
-    cap: int = DEFAULT_HOM_CAP,
-) -> int:
-    return gamma_sectors(rec, presentation, cap=cap).chi_top()
+def chi_gamma_top(rec: RegularEquivariantComplex, presentation: Presentation) -> int:
+    return gamma_sectors(rec, presentation).chi_top()
 
 
-def chi_m_top(rec: RegularEquivariantComplex, m: int, cap: int = DEFAULT_HOM_CAP) -> int:
+def chi_m_top(rec: RegularEquivariantComplex, m: int) -> int:
     """chi_(m): the orbit-space Euler characteristic summed over Z^m-sectors."""
     if m == 0:
         return euler_characteristic(orbit_complex(rec))
-    return chi_gamma_top(rec, free_abelian(m), cap=cap)
+    return chi_gamma_top(rec, free_abelian(m))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +144,6 @@ def iterate_sectors(
     rec: RegularEquivariantComplex,
     first: Presentation,
     second: Presentation,
-    cap: int = DEFAULT_HOM_CAP,
 ) -> dict:
     """Sectors of sectors versus sectors of the product presentation.
 
@@ -163,14 +151,14 @@ def iterate_sectors(
     the resulting multiset of Euler-Satake contributions (and the count)
     with the sectors of first x second computed in one step.
     """
-    outer = gamma_sectors(rec, first, cap=cap)
+    outer = gamma_sectors(rec, first)
     nested = []
     iterated_values = []
     for sector in outer.sectors:
-        inner = gamma_sectors(sector.fixed, second, cap=cap)
+        inner = gamma_sectors(sector.fixed, second)
         nested.append(inner)
         iterated_values.extend(s.chi_es() for s in inner.sectors)
-    combined = gamma_sectors(rec, product_presentation(first, second), cap=cap)
+    combined = gamma_sectors(rec, product_presentation(first, second))
     direct_values = [s.chi_es() for s in combined.sectors]
     report = {
         "first": first.name,
@@ -190,13 +178,12 @@ def product_sectors_check(
     a: RegularEquivariantComplex,
     b: RegularEquivariantComplex,
     presentation: Presentation,
-    cap: int = DEFAULT_HOM_CAP,
 ) -> dict:
     """Sector count and invariant multiplicativity for a product of quotients."""
-    da = gamma_sectors(a, presentation, cap=cap)
-    db = gamma_sectors(b, presentation, cap=cap)
+    da = gamma_sectors(a, presentation)
+    db = gamma_sectors(b, presentation)
     prod_ec, _group, _pairs = equivariant_product(a.ec, b.ec)
-    dp = gamma_sectors(regularize(prod_ec), presentation, cap=cap)
+    dp = gamma_sectors(regularize(prod_ec), presentation)
     report = {
         "gamma": presentation.name,
         "sector_counts": [len(da.sectors), len(db.sectors), len(dp.sectors)],
@@ -214,9 +201,7 @@ def product_sectors_check(
     return report
 
 
-def trivial_extension_scaling_check(
-    ec: EquivariantComplex, z: int, r: int, m: int, cap: int = DEFAULT_HOM_CAP
-) -> dict:
+def trivial_extension_scaling_check(ec: EquivariantComplex, z: int, r: int, m: int) -> dict:
     """chi_(m) scales by r^m when a central a with a^r = z acts trivially.
 
     ``z`` must be central in the acting group and act trivially on the
@@ -230,8 +215,8 @@ def trivial_extension_scaling_check(
         tuple(ec.apply(k, v) for v in ec.cx.vertices) for (k, i) in pairs
     )
     ext_ec = EquivariantComplex(ec.cx, ext, rows, _skip_validation=True)
-    base_val = chi_m_top(regularize(ec), m, cap=cap)
-    ext_val = chi_m_top(regularize(ext_ec), m, cap=cap)
+    base_val = chi_m_top(regularize(ec), m)
+    ext_val = chi_m_top(regularize(ext_ec), m)
     return {
         "r": r,
         "m": m,

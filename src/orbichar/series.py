@@ -28,11 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import (
-    DEFAULT_SIMPLEX_CAP,
-    betti_numbers,
-    signed_total_dimension,
-)
+from .complexes import betti_numbers, signed_total_dimension
 from .equivariant import (
     RegularEquivariantComplex,
     euler_satake,
@@ -49,7 +45,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .groups import FiniteGroup, conjugacy_classes, orbit
-from .homs import DEFAULT_HOM_CAP, free_abelian
+from .homs import free_abelian
 from .sectors import chi_m_top, gamma_sectors
 from .wreath import all_types, centralizer_extension
 
@@ -470,13 +466,7 @@ def _is_point(rec: RegularEquivariantComplex) -> bool:
     return len(rec.cx.vertices) == 1
 
 
-def _wreath_coefficient(
-    rec: RegularEquivariantComplex,
-    n: int,
-    kind: tuple,
-    simplex_cap: int,
-    hom_cap: int,
-) -> Fraction:
+def _wreath_coefficient(rec: RegularEquivariantComplex, n: int, kind: tuple) -> Fraction:
     """The n-th coefficient of the chosen wreath series."""
     tag, m = kind
     if n == 0:
@@ -490,18 +480,12 @@ def _wreath_coefficient(
     def term(rec_n: RegularEquivariantComplex) -> Fraction:
         if tag == "es":
             return euler_satake(rec_n)
-        return Fraction(chi_m_top(rec_n, m, cap=hom_cap))
+        return Fraction(chi_m_top(rec_n, m))
 
-    return _regular_power(rec, n, term, {}, simplex_cap)
+    return _regular_power(rec, n, term, {})
 
 
-def _regular_power(
-    rec: RegularEquivariantComplex,
-    n: int,
-    term,
-    built: dict,
-    simplex_cap: int,
-):
+def _regular_power(rec: RegularEquivariantComplex, n: int, term, built: dict):
     """``term`` of the regularized n-th wreath power of the complex.
 
     The power is kept in ``built`` under n, so callers that pass the same
@@ -510,7 +494,7 @@ def _regular_power(
     """
     try:
         if n not in built:
-            ec, _ew = power_with_wreath_action(rec, n, simplex_cap=simplex_cap)
+            ec, _ew = power_with_wreath_action(rec, n)
             built[n] = regularize(ec)
         return term(built[n])
     except CapExceeded as exc:
@@ -534,30 +518,22 @@ def _collect_terms(fn, order: int) -> tuple:
     return values, note
 
 
-def lhs_wreath_series(
-    rec: RegularEquivariantComplex,
-    kind,
-    order: int,
-    simplex_cap: int = DEFAULT_SIMPLEX_CAP,
-    hom_cap: int = DEFAULT_HOM_CAP,
-) -> TruncatedSeries:
+def lhs_wreath_series(rec: RegularEquivariantComplex, kind, order: int) -> TruncatedSeries:
     """The computed series: coefficient n is the invariant of the n-th
     wreath symmetric product of the complex.  Raises SizeCapExceeded naming
     the first infeasible n; the verify_* wrappers instead report the largest
     feasible truncation."""
-    values, note = _lhs_values(rec, kind, order, simplex_cap, hom_cap)
+    values, note = _lhs_values(rec, kind, order)
     if note is not None:
         raise SizeCapExceeded(note)
     return TruncatedSeries(tuple(values))
 
 
-def _lhs_values(rec, kind, order: int, simplex_cap: int, hom_cap: int) -> tuple:
+def _lhs_values(rec, kind, order: int) -> tuple:
     """Coefficients 0..order of the chosen wreath series, as
     ``_collect_terms`` returns them."""
     parsed = _parse_kind(kind)
-    return _collect_terms(
-        lambda n: _wreath_coefficient(rec, n, parsed, simplex_cap, hom_cap), order
-    )
+    return _collect_terms(lambda n: _wreath_coefficient(rec, n, parsed), order)
 
 
 # ---------------------------------------------------------------------------
@@ -584,32 +560,21 @@ def _compare_report(lhs_values: list, rhs: TruncatedSeries, note) -> dict:
     return out
 
 
-def verify_exp_formula(
-    rec: RegularEquivariantComplex,
-    order: int,
-    simplex_cap: int = DEFAULT_SIMPLEX_CAP,
-    hom_cap: int = DEFAULT_HOM_CAP,
-) -> dict:
+def verify_exp_formula(rec: RegularEquivariantComplex, order: int) -> dict:
     """Check sum of chi_ES(n-th wreath product) q^n = exp(q chi_ES)."""
     chi = euler_satake(rec)
     rhs = rhs_exp_formula(chi, order)
-    values, note = _lhs_values(rec, "es", order, simplex_cap, hom_cap)
+    values, note = _lhs_values(rec, "es", order)
     report = {"identity": "exp-formula", "chi_es": str(chi), "order": order}
     report.update(_compare_report(values, rhs, note))
     return report
 
 
-def verify_main_formula(
-    rec: RegularEquivariantComplex,
-    m: int,
-    order: int,
-    simplex_cap: int = DEFAULT_SIMPLEX_CAP,
-    hom_cap: int = DEFAULT_HOM_CAP,
-) -> dict:
+def verify_main_formula(rec: RegularEquivariantComplex, m: int, order: int) -> dict:
     """Check the chi_(m) wreath series against the J_{r,m} product formula."""
-    chi = chi_m_top(rec, m, cap=hom_cap)
+    chi = chi_m_top(rec, m)
     rhs = rhs_main_formula(m, chi, order)
-    values, note = _lhs_values(rec, top_m(m), order, simplex_cap, hom_cap)
+    values, note = _lhs_values(rec, top_m(m), order)
     report = {
         "identity": "main-product-formula",
         "m": m,
@@ -624,21 +589,16 @@ def verify_main_formula(
 # Macdonald dimension formulas
 
 
-def _z_sector_dimension(rec: RegularEquivariantComplex, hom_cap: int) -> int:
+def _z_sector_dimension(rec: RegularEquivariantComplex) -> int:
     """Signed homology dimension summed over the Z-sector orbit spaces."""
-    decomposition = gamma_sectors(rec, free_abelian(1), cap=hom_cap)
+    decomposition = gamma_sectors(rec, free_abelian(1))
     return sum(
         signed_total_dimension(betti_numbers(orbit_complex(s.fixed)))
         for s in decomposition.sectors
     )
 
 
-def macdonald_dimension_check(
-    rec: RegularEquivariantComplex,
-    order: int,
-    simplex_cap: int = DEFAULT_SIMPLEX_CAP,
-    hom_cap: int = DEFAULT_HOM_CAP,
-) -> dict:
+def macdonald_dimension_check(rec: RegularEquivariantComplex, order: int) -> dict:
     """Both dimension formulas, as one report.
 
     Part 1: signed homology dimensions of the wreath-product quotients have
@@ -653,7 +613,7 @@ def macdonald_dimension_check(
         d2 = len(conjugacy_classes(rec.group))
     else:
         d1 = signed_total_dimension(betti_numbers(orbit_complex(rec)))
-        d2 = _z_sector_dimension(rec, hom_cap)
+        d2 = _z_sector_dimension(rec)
 
     # The m = 0 product is (1-q)^(-d1), and J_{r,1} = 1 for every r, so the
     # m = 1 product is that of (1-q^r)^(-d2) over r >= 1.
@@ -671,7 +631,6 @@ def macdonald_dimension_check(
             n,
             lambda rec_n: signed_total_dimension(betti_numbers(orbit_complex(rec_n))),
             built,
-            simplex_cap,
         )
 
     def sector_dim(n: int) -> Fraction:
@@ -681,13 +640,7 @@ def macdonald_dimension_check(
             # Each conjugacy class is a sector over a point, so the
             # coefficient is the number of classes, i.e. of types.
             return Fraction(point_wreath_chi_m(rec.group, n, 1))
-        return _regular_power(
-            rec,
-            n,
-            lambda rec_n: _z_sector_dimension(rec_n, hom_cap),
-            built,
-            simplex_cap,
-        )
+        return _regular_power(rec, n, _z_sector_dimension, built)
 
     lhs1, note1 = _collect_terms(quotient_dim, order)
     lhs2, note2 = _collect_terms(sector_dim, order)

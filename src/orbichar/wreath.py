@@ -25,6 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from . import groups
 from .errors import InputError, InvalidType, OrderCapExceeded
 from .groups import (
     ConjugacyClass,
@@ -39,9 +40,10 @@ from .groups import (
     perm_inverse,
     subgroup,
 )
+# The explicit-table cap, under its former name; ExplicitWreath reads
+# groups.TABLE_ORDER_CAP when it runs.
+from .groups import TABLE_ORDER_CAP as DEFAULT_WREATH_ORDER_CAP
 
-# Largest wreath group built as an explicit |W|^2 multiplication table.
-DEFAULT_WREATH_ORDER_CAP = 2000
 # Largest wreath group whose conjugacy classes are found element by element
 # (by generator orbits, without a table) to cross-check the type formulas.
 BRUTE_FORCE_ORDER_CAP = 20000
@@ -168,14 +170,14 @@ class ExplicitWreath:
     order of ``WreathProduct.elements()``, and ``elements[i]`` is element i.
     The table is built from these codes and an S_n composition table; it
     costs |W|^2 memory, and the constructor refuses to build anything past
-    ``DEFAULT_WREATH_ORDER_CAP``.
+    ``groups.TABLE_ORDER_CAP``.
     """
 
     def __init__(self, wreath: WreathProduct):
-        if wreath.order > DEFAULT_WREATH_ORDER_CAP:
+        cap = groups.TABLE_ORDER_CAP
+        if wreath.order > cap:
             raise OrderCapExceeded(
-                f"wreath product order {wreath.order} exceeds cap "
-                f"{DEFAULT_WREATH_ORDER_CAP}"
+                f"wreath product order {wreath.order} exceeds cap {cap}"
             )
         self.wreath = wreath
         self.elements = list(wreath.elements())

@@ -150,7 +150,10 @@ def test_wreath_euler_table_cap(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("group", ["Z10000", "S7", "D3000"])
+@pytest.mark.parametrize(
+    "group",
+    ["Z10000", "S7", "D3000", pytest.param("Z" + "1" * 5000, id="Z-5000-digits")],
+)
 def test_builtin_group_order_cap(capsys, group):
     # the order is checked before any table is built
     started = time.monotonic()
@@ -161,6 +164,17 @@ def test_builtin_group_order_cap(capsys, group):
     assert code == 3 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "cap 2000" in err and "Traceback" not in err
+
+
+def test_dihedral_group_at_the_cap_in_time(capsys):
+    # order 2000, at the cap: the table is closed from generator rows, not
+    # by composing every pair of degree-1000 permutations
+    started = time.monotonic()
+    code, report = run_json(
+        capsys, "euler", "--complex", "point", "--group", "D1000", "--gamma", "trivial"
+    )
+    assert time.monotonic() - started < 20
+    assert code == 0 and report["group_order"] == 2000
 
 
 def test_wreath_euler_simplex_cap_trips_in_time(capsys):
@@ -367,6 +381,49 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("orbichar.cli.series.subgroup_count", crooked)
     code, report = run_json(capsys, "verify", "jcount", "--n", "3", "--m", "2")
     assert code == 1 and not report["equal"]
+
+
+CAPPED_SERIES = [
+    ("exp", "--complex", "S0-swap", "--order", "6"),
+    ("main", "--complex", "S0-swap", "--m", "1", "--order", "6"),
+    ("macdonald", "--complex", "S0-swap", "--order", "6"),
+]
+
+
+@pytest.mark.parametrize("argv", CAPPED_SERIES)
+def test_capped_series_check_exits_3(capsys, argv):
+    # |Z2 wr S5| = 3840 is past the table cap, so the series stops at n = 4;
+    # the partial report still prints
+    code, out, err = run(capsys, "verify", *argv)
+    report = json.loads(out)
+    parts = [report.get("part1", report), report.get("part2", report)]
+    assert code == 3
+    assert all(len(p["lhs"]) == 5 and "mismatch_index" not in p for p in parts)
+    assert err == (
+        "error: cap exceeded: wreath power n=5: wreath product order 3840"
+        " exceeds cap 2000\n"
+    )
+
+
+def test_capped_series_check_with_a_mismatch_exits_1(capsys, monkeypatch):
+    # force a mismatch below the cap by tampering with the formula side
+    import orbichar.series as series_mod
+
+    real = series_mod.rhs_exp_formula
+    monkeypatch.setattr(
+        "orbichar.series.rhs_exp_formula", lambda chi, order: real(chi + 1, order)
+    )
+    code, report = run_json(
+        capsys, "verify", "exp", "--complex", "S0-swap", "--order", "6"
+    )
+    assert code == 1 and report["mismatch_index"] == 1 and "cap" in report
+
+
+@pytest.mark.parametrize("flag", ["--cap-homs", "--cap-simplices"])
+def test_cap_flags_are_gone(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "products", flag, "5"])
+    assert exc.value.code == 2
 
 
 def test_report_written_to_file(tmp_path, capsys):

@@ -176,10 +176,38 @@ def test_orbit_cap_trips_before_growing_past_it():
         orbit(0, [1], step, cap=5)
     assert max(produced) == 5  # 0..4 kept, 5 refused
     assert orbit(0, [1], lambda x, g: (x + g) % 5, cap=5) == set(range(5))
-    gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    # a permutation closure stops at TABLE_ORDER_CAP = 2000: S7 has 5040
+    # elements, S6 has 720
     with pytest.raises(OrderCapExceeded):
-        build_group_from_permutations(gens, order_cap=23)
-    assert build_group_from_permutations(gens, order_cap=24).order == 24
+        build_group_from_permutations(_symmetric_generators(7))
+    assert build_group_from_permutations(_symmetric_generators(6)).order == 720
+
+
+def _symmetric_generators(n):
+    return [tuple([1, 0] + list(range(2, n))), tuple(list(range(1, n)) + [0])]
+
+
+def _dihedral_generators(n):
+    return [tuple((i + 1) % n for i in range(n)), tuple((n - i) % n for i in range(n))]
+
+
+@pytest.mark.parametrize(
+    "gens, degree",
+    [([], 1)]
+    + [(_symmetric_generators(n), n) for n in range(2, 6)]
+    + [(_dihedral_generators(n), n) for n in range(2, 9)],
+)
+def test_permutation_table_matches_pairwise_composition(gens, degree):
+    # the oracle composes every pair of the sorted closure, p(q(x)) pointwise
+    elems = sorted(orbit(tuple(range(degree)), gens, perm_compose))
+    index = {p: i for i, p in enumerate(elems)}
+    table = tuple(
+        tuple(index[tuple(p[q[x]] for x in range(degree))] for q in elems)
+        for p in elems
+    )
+    group = build_group_from_permutations(gens, degree=degree)
+    assert group.table == table
+    assert group.labels == tuple(perm_cycle_label(p) for p in elems)
 
 
 def _check_orbits(items, act, elements):
