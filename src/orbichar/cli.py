@@ -10,9 +10,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import factorial
 
-from . import library, series
+from . import library, series, wreath
 from .complexes import euler_characteristic
 from .equivariant import (
     euler_satake,
@@ -60,9 +61,16 @@ def cmd_wreath(args) -> tuple[dict, int]:
     n = args.n
     if n is None or n < 0:
         raise InputError("wreath commands need --n >= 0")
-    wreath = WreathProduct(base, n)
+    product = WreathProduct(base, n)
 
     if args.what == "classes":
+        # One row per type; the m = 1 point series counts them first.
+        predicted = series.point_wreath_chi_m(base, n, 1)
+        if predicted > wreath.TYPE_CAP:
+            raise CapExceeded(
+                f"{args.group} ~ S_{n} has {predicted} conjugacy classes,"
+                f" above the type cap {wreath.TYPE_CAP}"
+            )
         rows = []
         for t in all_types(base, n):
             cent = centralizer_order_by_formula(base, n, t)
@@ -70,14 +78,14 @@ def cmd_wreath(args) -> tuple[dict, int]:
                 {
                     "type": t.to_json(base),
                     "centralizer_order": cent,
-                    "class_size": wreath.order // cent,
+                    "class_size": product.order // cent,
                 }
             )
         report = {
             "command": "wreath-classes",
             "group": args.group,
             "n": n,
-            "wreath_order": wreath.order,
+            "wreath_order": product.order,
             "class_count": len(rows),
             "rows": rows,
         }
@@ -88,7 +96,7 @@ def cmd_wreath(args) -> tuple[dict, int]:
         rows = []
         for t in all_types(base, n):
             formula = centralizer_order_by_formula(base, n, t)
-            brute = wreath.order // len(by_type[t].members)
+            brute = product.order // len(by_type[t].members)
             rows.append(
                 {
                     "type": t.to_json(base),
@@ -102,7 +110,7 @@ def cmd_wreath(args) -> tuple[dict, int]:
             "command": "wreath-centralizers",
             "group": args.group,
             "n": n,
-            "wreath_order": wreath.order,
+            "wreath_order": product.order,
             "class_count": len(rows),
             "rows": rows,
             "pass": all_equal,
@@ -309,8 +317,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Text of each JSON leaf, by exact type; containers look their items up
+# here before recursing.
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _none: "null",
+}
+
+
+def json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, for str-keyed dicts,
+    lists and tuples of str, int, bool and None (leaves by exact type);
+    anything else raises TypeError.
+
+    ``indent`` is the newline and indentation that precede this value's
+    closing bracket.  Each container returns its own joined string; this
+    is faster than ``json.dumps``, which indents in pure Python.
+    """
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    get = _LEAVES.get
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [
+            encode_basestring_ascii(k) + ": "
+            + (f(v) if (f := get(type(v))) else json_text(v, inner))
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = [f(v) if (f := get(type(v))) else json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, out: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json_text(report) + "\n"
     sys.stdout.write(text)
     if out:
         with open(out, "w") as fh:

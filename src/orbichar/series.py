@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,7 +48,7 @@ from .errors import (
 from .groups import FiniteGroup, conjugacy_classes, orbit
 from .homs import free_abelian
 from .sectors import chi_m_top, gamma_sectors
-from .wreath import all_types, centralizer_extension
+from .wreath import centralizer_extension
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +391,8 @@ def rhs_main_formula_multiindex(m: int, chi, order: int) -> TruncatedSeries:
 
 # Caches are keyed by groups, which hash and compare by their tables, so
 # equal groups share entries no matter how they were built.
+# _POINT_CHI_CACHE maps (group, m) to the coefficients of
+# sum_n chi_(m)(pt x G ~ S_n) q^n, as far as they have been asked for.
 _POINT_CHI_CACHE: dict = {}
 _EXTENSION_CACHE: dict = {}
 
@@ -411,32 +414,55 @@ def point_wreath_chi_m(group: FiniteGroup, size: int, m: int) -> int:
         chi_(m) = sum over classes (w) of chi_(m-1) of pt x C(w),
 
     and the centralizer of an element of a given type is a direct product,
-    over the (class, cycle length) pairs, of wreath products of the small
-    extension groups attached to single cycles.  No multiplication table of
-    the wreath product itself is ever built, so this reaches sizes far past
-    the explicit route; the two are compared where they overlap.
+    over the (class c, cycle length r) pairs, of wreath products
+    E(c, r) ~ S_mult of the small extension groups attached to single
+    cycles (``centralizer_extension``).  A type is any choice of
+    multiplicities, so the sum over types factors:
+
+        sum_n chi_(m)(pt x G ~ S_n) q^n
+            = prod over (c, r) of F_{E(c, r)}(q^r),
+
+    where F_E(q) = sum_k chi_(m-1)(pt x E ~ S_k) q^k, and F_E = 1/(1-q) at
+    m = 1.  The coefficients are built as that truncated product, so the
+    cost is polynomial in ``size``, and no table of the wreath product is
+    ever built; the explicit route is compared with this one where they
+    overlap.
+
+    ``verify main`` on a point stays two computations: this side recurses
+    through the extension groups and never calls J_{r,m} or
+    ``rhs_main_formula``.
     """
     if size < 0 or m < 0:
         raise InputError("size and m must be nonnegative")
     if m == 0 or size == 0:
         return 1
-    key = (group, size, m)
-    if key in _POINT_CHI_CACHE:
-        return _POINT_CHI_CACHE[key]
-    types = all_types(group, size)
-    if m == 1:
-        # One conjugacy class per type.
-        result = len(types)
-    else:
-        result = 0
-        for t in types:
-            term = 1
-            for ((c, r), mult) in t.entries:
-                ext = _extension_cached(group, c, r)
-                term *= point_wreath_chi_m(ext, mult, m - 1)
-            result += term
-    _POINT_CHI_CACHE[key] = result
-    return result
+    return _point_chi_coefficients(group, m, size)[size]
+
+
+def _point_chi_coefficients(group: FiniteGroup, m: int, order: int) -> list:
+    """Coefficients 0..order (or more) of sum_n chi_(m)(pt x G ~ S_n) q^n,
+    for m >= 1, as ints."""
+    key = (group, m)
+    cached = _POINT_CHI_CACHE.get(key)
+    if cached is not None and len(cached) > order:
+        return cached
+    out = [1] + [0] * order
+    for c in range(len(conjugacy_classes(group))):
+        for r in range(1, order + 1):
+            if m == 1:
+                # multiply by 1/(1 - q^r)
+                for i in range(r, order + 1):
+                    out[i] += out[i - r]
+                continue
+            factor = _point_chi_coefficients(
+                _extension_cached(group, c, r), m - 1, order // r
+            )
+            # multiply by factor(q^r), top coefficient first
+            for i in range(order, r - 1, -1):
+                terms = map(operator.mul, factor[1 : i // r + 1], out[i - r :: -r])
+                out[i] += sum(terms)
+    _POINT_CHI_CACHE[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

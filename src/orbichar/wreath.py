@@ -48,6 +48,10 @@ from .groups import TABLE_ORDER_CAP as DEFAULT_WREATH_ORDER_CAP
 # (by generator orbits, without a table) to cross-check the type formulas.
 BRUTE_FORCE_ORDER_CAP = 20000
 
+# Most rows (types) a ``wreath classes`` report may list; the command
+# checks the predicted count before enumerating any type.
+TYPE_CAP = 10**5
+
 
 @dataclass(frozen=True, order=True)
 class WreathElement:

@@ -1,9 +1,12 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbichar.cli import main
+from orbichar import wreath
+from orbichar.cli import json_text, main
 
 
 def run(capsys, *argv):
@@ -115,6 +118,27 @@ def test_wreath_classes_trivial_partitions(capsys):
     )
     assert code == 0
     assert report["class_count"] == 5
+
+
+def test_wreath_classes_type_cap(capsys):
+    # 481,225,800 types: the count comes from the point series before any
+    # type is enumerated
+    started = time.monotonic()
+    code, out, err = run(capsys, "wreath", "classes", "--group", "S3", "--n", "40")
+    assert time.monotonic() - started < 1
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "481225800" in err and f"type cap {wreath.TYPE_CAP}" in err
+
+
+def test_wreath_classes_at_the_type_cap(capsys, monkeypatch):
+    # Z2 ~ S_4 has 20 classes: a cap of 20 lets it through, 19 does not
+    monkeypatch.setattr(wreath, "TYPE_CAP", 20)
+    code, report = run_json(capsys, "wreath", "classes", "--group", "Z2", "--n", "4")
+    assert code == 0 and report["class_count"] == 20
+    monkeypatch.setattr(wreath, "TYPE_CAP", 19)
+    code, out, err = run(capsys, "wreath", "classes", "--group", "Z2", "--n", "4")
+    assert code == 3 and out == "" and "has 20 conjugacy classes" in err
 
 
 def test_wreath_centralizers(capsys):
@@ -453,3 +477,59 @@ def test_reports_deterministic_across_workers(capsys):
         "--order", "3", "--workers", "4",
     )
     assert out1 == out2
+
+
+# one small argv per subcommand
+ROUND_TRIP = [
+    ("euler", "--complex", "circle(4)", "--group", "D4", "--gamma", "Z^2"),
+    ("wreath", "classes", "--group", "S3", "--n", "3"),
+    ("wreath", "centralizers", "--group", "Z2", "--n", "3"),
+    ("wreath", "euler", "--group", "Z2", "--n", "2"),
+    ("verify", "exp", "--complex", "point-S3", "--order", "4"),
+    ("verify", "main", "--complex", "point", "--group", "S3", "--m", "2", "--order", "4"),
+    ("verify", "macdonald", "--complex", "S0-swap", "--order", "2"),
+    ("verify", "sectors"),
+    ("verify", "products"),
+    ("verify", "hodge", "--complex", "point-Z2", "--order", "4"),
+    ("verify", "jcount", "--n", "4", "--m", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", ROUND_TRIP, ids=[" ".join(a[:2]) for a in ROUND_TRIP])
+def test_report_text_is_indented_sorted_json(capsys, argv):
+    code, out, _err = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+JSON_LEAVES = (
+    st.text()
+    | st.sampled_from(["", "\"", "\\", "\x00\x1f\n\t", "\u00e9\u2603", "\U0001f600"])
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | st.booleans()
+    | st.none()
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_text_matches_json_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj", [1.5, {1: "a"}, {"a": [set()]}, b"x", Fraction(1, 2)],
+    ids=["float", "int-key", "set", "bytes", "fraction"],
+)
+def test_json_text_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        json_text(obj)

@@ -16,6 +16,7 @@ from orbichar.groups import (
     symmetric_group,
     trivial_group,
 )
+from orbichar.groups import conjugacy_classes
 from orbichar.library import (
     point_s3,
     point_z2,
@@ -37,6 +38,7 @@ from orbichar.series import (
     verify_exp_formula,
     verify_main_formula,
 )
+from orbichar.wreath import all_types, centralizer_extension
 
 
 def series(*coeffs):
@@ -395,6 +397,61 @@ def test_macdonald_part2_point_s3():
     # Z-sector dimension of pt x S3 = 3 classes: product over n of
     # (1-q^n)^{-3}: 1, 3, 9, 22, 51
     assert report["part2"]["lhs"] == ["1", "3", "9", "22", "51"]
+
+
+def _chi_m_by_types(group, size, m, memo):
+    """chi_(m) of pt x G ~ S_size as the sum over types of G ~ S_size of
+    the product, over the type's (class c, cycle length r) entries of
+    multiplicity k, of chi_(m-1) of pt x E(c, r) ~ S_k: the form before
+    it factors into a product of series.  Recurses into itself."""
+    if m == 0 or size == 0:
+        return 1
+    key = (group, size, m)
+    if key not in memo:
+        types = all_types(group, size)
+        if m == 1:
+            memo[key] = len(types)
+        else:
+            reps = [cls.representative for cls in conjugacy_classes(group)]
+            total = 0
+            for t in types:
+                term = 1
+                for (c, r), k in t.entries:
+                    ext_key = ("E", group, c, r)
+                    if ext_key not in memo:
+                        memo[ext_key] = centralizer_extension(group, reps[c], r)
+                    term *= _chi_m_by_types(memo[ext_key], k, m - 1, memo)
+                total += term
+            memo[key] = total
+    return memo[key]
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        trivial_group(),
+        cyclic_group(2),
+        cyclic_group(3),
+        symmetric_group(3),
+        dihedral_group(4),
+        symmetric_group(4),
+    ],
+    ids=["trivial", "Z2", "Z3", "S3", "D4", "S4"],
+)
+def test_point_chi_product_matches_type_sum(group):
+    memo: dict = {}
+    for m in (1, 2, 3):
+        for n in range(7):
+            assert point_wreath_chi_m(group, n, m) == _chi_m_by_types(
+                group, n, m, memo
+            ), (n, m)
+
+
+def test_point_chi_product_past_type_enumeration():
+    # (sum of partition numbers)^3 at q^40: 481,225,800 types of S3 ~ S_40
+    assert point_wreath_chi_m(symmetric_group(3), 40, 1) == 481_225_800
+    # the value the type sum gave for D4 ~ S_12 (about 10 s)
+    assert point_wreath_chi_m(dihedral_group(4), 12, 2) == 97_060_768_563
 
 
 def test_equal_tables_share_cache_entries():
