@@ -64,13 +64,23 @@ def cmd_wreath(args) -> tuple[dict, int]:
     product = WreathProduct(base, n)
 
     if args.what == "classes":
-        # One row per type; the m = 1 point series counts them first.
-        predicted = series.point_wreath_chi_m(base, n, 1)
-        if predicted > wreath.TYPE_CAP:
-            raise CapExceeded(
-                f"{args.group} ~ S_{n} has {predicted} conjugacy classes,"
-                f" above the type cap {wreath.TYPE_CAP}"
-            )
+        # One row per type; the m = 1 point series counts them first, on
+        # doubling prefixes k of n.  The count never falls as k grows, so
+        # the first prefix over the cap proves the trip, long before the
+        # series reaches a large n.
+        k = min(1, n)
+        while True:
+            count = series.point_wreath_chi_m(base, k, 1)
+            if count > wreath.TYPE_CAP:
+                at_least = "" if k == n else "at least "
+                note = "" if k == n else f" ({args.group} ~ S_{k} has {count})"
+                raise CapExceeded(
+                    f"{args.group} ~ S_{n} has {at_least}{count} conjugacy"
+                    f" classes, above the type cap {wreath.TYPE_CAP}{note}"
+                )
+            if k == n:
+                break
+            k = min(2 * k, n)
         rows = []
         for t in all_types(base, n):
             cent = centralizer_order_by_formula(base, n, t)
@@ -163,6 +173,11 @@ def _verify_macdonald(args):
 def _verify_jcount(args):
     r_max = args.n if args.n is not None else 12
     m_max = args.m if args.m is not None else 3
+    if r_max < 1 or m_max < 1:
+        # an empty table would pass vacuously
+        raise InputError(
+            f"jcount needs --n >= 1 and --m >= 1, got --n {r_max} --m {m_max}"
+        )
     rows = []
     for m in range(1, m_max + 1):
         for r in range(1, r_max + 1):

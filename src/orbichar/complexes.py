@@ -5,9 +5,8 @@ simplex family (each simplex a sorted tuple of vertex ids, the family sorted
 by dimension then lexicographically).  Vertex ids are arbitrary integers so
 that subcomplexes can keep their parent's labels.
 
-Betti numbers, homology bases and coordinates in them all come from one
-sparse Gaussian elimination over Q (``_reduce``) on integer boundary
-columns; no floating point anywhere.
+Betti numbers come from one sparse Gaussian elimination over Q
+(``_sparse_rank``) on integer boundary columns; no floating point anywhere.
 """
 from __future__ import annotations
 
@@ -266,48 +265,32 @@ def boundary_matrix(cx: SimplicialComplex, k: int) -> tuple[dict, int, int]:
     return columns, len(rows), len(cols)
 
 
-def _reduce(vectors) -> list:
-    """Gaussian elimination over Q on sparse vectors, in order.
+def _sparse_rank(vectors) -> int:
+    """Rank over Q of a family of sparse vectors (dicts index -> value).
 
-    Each vector is a dict index -> value.  Entry i of the result is None
-    when vectors[i] is independent of the vectors before it; otherwise it
-    is a dict j -> c over earlier independent j with
-    vectors[i] == sum of c * vectors[j].
+    Gaussian elimination in order; each pivot vector is stored scaled to 1
+    at its least index, and a vector reduced to zero adds nothing.  Scaling
+    by a unit keeps integer entries integers, so boundary columns (entries
+    +-1) are mostly reduced without Fractions.
     """
-    # pivot index -> (reduced vector scaled to 1 there, the same vector as
-    # a combination of the input vectors)
     pivots: dict = {}
-    out = []
-    for i, v in enumerate(vectors):
-        col = {r: Fraction(x) for r, x in v.items() if x}
-        used: dict = {}  # col == v - sum of used[j] * vectors[j]
+    for v in vectors:
+        col = {r: x for r, x in v.items() if x}
         while col:
             r = min(col)
             coef = col[r]
-            if r not in pivots:
+            pcol = pivots.get(r)
+            if pcol is None:
+                inv = coef if coef in (1, -1) else 1 / Fraction(coef)
+                pivots[r] = {rr: x * inv for rr, x in col.items()}
                 break
-            pcol, pcombo = pivots[r]
             for rr, x in pcol.items():
                 nv = col.get(rr, 0) - coef * x
                 if nv:
                     col[rr] = nv
                 else:
                     del col[rr]
-            for j, c in pcombo.items():
-                used[j] = used.get(j, 0) + coef * c
-        if col:
-            pcombo = {j: -c / coef for j, c in used.items() if c}
-            pcombo[i] = 1 / coef
-            pivots[r] = ({rr: x / coef for rr, x in col.items()}, pcombo)
-            out.append(None)
-        else:
-            out.append({j: c for j, c in used.items() if c})
-    return out
-
-
-def _sparse_rank(columns: dict) -> int:
-    """Rank over Q of a sparse matrix given by its columns."""
-    return sum(rel is None for rel in _reduce(columns.values()))
+    return len(pivots)
 
 
 def betti_numbers(cx: SimplicialComplex) -> list[int]:
@@ -318,37 +301,10 @@ def betti_numbers(cx: SimplicialComplex) -> list[int]:
     counts = cx.f_vector()
     ranks = [0] * (d + 2)  # rank of boundary_k for k = 0..d+1
     for k in range(1, d + 1):
-        ranks[k] = _sparse_rank(boundary_matrix(cx, k)[0])
+        ranks[k] = _sparse_rank(boundary_matrix(cx, k)[0].values())
     return [counts[k] - ranks[k] - ranks[k + 1] for k in range(d + 1)]
 
 
 def signed_total_dimension(betti: list[int]) -> int:
     """Even Betti sum minus odd Betti sum."""
     return sum(b if k % 2 == 0 else -b for k, b in enumerate(betti))
-
-
-# ---------------------------------------------------------------------------
-# homology with explicit bases (for induced-map traces)
-
-
-def homology_basis(cx: SimplicialComplex, k: int):
-    """Cycle representatives of a basis of H_k(X; Q).
-
-    Returns (generators, boundary_basis): lists of sparse vectors (dicts)
-    over the k-simplices; together they are a basis of the cycle space.
-    """
-    columns = boundary_matrix(cx, k)[0]
-    # A column that depends on earlier ones gives a cycle: e_j - relation.
-    kernel = []
-    for j, rel in enumerate(_reduce(columns.values())):
-        if rel is not None:
-            z = {i: -c for i, c in rel.items()}
-            z[j] = Fraction(1)
-            kernel.append(z)
-    bcols = list(boundary_matrix(cx, k + 1)[0].values())
-    boundary = [c for c, rel in zip(bcols, _reduce(bcols)) if rel is None]
-    # Boundaries are cycles, so the kernel vectors independent of them and
-    # of each other extend the boundary basis to a cycle basis.
-    tail = _reduce(boundary + kernel)[len(boundary):]
-    gens = [z for z, rel in zip(kernel, tail) if rel is None]
-    return gens, boundary

@@ -32,9 +32,7 @@ from . import complexes
 from .complexes import (
     SimplicialComplex,
     _chains_of_poset,
-    _reduce,
     barycentric_subdivision,
-    homology_basis,
 )
 from .errors import (
     InputError,
@@ -44,7 +42,7 @@ from .errors import (
     RegularizationFailed,
     SizeCapExceeded,
 )
-from .groups import FiniteGroup, direct_product, orbit, orbits, subgroup
+from .groups import FiniteGroup, direct_product, orbit, orbits
 from .wreath import (
     ExplicitWreath,
     WreathProduct,
@@ -309,20 +307,6 @@ def orbit_complex(rec: RegularEquivariantComplex) -> SimplicialComplex:
     return SimplicialComplex(simps, _skip_validation=True)
 
 
-def restrict_to_subgroup(
-    rec: RegularEquivariantComplex, elements
-) -> tuple[EquivariantComplex, FiniteGroup, tuple]:
-    """The same complex under the action of a subgroup (reindexed).
-
-    Returns (equivariant complex, subgroup, carrier) where carrier maps
-    subgroup indices back to parent-group elements.
-    """
-    ec = _require_regular(rec)
-    sub, carrier = subgroup(ec.group, elements)
-    action = tuple(ec.action[carrier[i]] for i in range(sub.order))
-    return EquivariantComplex(ec.cx, sub, action, _skip_validation=True), sub, carrier
-
-
 # ---------------------------------------------------------------------------
 # products and powers
 
@@ -440,49 +424,3 @@ def power_with_wreath_action(
         EquivariantComplex(cx, ew.group, tuple(rows), _skip_validation=True),
         ew,
     )
-
-
-# ---------------------------------------------------------------------------
-# induced maps on homology (used by the averaging cross-checks)
-
-
-def homology_traces(rec: RegularEquivariantComplex, k: int) -> list[Fraction]:
-    """Trace of every group element on H_k(X; Q).
-
-    Orientation signs come from the parity of the permutation each element
-    induces on the sorted vertex list of a simplex.
-    """
-    ec = _require_regular(rec)
-    simps_k = ec.cx.simplices_of_dim(k)
-    pos = {s: i for i, s in enumerate(simps_k)}
-    gens, boundary = homology_basis(ec.cx, k)
-    images = []
-    for g in range(ec.group.order):
-        for z in gens:
-            out: dict = {}
-            for i, c in z.items():
-                vs = [ec.apply(g, v) for v in simps_k[i]]
-                j = pos[tuple(sorted(vs))]
-                out[j] = out.get(j, 0) + c * _sort_sign(vs)
-            images.append(out)
-    # g.z is a cycle, so it depends on the cycle basis boundary + gens; its
-    # relation gives its coordinates, and the gens' coordinates sum to the
-    # trace.
-    basis = boundary + gens
-    rels = _reduce(basis + images)[len(basis):]
-    nb, ng = len(boundary), len(gens)
-    return [
-        Fraction(sum(rels[g * ng + i].get(nb + i, 0) for i in range(ng)))
-        for g in range(ec.group.order)
-    ]
-
-
-def _sort_sign(values: list) -> int:
-    sign = 1
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(len(vals) - 1 - i):
-            if vals[j] > vals[j + 1]:
-                vals[j], vals[j + 1] = vals[j + 1], vals[j]
-                sign = -sign
-    return sign

@@ -157,11 +157,6 @@ def _find_inverses(table, identity) -> tuple:
     return tuple(inverse)
 
 
-def build_group(table, labels=None) -> FiniteGroup:
-    """Validate a multiplication table and wrap it as a group."""
-    return FiniteGroup(table, labels=labels)
-
-
 # ---------------------------------------------------------------------------
 # orbit closure
 
@@ -437,23 +432,3 @@ def dihedral_group(n: int) -> FiniteGroup:
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((n - i) % n for i in range(n))
     return build_group_from_permutations([rot, ref], degree=n)
-
-
-def group_from_json(data) -> FiniteGroup:
-    """Build a group from its JSON form.
-
-    Accepts either ``{"order": n, "table": [[...]], "labels": [...]}`` or
-    ``{"permutations": [[...], ...], "degree": d}``.
-    """
-    if not isinstance(data, dict):
-        raise InputError("group spec must be a JSON object")
-    if "table" in data:
-        table = data["table"]
-        if "order" in data and data["order"] != len(table):
-            raise InputError("declared order does not match table size")
-        return build_group(table, labels=data.get("labels"))
-    if "permutations" in data:
-        return build_group_from_permutations(
-            data["permutations"], degree=data.get("degree")
-        )
-    raise InputError("group spec needs a 'table' or 'permutations' field")

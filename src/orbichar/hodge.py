@@ -268,7 +268,7 @@ def sector_data_from_json(items) -> tuple:
                 angles=tuple(Fraction(a) for a in item.get("angles", [])),
                 d=int(item["d"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad sector datum {item!r}: {exc}") from exc
         data.append(datum)
     return tuple(data)

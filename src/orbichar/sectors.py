@@ -28,8 +28,7 @@ from .equivariant import (
     orbit_complex,
     regularize,
 )
-from .errors import BadExtension, InputError
-from .groups import FiniteGroup, central_cyclic_extension, centralizer, subgroup
+from .groups import FiniteGroup, centralizer, subgroup
 from .homs import (
     HomClass,
     Presentation,
@@ -199,29 +198,3 @@ def product_sectors_check(
         and report["chi_top_multiplies"]
     )
     return report
-
-
-def trivial_extension_scaling_check(ec: EquivariantComplex, z: int, r: int, m: int) -> dict:
-    """chi_(m) scales by r^m when a central a with a^r = z acts trivially.
-
-    ``z`` must be central in the acting group and act trivially on the
-    complex; the extended group K<a> then acts through K, and the m-th
-    orbit-space invariant multiplies by r^m.
-    """
-    if any(ec.apply(z, v) != v for v in ec.cx.vertices):
-        raise BadExtension(f"element {z} does not act trivially")
-    ext, pairs = central_cyclic_extension(ec.group, z, r)
-    rows = tuple(
-        tuple(ec.apply(k, v) for v in ec.cx.vertices) for (k, i) in pairs
-    )
-    ext_ec = EquivariantComplex(ec.cx, ext, rows, _skip_validation=True)
-    base_val = chi_m_top(regularize(ec), m)
-    ext_val = chi_m_top(regularize(ext_ec), m)
-    return {
-        "r": r,
-        "m": m,
-        "base_chi_m": base_val,
-        "extended_chi_m": ext_val,
-        "expected": r**m * base_val,
-        "equal": ext_val == r**m * base_val,
-    }

@@ -157,15 +157,6 @@ class TruncatedSeries(Series):
             raise NonInvertibleSeries("constant term is zero")
         return 1 / c
 
-    @classmethod
-    def constant(cls, value, order: int) -> "TruncatedSeries":
-        if order < 0:
-            raise InputError("truncation order must be >= 0")
-        return cls((Fraction(value),) + (Fraction(0),) * order)
-
-    def coefficient(self, n: int) -> Fraction:
-        return self.coefficients[n]
-
     def scale(self, value) -> "TruncatedSeries":
         v = Fraction(value)
         return TruncatedSeries(tuple(v * c for c in self.coefficients))
@@ -192,17 +183,6 @@ class TruncatedSeries(Series):
             out[n] = a[n] - sum(
                 k * out[k] * a[n - k] for k in range(1, n)
             ) / Fraction(n)
-        return TruncatedSeries(tuple(out))
-
-    def substitute_q_power(self, r: int) -> "TruncatedSeries":
-        """The series in q^r, truncated at the same order."""
-        if not isinstance(r, int) or r < 1:
-            raise InputError(f"substitution power must be a positive int, got {r}")
-        out = [Fraction(0)] * (self.order + 1)
-        for i, c in enumerate(self.coefficients):
-            if i * r > self.order:
-                break
-            out[i * r] = c
         return TruncatedSeries(tuple(out))
 
     def to_fraction_strings(self) -> list:
@@ -346,43 +326,6 @@ def rhs_main_formula(m: int, chi, order: int) -> TruncatedSeries:
     for r in range(1, order + 1):
         j = subgroup_count(r, m).value
         out = out * one_minus_q_power(r, order) ** (-j * chi_int)
-    return out
-
-
-def _bounded_index_tuples(m: int, bound: int):
-    """All (j_1..j_m) with product <= bound, for the uncollapsed product."""
-
-    def rec(k: int, prod: int):
-        if k == m:
-            yield ()
-            return
-        j = 1
-        while prod * j <= bound:
-            for rest in rec(k + 1, prod * j):
-                yield (j,) + rest
-            j += 1
-
-    yield from rec(0, 1)
-
-
-def rhs_main_formula_multiindex(m: int, chi, order: int) -> TruncatedSeries:
-    """The same product left uncollapsed: one factor per index tuple.
-
-    Each (j_1..j_m) contributes (1 - q^(j_1...j_m)) to the power
-    -(j_2 * j_3^2 * ... * j_m^(m-1)) * chi; grouping tuples by their product
-    recovers the J_{r,m} exponents, which the tests check coefficient by
-    coefficient.
-    """
-    if m < 0:
-        raise InputError(f"m must be >= 0, got {m}")
-    chi_int = _integer_exponent(chi, f"chi_({m})")
-    if m == 0:
-        return one_minus_q_power(1, order) ** (-chi_int)
-    out = TruncatedSeries.one(order)
-    for js in _bounded_index_tuples(m, order):
-        out = out * one_minus_q_power(math.prod(js), order) ** (
-            -_weight(js) * chi_int
-        )
     return out
 
 

@@ -40,9 +40,6 @@ from .groups import (
     perm_inverse,
     subgroup,
 )
-# The explicit-table cap, under its former name; ExplicitWreath reads
-# groups.TABLE_ORDER_CAP when it runs.
-from .groups import TABLE_ORDER_CAP as DEFAULT_WREATH_ORDER_CAP
 
 # Largest wreath group whose conjugacy classes are found element by element
 # (by generator orbits, without a table) to cross-check the type formulas.
@@ -58,36 +55,8 @@ class WreathElement:
     components: tuple  # base-group element per position
     perm: tuple        # one-line permutation of positions
 
-    def to_json(self, base: FiniteGroup | None = None) -> dict:
-        g = list(self.components)
-        if base is not None and base.labels is not None:
-            g = [base.labels[x] for x in g]
-        return {"g": g, "s": [p + 1 for p in self.perm]}
-
     def __repr__(self):
         return f"WreathElement(g={self.components}, s={self.perm})"
-
-
-def wreath_element_from_json(data, base: FiniteGroup, size: int) -> WreathElement:
-    if set(data) - {"g", "s"}:
-        raise InputError("wreath element spec has unknown fields")
-    g = data["g"]
-    if len(g) != size:
-        raise InputError(f"expected {size} tuple components, got {len(g)}")
-    comps = []
-    for x in g:
-        if isinstance(x, str):
-            if base.labels is None or x not in base.labels:
-                raise InputError(f"unknown base element label {x!r}")
-            comps.append(base.labels.index(x))
-        else:
-            if not 0 <= int(x) < base.order:
-                raise InputError(f"base element index {x} out of range")
-            comps.append(int(x))
-    s = tuple(int(v) - 1 for v in data["s"])
-    if sorted(s) != list(range(size)):
-        raise InputError(f"{data['s']!r} is not a permutation of 1..{size}")
-    return WreathElement(tuple(comps), s)
 
 
 class WreathProduct:
@@ -100,10 +69,12 @@ class WreathProduct:
         self.size = size
         self.order = base.order**size * math.factorial(size)
 
-    def identity(self) -> WreathElement:
-        return WreathElement(
-            (self.base.identity,) * self.size, tuple(range(self.size))
-        )
+    def order_text(self) -> str:
+        """The order in digits, or as |G|^n * n! once it runs past about
+        300 digits (``str`` refuses ints of more than 4,300)."""
+        if self.order.bit_length() <= 1000:
+            return str(self.order)
+        return f"{self.base.order}^{self.size} * {self.size}!"
 
     def mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
         t = self.base.table
@@ -181,7 +152,7 @@ class ExplicitWreath:
         cap = groups.TABLE_ORDER_CAP
         if wreath.order > cap:
             raise OrderCapExceeded(
-                f"wreath product order {wreath.order} exceeds cap {cap}"
+                f"wreath product order {wreath.order_text()} exceeds cap {cap}"
             )
         self.wreath = wreath
         self.elements = list(wreath.elements())
@@ -246,28 +217,6 @@ class TypeFunction:
         ]
 
 
-def type_from_json(data, base: FiniteGroup, size: int) -> TypeFunction:
-    classes = conjugacy_classes(base)
-    by_label = {}
-    for i, cls in enumerate(classes):
-        by_label[base.label(cls.representative)] = i
-        by_label[str(cls.representative)] = i
-    counts: dict = {}
-    for item in data:
-        label = str(item["class"])
-        if label not in by_label:
-            raise InvalidType(f"unknown conjugacy class {label!r}")
-        r, m = int(item["r"]), int(item["m"])
-        if r < 1 or m < 0:
-            raise InvalidType("cycle length must be >= 1 and multiplicity >= 0")
-        key = (by_label[label], r)
-        counts[key] = counts.get(key, 0) + m
-    t = TypeFunction(tuple(sorted((k, m) for k, m in counts.items() if m)))
-    if t.total() != size:
-        raise InvalidType(f"type has weight {t.total()}, expected {size}")
-    return t
-
-
 def cycle_decomposition(wreath: WreathProduct, w: WreathElement) -> list[CycleDatum]:
     """Cycles of the permutation part with their cycle products.
 
@@ -305,30 +254,6 @@ def type_of(wreath: WreathProduct, w: WreathElement) -> TypeFunction:
         key = (datum.product_class, datum.length)
         counts[key] = counts.get(key, 0) + 1
     return TypeFunction(tuple(sorted(counts.items())))
-
-
-def standard_form(wreath: WreathProduct, w: WreathElement):
-    """A conjugator d with d * standard * d^-1 = w.
-
-    ``standard`` carries each cycle product at the least position of its
-    cycle and the identity elsewhere, with the same permutation part.
-    Returns (d, standard).
-    """
-    base = wreath.base
-    e = base.identity
-    d_comps = [e] * wreath.size
-    std_comps = [e] * wreath.size
-    for datum in cycle_decomposition(wreath, w):
-        acc = e
-        for p in datum.support:
-            # d at cycle position j_k is the partial product g_{j_k}...g_{j_1}
-            acc = base.table[w.components[p]][acc]
-            d_comps[p] = acc
-        std_comps[datum.support[0]] = datum.cycle_product
-    idperm = tuple(range(wreath.size))
-    d = WreathElement(tuple(d_comps), idperm)
-    standard = WreathElement(tuple(std_comps), w.perm)
-    return d, standard
 
 
 def type_entries(k: int, size: int) -> list:
@@ -387,7 +312,7 @@ def classify_conjugacy_by_type(base: FiniteGroup, size: int) -> dict:
     wreath = WreathProduct(base, size)
     if wreath.order > BRUTE_FORCE_ORDER_CAP:
         raise OrderCapExceeded(
-            f"wreath order {wreath.order} exceeds the brute-force"
+            f"wreath order {wreath.order_text()} exceeds the brute-force"
             f" cross-check cap {BRUTE_FORCE_ORDER_CAP}"
         )
     gens = wreath.generators()
@@ -407,16 +332,6 @@ def classify_conjugacy_by_type(base: FiniteGroup, size: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # per-cycle centralizer building blocks
-
-
-def cycle_standard_element(wreath: WreathProduct, c: int, r: int) -> WreathElement:
-    """The element a_{r,c} = ((c, e, ..., e), r-cycle) of G ~ S_r."""
-    if wreath.size != r:
-        raise InputError("wreath size must equal the cycle length")
-    e = wreath.base.identity
-    comps = (c,) + (e,) * (r - 1)
-    perm = tuple(list(range(1, r)) + [0])
-    return WreathElement(comps, perm)
 
 
 def centralizer_extension(base: FiniteGroup, c: int, r: int) -> FiniteGroup:

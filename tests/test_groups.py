@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 from orbichar.errors import InputError, NoInverse, OrderCapExceeded
 from orbichar.groups import (
     FiniteGroup,
-    build_group,
     build_group_from_permutations,
     centralizer,
     conjugacy_classes,
     cyclic_group,
     dihedral_group,
     direct_product,
-    group_from_json,
     is_central,
     orbit,
     orbits,
@@ -117,10 +115,10 @@ def test_direct_product():
 
 def test_bad_table_rejected():
     with pytest.raises(InputError):
-        build_group([[0, 1], [1, 1]])  # not a latin square
+        FiniteGroup([[0, 1], [1, 1]])  # not a latin square
     with pytest.raises(InputError):
         # latin square with a left identity (row 0) but no two-sided one
-        build_group([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+        FiniteGroup([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
 
 
 def test_nonassociative_rejected():
@@ -133,7 +131,7 @@ def test_nonassociative_rejected():
         [4, 3, 1, 2, 0],
     ]
     with pytest.raises(InputError):
-        build_group(table)
+        FiniteGroup(table)
 
 
 def test_permutation_helpers():
@@ -239,13 +237,6 @@ def test_orbits_of_conjugation_and_vertex_action(gens):
     _check_orbits(range(group.order), group.conj, group.elements())
     perms = sorted(orbit(tuple(range(degree)), [tuple(p) for p in gens], perm_compose))
     _check_orbits(range(degree), lambda p, v: p[v], perms)
-
-
-def test_group_from_json_table_and_perms():
-    g = group_from_json({"permutations": [[1, 0, 2], [1, 2, 0]], "degree": 3})
-    assert g.order == 6
-    h = group_from_json({"order": 2, "table": [[0, 1], [1, 0]]})
-    assert h.order == 2
 
 
 def test_trivial_group():

@@ -4,12 +4,18 @@ import pytest
 
 from orbichar.complexes import euler_characteristic
 from orbichar.equivariant import (
+    EquivariantComplex,
     orbit_complex,
     regularize,
     trivial_action,
 )
-from orbichar.errors import InputError
-from orbichar.groups import cyclic_group, dihedral_group, symmetric_group
+from orbichar.errors import BadExtension, InputError
+from orbichar.groups import (
+    central_cyclic_extension,
+    cyclic_group,
+    dihedral_group,
+    symmetric_group,
+)
 from orbichar.homs import free_abelian, trivial_presentation
 from orbichar.library import (
     circle4_rotation,
@@ -24,14 +30,12 @@ from orbichar.library import (
     torus_trivial,
 )
 from orbichar.sectors import (
-    central_cyclic_extension,
     chi_gamma_es,
     chi_gamma_top,
     chi_m_top,
     gamma_sectors,
     iterate_sectors,
     product_sectors_check,
-    trivial_extension_scaling_check,
 )
 
 Z = free_abelian(1)
@@ -163,6 +167,32 @@ def test_central_extension_requires_central():
     )
     with pytest.raises(InputError):
         central_cyclic_extension(g, transposition, 2)
+
+
+def trivial_extension_scaling_check(ec: EquivariantComplex, z: int, r: int, m: int) -> dict:
+    """chi_(m) scales by r^m when a central a with a^r = z acts trivially.
+
+    ``z`` must be central in the acting group and act trivially on the
+    complex; the extended group K<a> then acts through K, and the m-th
+    orbit-space invariant multiplies by r^m.
+    """
+    if any(ec.apply(z, v) != v for v in ec.cx.vertices):
+        raise BadExtension(f"element {z} does not act trivially")
+    ext, pairs = central_cyclic_extension(ec.group, z, r)
+    rows = tuple(
+        tuple(ec.apply(k, v) for v in ec.cx.vertices) for (k, i) in pairs
+    )
+    ext_ec = EquivariantComplex(ec.cx, ext, rows, _skip_validation=True)
+    base_val = chi_m_top(regularize(ec), m)
+    ext_val = chi_m_top(regularize(ext_ec), m)
+    return {
+        "r": r,
+        "m": m,
+        "base_chi_m": base_val,
+        "extended_chi_m": ext_val,
+        "expected": r**m * base_val,
+        "equal": ext_val == r**m * base_val,
+    }
 
 
 def test_trivial_extension_scaling():

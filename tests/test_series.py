@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,13 +26,14 @@ from orbichar.library import (
 )
 from orbichar.series import (
     TruncatedSeries,
+    _integer_exponent,
+    _weight,
     lhs_wreath_series,
     macdonald_dimension_check,
     one_minus_q_power,
     point_wreath_chi_m,
     rhs_exp_formula,
     rhs_main_formula,
-    rhs_main_formula_multiindex,
     subgroup_count,
     sublattice_count_bruteforce,
     top_m,
@@ -100,14 +102,6 @@ def test_exp_of_q_is_exponential_series():
     assert e.coefficients == (1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24))
     with pytest.raises(ExpNonzeroConstant):
         series(1, 0).exp()
-
-
-def test_substitute_q_power():
-    a = series(1, 2, 3)
-    sub = a.substitute_q_power(2)
-    assert sub.coefficients == (1, 0, 2, 0, 3, 0)[:3] or sub.order == a.order
-    # substitution keeps the order: q -> q^2 on order-2 input
-    assert sub.coefficients == (1, 0, 2)
 
 
 def test_one_minus_q_power():
@@ -229,6 +223,43 @@ def test_rhs_negative_chi():
     for r in range(2, 6):
         euler = euler * one_minus_q_power(r, 5)
     assert s.coefficients == euler.coefficients
+
+
+def _bounded_index_tuples(m: int, bound: int):
+    """All (j_1..j_m) with product <= bound, for the uncollapsed product."""
+
+    def rec(k: int, prod: int):
+        if k == m:
+            yield ()
+            return
+        j = 1
+        while prod * j <= bound:
+            for rest in rec(k + 1, prod * j):
+                yield (j,) + rest
+            j += 1
+
+    yield from rec(0, 1)
+
+
+def rhs_main_formula_multiindex(m: int, chi, order: int) -> TruncatedSeries:
+    """The same product left uncollapsed: one factor per index tuple.
+
+    Each (j_1..j_m) contributes (1 - q^(j_1...j_m)) to the power
+    -(j_2 * j_3^2 * ... * j_m^(m-1)) * chi; grouping tuples by their product
+    recovers the J_{r,m} exponents, which the tests check coefficient by
+    coefficient.
+    """
+    if m < 0:
+        raise InputError(f"m must be >= 0, got {m}")
+    chi_int = _integer_exponent(chi, f"chi_({m})")
+    if m == 0:
+        return one_minus_q_power(1, order) ** (-chi_int)
+    out = TruncatedSeries.one(order)
+    for js in _bounded_index_tuples(m, order):
+        out = out * one_minus_q_power(math.prod(js), order) ** (
+            -_weight(js) * chi_int
+        )
+    return out
 
 
 def test_multiindex_matches_collapsed():
@@ -456,10 +487,10 @@ def test_point_chi_product_past_type_enumeration():
 
 def test_equal_tables_share_cache_entries():
     from orbichar import series
-    from orbichar.groups import group_from_json
+    from orbichar.groups import FiniteGroup
 
     a = symmetric_group(3)
-    b = group_from_json({"order": 6, "table": [list(row) for row in a.table]})
+    b = FiniteGroup([list(row) for row in a.table])
     assert a is not b
     assert a == b and hash(a) == hash(b)
     assert a != cyclic_group(6)

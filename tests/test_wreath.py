@@ -4,6 +4,7 @@ import pytest
 
 from orbichar.errors import InputError, InvalidType, OrderCapExceeded
 from orbichar.groups import (
+    TABLE_ORDER_CAP,
     FiniteGroup,
     centralizer,
     class_index,
@@ -15,7 +16,6 @@ from orbichar.groups import (
 )
 from orbichar.series import point_wreath_chi_m
 from orbichar.wreath import (
-    DEFAULT_WREATH_ORDER_CAP,
     TypeFunction,
     WreathElement,
     WreathProduct,
@@ -24,12 +24,46 @@ from orbichar.wreath import (
     centralizer_order_by_formula,
     classify_conjugacy_by_type,
     cycle_decomposition,
-    cycle_standard_element,
-    standard_form,
     type_of,
-    type_from_json,
-    wreath_element_from_json,
 )
+
+
+# ---------------------------------------------------------------------------
+# test oracles: explicit wreath elements, multiplied with WreathProduct.mul
+
+
+def standard_form(wreath: WreathProduct, w: WreathElement):
+    """A conjugator d with d * standard * d^-1 = w.
+
+    ``standard`` carries each cycle product at the least position of its
+    cycle and the identity elsewhere, with the same permutation part.
+    Returns (d, standard).
+    """
+    base = wreath.base
+    e = base.identity
+    d_comps = [e] * wreath.size
+    std_comps = [e] * wreath.size
+    for datum in cycle_decomposition(wreath, w):
+        acc = e
+        for p in datum.support:
+            # d at cycle position j_k is the partial product g_{j_k}...g_{j_1}
+            acc = base.table[w.components[p]][acc]
+            d_comps[p] = acc
+        std_comps[datum.support[0]] = datum.cycle_product
+    idperm = tuple(range(wreath.size))
+    d = WreathElement(tuple(d_comps), idperm)
+    standard = WreathElement(tuple(std_comps), w.perm)
+    return d, standard
+
+
+def cycle_standard_element(wreath: WreathProduct, c: int, r: int) -> WreathElement:
+    """The element a_{r,c} = ((c, e, ..., e), r-cycle) of G ~ S_r."""
+    if wreath.size != r:
+        raise InputError("wreath size must equal the cycle length")
+    e = wreath.base.identity
+    comps = (c,) + (e,) * (r - 1)
+    perm = tuple(list(range(1, r)) + [0])
+    return WreathElement(comps, perm)
 
 
 def test_wreath_order():
@@ -67,17 +101,6 @@ def test_explicit_table_matches_mul(base, n):
     for a, row in enumerate(ew.group.table):
         for b, ab in enumerate(row):
             assert ab == index[w.mul(els[a], els[b])]
-
-
-def test_wreath_element_json_round_trip():
-    base = symmetric_group(3)
-    w = WreathProduct(base, 2)
-    el = wreath_element_from_json({"g": [1, 0], "s": [2, 1]}, base, 2)
-    assert el.components == (1, 0) and el.perm == (1, 0)
-    assert wreath_element_from_json(el.to_json(), base, 2) == el
-    assert wreath_element_from_json(el.to_json(base), base, 2) == el
-    with pytest.raises(InputError):
-        wreath_element_from_json({"g": [0], "s": [1, 2]}, base, 2)
 
 
 def test_cycle_products_traverse_in_order():
@@ -179,21 +202,11 @@ def test_standard_form_conjugates_back():
         assert type_of(w, std) == type_of(w, el)
 
 
-def test_type_json_round_trip():
-    base = cyclic_group(2)
-    t = all_types(base, 3)[4]
-    data = [
-        {"class": base.label(conjugacy_classes(base)[c].representative), "r": r, "m": m}
-        for (c, r), m in t.entries
-    ]
-    assert type_from_json(data, base, 3) == t
-
-
 def test_order_cap():
     with pytest.raises(OrderCapExceeded):
         WreathProduct(symmetric_group(4), 4).to_group()
     big = WreathProduct(cyclic_group(4), 4)
-    assert big.order == 6144 > DEFAULT_WREATH_ORDER_CAP
+    assert big.order == 6144 > TABLE_ORDER_CAP
     with pytest.raises(OrderCapExceeded):
         big.to_group()
 
