@@ -43,7 +43,8 @@ class FiniteGroup:
     # first call to ``conjugacy_classes``, and ``_hash`` the table's hash,
     # filled on the first ``hash``; the table never changes, so neither do
     # they.  Groups are equal when their tables are, whatever their labels.
-    __slots__ = ("table", "inverse", "identity", "labels", "order",
+    # ``_labels`` is None, a tuple of str, or a ``_LazyLabels``.
+    __slots__ = ("table", "inverse", "identity", "_labels", "order",
                  "_classes", "_class_of", "_hash")
 
     def __init__(self, table, labels=None, _skip_validation=False):
@@ -56,10 +57,11 @@ class FiniteGroup:
         self.identity = _find_identity(table)
         self.inverse = _find_inverses(table, self.identity)
         if labels is not None:
-            labels = tuple(str(x) for x in labels)
+            if not isinstance(labels, _LazyLabels):
+                labels = tuple(str(x) for x in labels)
             if len(labels) != n:
                 raise InputError(f"expected {n} labels, got {len(labels)}")
-        self.labels = labels
+        self._labels = labels
         self._classes = None
         self._class_of = None
         self._hash = None
@@ -88,9 +90,16 @@ class FiniteGroup:
         return range(self.order)
 
     def label(self, a: int) -> str:
-        if self.labels is not None:
-            return self.labels[a]
+        if self._labels is not None:
+            return self._labels[a]
         return str(a)
+
+    @property
+    def labels(self) -> tuple | None:
+        """Every element's label in index order, or None when unlabeled."""
+        if self._labels is None:
+            return None
+        return tuple(map(self.label, self.elements()))
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
@@ -113,6 +122,27 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
+
+
+class _LazyLabels:
+    """Labels ``fn(keys[a])`` for a = 0..len(keys)-1, each built on its
+    first lookup: a large permutation group prints few of its labels."""
+
+    __slots__ = ("fn", "keys", "built")
+
+    def __init__(self, fn, keys):
+        self.fn = fn
+        self.keys = keys
+        self.built = {}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, a: int) -> str:
+        text = self.built.get(a)
+        if text is None:
+            text = self.built[a] = str(self.fn(self.keys[a]))
+        return text
 
 
 def _validate_table(table) -> None:
@@ -264,7 +294,7 @@ def build_group_from_permutations(generators, degree: int | None = None) -> Fini
     gen_rows = [tuple(index[perm_compose(g, q)] for q in elems) for g in gens]
     start = tuple(range(len(elems)))
     table = sorted(orbit(start, gen_rows, lambda row, g: tuple([row[i] for i in g])))
-    labels = [perm_cycle_label(p) for p in elems]
+    labels = _LazyLabels(perm_cycle_label, elems)
     return FiniteGroup(table, labels=labels, _skip_validation=True)
 
 
@@ -346,9 +376,7 @@ def subgroup(group: FiniteGroup, elements) -> tuple[FiniteGroup, tuple]:
                 )
             row.append(pos[c])
         table.append(row)
-    labels = None
-    if group.labels is not None:
-        labels = [group.labels[g] for g in carrier]
+    labels = None if group._labels is None else _LazyLabels(group.label, carrier)
     return FiniteGroup(table, labels=labels, _skip_validation=True), carrier
 
 

@@ -18,21 +18,31 @@ Conventions, fixed once:
   exponent -(-1)^(s+t) h^{s,t} on the right side, both applied literally,
 * in the right side's (xy)^((r-1)d/2) the index r is the cycle length, read
   off the outer product index n.
+
+Validation happens at the boundary only: ``BigradedDims``,
+``sector_data_from_json`` and the public ``HodgePolynomial`` constructors
+(``HodgePolynomial(...)``, ``from_dict``, ``monomial``, ``scale``) check
+every bidegree and coefficient.  Arithmetic on polynomials that passed
+those checks (``+``, ``*``, unary ``-``, ``shift_by``, ``substitute_neg``
+and the series ring) sums into int dicts and builds its result with
+``_trusted``, without checking again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import wreath
 from .errors import (
     AngleOutOfRange,
     InputError,
     NonIntegerExponentOfXY,
     NonIntegerShift,
     NonInvertibleSeries,
+    SizeCapExceeded,
 )
 from .series import Series, TruncatedSeries
-from .wreath import type_entries
+from .wreath import type_counts, type_entries
 
 
 # ---------------------------------------------------------------------------
@@ -80,23 +90,22 @@ class HodgePolynomial:
         return cls(tuple(mapping.items()))
 
     def __add__(self, other: "HodgePolynomial") -> "HodgePolynomial":
-        return HodgePolynomial(self.terms + other.terms)
+        acc = dict(self.terms)
+        for key, c in other.terms:
+            acc[key] = acc.get(key, 0) + c
+        return _from_sums(acc)
 
     def __sub__(self, other: "HodgePolynomial") -> "HodgePolynomial":
         return self + -other
 
     def __neg__(self) -> "HodgePolynomial":
-        return self.scale(-1)
+        return _trusted(tuple([(key, -c) for key, c in self.terms]))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __mul__(self, other: "HodgePolynomial") -> "HodgePolynomial":
-        out = []
-        for (s1, t1), c1 in self.terms:
-            for (s2, t2), c2 in other.terms:
-                out.append(((s1 + s2, t1 + t2), c1 * c2))
-        return HodgePolynomial(tuple(out))
+        return _sum_of_products(((self, other),))
 
     def scale(self, value: int) -> "HodgePolynomial":
         return HodgePolynomial(tuple((k, value * c) for k, c in self.terms))
@@ -105,15 +114,15 @@ class HodgePolynomial:
         """Multiply by (xy)^k: every bidegree (s,t) moves to (s+k, t+k)."""
         if not isinstance(k, int):
             raise NonIntegerShift(f"shift must be an integer, got {k!r}")
-        return HodgePolynomial(
-            tuple(((s + k, t + k), c) for (s, t), c in self.terms)
-        )
+        terms = tuple([((s + k, t + k), c) for (s, t), c in self.terms])
+        # a negative shift may leave the nonnegative quadrant
+        return HodgePolynomial(terms) if k < 0 else _trusted(terms)
 
     def substitute_neg(self) -> "HodgePolynomial":
         """The polynomial at (-x, -y): each term picks up (-1)^(s+t)."""
-        return HodgePolynomial(
-            tuple(((s, t), c if (s + t) % 2 == 0 else -c) for (s, t), c in self.terms)
-        )
+        return _trusted(tuple([
+            ((s, t), -c if (s + t) & 1 else c) for (s, t), c in self.terms
+        ]))
 
     def evaluate(self, x, y) -> Fraction:
         xv, yv = Fraction(x), Fraction(y)
@@ -126,6 +135,38 @@ class HodgePolynomial:
 
     def __repr__(self):
         return f"HodgePolynomial({self.to_json()})"
+
+
+def _trusted(terms: tuple) -> HodgePolynomial:
+    """A HodgePolynomial on terms already in normal form: sorted, with
+    nonnegative int bidegrees and nonzero int coefficients."""
+    p = object.__new__(HodgePolynomial)
+    object.__setattr__(p, "terms", terms)
+    return p
+
+
+def _from_sums(acc: dict) -> HodgePolynomial:
+    """The polynomial of an int dict {(s, t): coefficient}: sorted once,
+    zeros dropped."""
+    return _trusted(tuple([kc for kc in sorted(acc.items()) if kc[1]]))
+
+
+def _add_products(acc: dict, left, right) -> None:
+    """Add every product of a (bidegree, coefficient) term of ``left`` with
+    one of ``right`` into ``acc``."""
+    get = acc.get
+    for (s1, t1), c1 in left:
+        for (s2, t2), c2 in right:
+            key = (s1 + s2, t1 + t2)
+            acc[key] = get(key, 0) + c1 * c2
+
+
+def _sum_of_products(pairs) -> HodgePolynomial:
+    """The sum of a * b over the (a, b) pairs, in one dict."""
+    acc: dict = {}
+    for a, b in pairs:
+        _add_products(acc, a.terms, b.terms)
+    return _from_sums(acc)
 
 
 def _polynomial(c) -> HodgePolynomial:
@@ -141,6 +182,7 @@ class HodgeSeries(Series):
     _zero = HodgePolynomial.zero()
     _one = HodgePolynomial.one()
     _coerce = staticmethod(_polynomial)
+    _sum_of_products = staticmethod(_sum_of_products)
 
     @staticmethod
     def _unit_inverse(c: HodgePolynomial) -> HodgePolynomial:
@@ -394,19 +436,44 @@ def hodge_product_lhs(data, d: int, order: int) -> HodgeSeries:
     """The computed side: coefficient n enumerates the sector types of the
     n-th wreath symmetric product.  Each type contributes the product of
     symmetric-power dimension polynomials of its entries, moved up by
-    (xy)^(type shift); the whole coefficient is then taken at (-x,-y)."""
+    (xy)^(type shift); the whole coefficient is then taken at (-x,-y).
+
+    The type count is predicted first, and a count over ``wreath.TYPE_CAP``
+    raises SizeCapExceeded before any type is enumerated.
+    """
     _validate_inputs(data, d, order)
-    sp_tables = [sp_generating(datum.dims, order) for datum in data]
+    predicted = sum(type_counts(len(data), order)[1:])
+    if predicted > wreath.TYPE_CAP:
+        raise SizeCapExceeded(
+            f"the Hodge left side to order {order} sums {predicted} sector"
+            f" types of {len(data)} sectors, above the type cap {wreath.TYPE_CAP}"
+        )
+    sp_tables = [sp_generating(datum.dims, order).coefficients for datum in data]
+    # twice the shift of an r-cycle over each sector, an int
+    twice_shift = [
+        [0] + [
+            int(2 * wreath_cycle_shift(datum.integer_shift(), d, r))
+            for r in range(1, order + 1)
+        ]
+        for datum in data
+    ]
     coefficients = [HodgePolynomial.one()]
     for n in range(1, order + 1):
-        acc = HodgePolynomial.zero()
+        acc: dict = {}
         for rho in type_entries(len(data), n):
-            shift = wreath_type_shift(dict(rho), data, d)
-            term = HodgePolynomial.one()
-            for (idx, r), mult in rho:
-                term = term * sp_tables[idx].coefficients[mult]
-            acc = acc + term.shift_by(int(shift))
-        coefficients.append(acc.substitute_neg())
+            twice = sum(mult * twice_shift[idx][r] for (idx, r), mult in rho)
+            if twice % 2:
+                raise NonIntegerShift(
+                    f"type shift {Fraction(twice, 2)} is not an integer"
+                )
+            term = (((twice // 2, twice // 2), 1),)
+            for (idx, r), mult in rho[:-1]:
+                partial: dict = {}
+                _add_products(partial, term, sp_tables[idx][mult].terms)
+                term = partial.items()
+            (idx, r), mult = rho[-1]
+            _add_products(acc, term, sp_tables[idx][mult].terms)
+        coefficients.append(_from_sums(acc).substitute_neg())
     return HodgeSeries(tuple(coefficients))
 
 

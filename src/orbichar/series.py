@@ -48,7 +48,7 @@ from .errors import (
 from .groups import FiniteGroup, conjugacy_classes, orbit
 from .homs import free_abelian
 from .sectors import chi_m_top, gamma_sectors
-from .wreath import centralizer_extension
+from .wreath import centralizer_extension, type_counts
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +64,8 @@ class Series:
     on construction) and ``_unit_inverse`` (the inverse of an invertible
     constant term, else NonInvertibleSeries).  Coefficients must support
     ``+``, ``-``, ``*``, unary ``-`` and truth testing (false for zero).
+    ``_sum_of_products`` computes one coefficient of a product or inverse;
+    a ring may replace it with a faster one.
     """
 
     coefficients: tuple
@@ -104,29 +106,40 @@ class Series:
             tuple(a - b for a, b in zip(self.coefficients, other.coefficients))
         )
 
+    @classmethod
+    def _sum_of_products(cls, pairs):
+        """The sum of a * b over the (a, b) pairs."""
+        acc = cls._zero
+        for a, b in pairs:
+            acc = acc + a * b
+        return acc
+
     def __mul__(self, other):
         self._same_order(other)
-        a, b = self.coefficients, other.coefficients
-        out = [self._zero] * (self.order + 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(self.order + 1 - i):
-                if b[j]:
-                    out[i + j] = out[i + j] + ai * b[j]
-        return type(self)(tuple(out))
+        top = self.order
+        right = [(j, bj) for j, bj in enumerate(other.coefficients) if bj]
+        pairs = [[] for _ in range(top + 1)]
+        for i, ai in enumerate(self.coefficients):
+            if ai:
+                for j, bj in right:
+                    if i + j > top:
+                        break
+                    pairs[i + j].append((ai, bj))
+        return type(self)(tuple(map(self._sum_of_products, pairs)))
 
     def inverse(self):
         a = self.coefficients
         u = self._unit_inverse(a[0])
-        out = [self._zero] * (self.order + 1)
-        out[0] = u
+        left = [(k, ak) for k, ak in enumerate(a) if k and ak]
+        out = [u]
         for n in range(1, self.order + 1):
-            acc = self._zero
-            for k in range(1, n + 1):
-                if a[k] and out[n - k]:
-                    acc = acc + a[k] * out[n - k]
-            out[n] = -(acc * u)
+            pairs = []
+            for k, ak in left:
+                if k > n:
+                    break
+                if out[n - k]:
+                    pairs.append((ak, out[n - k]))
+            out.append(-(self._sum_of_products(pairs) * u))
         return type(self)(tuple(out))
 
     def __pow__(self, k):
@@ -271,8 +284,19 @@ def sublattice_count_bruteforce(r: int, m: int, exhaustive: bool = False) -> int
     """
     if r < 1 or m < 1:
         raise InputError(f"sublattice counts need r, m >= 1, got r={r}, m={m}")
-    positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
     seen = set()
+    for rows in _generator_rows(r, m, exhaustive):
+        span = _residue_span(rows, r, m)
+        if len(span) != r ** (m - 1):
+            raise InputError("candidate lattice has the wrong index")
+        seen.add(span)
+    return len(seen)
+
+
+def _generator_rows(r: int, m: int, exhaustive: bool = False):
+    """The candidate generator matrices of ``sublattice_count_bruteforce``,
+    each as a list of m rows."""
+    positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
     for diag in _ordered_factorizations(r, m):
         ranges = [
             range(r) if exhaustive else range(diag[j]) for (_i, j) in positions
@@ -283,19 +307,30 @@ def sublattice_count_bruteforce(r: int, m: int, exhaustive: bool = False) -> int
                 rows[i][i] = diag[i]
             for (i, j), v in zip(positions, offs):
                 rows[i][j] = v
-            span = _residue_span(rows, r, m)
-            if len(span) != r ** (m - 1):
-                raise InputError("candidate lattice has the wrong index")
-            seen.add(span)
-    return len(seen)
+            yield rows
 
 
 def _residue_span(rows: list, r: int, m: int) -> frozenset:
-    """The subgroup of (Z/r)^m generated by the rows."""
-    gens = [tuple(v % r for v in row) for row in rows]
-    return frozenset(
-        orbit((0,) * m, gens, lambda x, g: tuple((a + b) % r for a, b in zip(x, g)))
-    )
+    """The subgroup of (Z/r)^m generated by the rows, each residue vector
+    packed into one int.
+
+    Coordinate i fills bits w*i .. w*i + w - 1, with w = r.bit_length() + 1,
+    so a field holds the sum of two residues without a carry into the next.
+    A sum mod r adds the packed ints, then adds 2^(w-1) - r to every field:
+    its top bit is set exactly where the sum reached r, and r is subtracted
+    from those fields.
+    """
+    w = r.bit_length() + 1
+    fields = range(0, w * m, w)
+    offset = sum(((1 << (w - 1)) - r) << f for f in fields)
+    top = sum(1 << (f + w - 1) for f in fields)
+
+    def add(x: int, g: int) -> int:
+        s = x + g
+        return s - (((s + offset) & top) >> (w - 1)) * r
+
+    gens = [sum((v % r) << f for v, f in zip(row, fields)) for row in rows]
+    return frozenset(orbit(0, gens, add))
 
 
 # ---------------------------------------------------------------------------
@@ -389,21 +424,20 @@ def _point_chi_coefficients(group: FiniteGroup, m: int, order: int) -> list:
     cached = _POINT_CHI_CACHE.get(key)
     if cached is not None and len(cached) > order:
         return cached
-    out = [1] + [0] * order
-    for c in range(len(conjugacy_classes(group))):
-        for r in range(1, order + 1):
-            if m == 1:
-                # multiply by 1/(1 - q^r)
-                for i in range(r, order + 1):
-                    out[i] += out[i - r]
-                continue
-            factor = _point_chi_coefficients(
-                _extension_cached(group, c, r), m - 1, order // r
-            )
-            # multiply by factor(q^r), top coefficient first
-            for i in range(order, r - 1, -1):
-                terms = map(operator.mul, factor[1 : i // r + 1], out[i - r :: -r])
-                out[i] += sum(terms)
+    if m == 1:
+        # every factor is 1/(1 - q^r): the coefficients count types
+        out = type_counts(len(conjugacy_classes(group)), order)
+    else:
+        out = [1] + [0] * order
+        for c in range(len(conjugacy_classes(group))):
+            for r in range(1, order + 1):
+                factor = _point_chi_coefficients(
+                    _extension_cached(group, c, r), m - 1, order // r
+                )
+                # multiply by factor(q^r), top coefficient first
+                for i in range(order, r - 1, -1):
+                    terms = map(operator.mul, factor[1 : i // r + 1], out[i - r :: -r])
+                    out[i] += sum(terms)
     _POINT_CHI_CACHE[key] = out
     return out
 

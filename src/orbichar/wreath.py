@@ -21,6 +21,7 @@ convention is internal and does not affect the class.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,12 +68,30 @@ class WreathProduct:
             raise InputError("wreath size must be >= 0")
         self.base = base
         self.size = size
-        self.order = base.order**size * math.factorial(size)
+
+    @functools.cached_property
+    def order(self) -> int:
+        """|G|^n * n!, computed on first use."""
+        return self.base.order**self.size * math.factorial(self.size)
+
+    def order_exceeds(self, cap: int) -> bool:
+        """Whether the order is above ``cap``, from a running product of
+        |G| * i over i = 1..n that stops once it passes the cap."""
+        product = 1
+        for i in range(1, self.size + 1):
+            if product > cap:
+                return True
+            product *= self.base.order * i
+        return product > cap
 
     def order_text(self) -> str:
         """The order in digits, or as |G|^n * n! once it runs past about
-        300 digits (``str`` refuses ints of more than 4,300)."""
-        if self.order.bit_length() <= 1000:
+        300 digits (``str`` refuses ints of more than 4,300).  The exact
+        order is computed only where an estimate of its bit length leaves
+        the choice open."""
+        bits = self.size * math.log2(self.base.order)
+        bits += math.lgamma(self.size + 1) / math.log(2)
+        if bits < 1010 and self.order.bit_length() <= 1000:
             return str(self.order)
         return f"{self.base.order}^{self.size} * {self.size}!"
 
@@ -150,7 +169,7 @@ class ExplicitWreath:
 
     def __init__(self, wreath: WreathProduct):
         cap = groups.TABLE_ORDER_CAP
-        if wreath.order > cap:
+        if wreath.order_exceeds(cap):
             raise OrderCapExceeded(
                 f"wreath product order {wreath.order_text()} exceeds cap {cap}"
             )
@@ -271,11 +290,27 @@ def type_entries(k: int, size: int) -> list:
         if i == len(keys):
             return
         (c, r) = keys[i]
+        if r > remaining:
+            # the later lengths of class c are longer still
+            rec((c + 1) * size, remaining, acc)
+            return
         rec(i + 1, remaining, acc)
         for m in range(1, remaining // r + 1):
             rec(i + 1, remaining - r * m, acc + [((c, r), m)])
 
     rec(0, size, [])
+    return out
+
+
+def type_counts(k: int, order: int) -> list:
+    """Entry n, for n = 0..order, is the number of maps ``type_entries(k,
+    n)`` lists: the coefficients of the product over r >= 1 of
+    (1 - q^r)^(-k)."""
+    out = [1] + [0] * order
+    for r in range(1, order + 1):
+        for _ in range(k):
+            for i in range(r, order + 1):
+                out[i] += out[i - r]
     return out
 
 
@@ -310,7 +345,7 @@ def classify_conjugacy_by_type(base: FiniteGroup, size: int) -> dict:
     guards the implementation).
     """
     wreath = WreathProduct(base, size)
-    if wreath.order > BRUTE_FORCE_ORDER_CAP:
+    if wreath.order_exceeds(BRUTE_FORCE_ORDER_CAP):
         raise OrderCapExceeded(
             f"wreath order {wreath.order_text()} exceeds the brute-force"
             f" cross-check cap {BRUTE_FORCE_ORDER_CAP}"

@@ -172,6 +172,27 @@ def test_wreath_centralizer_cap(capsys):
     assert "2^2000 * 2000!" in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("verify", "hodge", "--complex", "point-Z2", "--order", "60"),
+         "sums 4836825500 sector types"),
+        (("wreath", "centralizers", "--group", "Z2", "--n", "400000"),
+         "wreath order 2^400000 * 400000! exceeds"),
+    ],
+    ids=["hodge-types", "wreath-order"],
+)
+def test_cap_trips_before_the_work(capsys, argv, named):
+    # the Hodge type count is predicted, and the wreath order is compared
+    # through a running product, so neither size is computed in full first
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - started < 1
+    assert code == 3 and out == ""
+    assert err.startswith("error: cap exceeded:") and err.count("\n") == 1
+    assert named in err
+
+
 @pytest.mark.parametrize("group, n", [("Z5", "4"), ("D4", "3")])
 def test_wreath_centralizers_need_no_table(capsys, group, n):
     # |W| = 15000 and 3072: within the cross-check cap, but far past any
@@ -400,8 +421,15 @@ def test_verify_hodge_json_file(tmp_path, capsys):
                  "angles": ["1/0"], "d": 0}
             ],
         },
+        {
+            "d": 0,
+            "sectors": [
+                {"class": "e", "component": 0, "dims": {"-1,1": 1},
+                 "angles": [], "d": 0}
+            ],
+        },
     ],
-    ids=["d-string", "sector-int", "angle-over-zero"],
+    ids=["d-string", "sector-int", "angle-over-zero", "negative-bidegree"],
 )
 def test_verify_hodge_json_file_rejects_malformed(tmp_path, capsys, spec):
     path = tmp_path / "bad.json"

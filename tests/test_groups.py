@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbichar import groups
 from orbichar.errors import InputError, NoInverse, OrderCapExceeded
 from orbichar.groups import (
     FiniteGroup,
@@ -206,6 +207,27 @@ def test_permutation_table_matches_pairwise_composition(gens, degree):
     group = build_group_from_permutations(gens, degree=degree)
     assert group.table == table
     assert group.labels == tuple(perm_cycle_label(p) for p in elems)
+
+
+def test_permutation_labels_built_on_first_use(monkeypatch):
+    made = []
+
+    def label(p):
+        made.append(p)
+        return perm_cycle_label(p)
+
+    monkeypatch.setattr(groups, "perm_cycle_label", label)
+    group = dihedral_group(12)
+    assert made == []
+    elems = sorted(orbit(tuple(range(12)), _dihedral_generators(12), perm_compose))
+    assert group.label(5) == perm_cycle_label(elems[5])
+    assert group.label(5) == perm_cycle_label(elems[5]) and made == [elems[5]]
+    # a subgroup reads its labels from the parent's, also on first use
+    sub, carrier = subgroup(group, centralizer(group, [5]))
+    assert len(made) == 1
+    assert sub.labels == tuple(group.label(g) for g in carrier)
+    assert group.labels == tuple(perm_cycle_label(p) for p in elems)
+    assert len(made) == len(elems)
 
 
 def _check_orbits(items, act, elements):

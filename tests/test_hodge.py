@@ -1,19 +1,25 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orbichar import wreath
 from orbichar.errors import (
     AngleOutOfRange,
     InputError,
     NonIntegerExponentOfXY,
     NonIntegerShift,
     NonInvertibleSeries,
+    SizeCapExceeded,
 )
 from orbichar.hodge import (
     BigradedDims,
     HodgePolynomial,
     HodgeSeries,
     SectorHodgeDatum,
+    _validate_inputs,
     h_cr_polynomial,
     hodge_product_check,
     hodge_product_lhs,
@@ -24,8 +30,17 @@ from orbichar.hodge import (
     wreath_cycle_shift,
     wreath_type_shift,
 )
-from orbichar.library import hodge_datasets
+from orbichar.library import hodge_dataset_from_json, hodge_datasets
 from orbichar.series import rhs_main_formula
+from orbichar.wreath import type_entries
+
+
+def _perfbench_jobs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def poly(d):
@@ -266,6 +281,134 @@ def test_product_formula_bundled_datasets(name):
     order = 3 if name == "abelian-surface" else 5
     report = hodge_product_check(data, d, order)
     assert report["equal"], (name, report)
+
+
+def hodge_product_lhs_per_type(data, d: int, order: int) -> HodgeSeries:
+    """The computed side: coefficient n enumerates the sector types of the
+    n-th wreath symmetric product.  Each type contributes the product of
+    symmetric-power dimension polynomials of its entries, moved up by
+    (xy)^(type shift); the whole coefficient is then taken at (-x,-y)."""
+    _validate_inputs(data, d, order)
+    sp_tables = [sp_generating(datum.dims, order) for datum in data]
+    coefficients = [HodgePolynomial.one()]
+    for n in range(1, order + 1):
+        acc = HodgePolynomial.zero()
+        for rho in type_entries(len(data), n):
+            shift = wreath_type_shift(dict(rho), data, d)
+            term = HodgePolynomial.one()
+            for (idx, r), mult in rho:
+                term = term * sp_tables[idx].coefficients[mult]
+            acc = acc + term.shift_by(int(shift))
+        coefficients.append(acc.substitute_neg())
+    return HodgeSeries(tuple(coefficients))
+
+
+# the largest order each bundled dataset runs at in the hodge-series pool
+_POOL_ORDERS = {"point-trivial": 20, "point-Z2": 12, "two-sector-shifted": 10}
+
+
+def _lhs_cases():
+    for name, (data, d) in sorted(hodge_datasets().items()):
+        yield name, data, d, _POOL_ORDERS.get(name, 6)
+    jobs = _perfbench_jobs()
+    for name, (_d, _sectors, order) in sorted(jobs.HODGE_SHAPES.items()):
+        data, d = hodge_dataset_from_json(jobs.hodge_dataset(name))
+        yield name, data, d, order
+
+
+_LHS_CASES = list(_lhs_cases())
+
+
+@pytest.mark.parametrize("name, data, d, order", _LHS_CASES, ids=[c[0] for c in _LHS_CASES])
+def test_lhs_matches_per_type_oracle(name, data, d, order):
+    assert hodge_product_lhs(data, d, order) == hodge_product_lhs_per_type(data, d, order)
+
+
+def test_lhs_type_cap_trips_before_enumerating(monkeypatch):
+    # point-Z2 has two sectors: 2 + 5 + 10 + 20 = 37 types for n <= 4, and
+    # about 4.8 * 10^9 for n <= 60
+    data, d = hodge_datasets()["point-Z2"]
+    monkeypatch.setattr(wreath, "TYPE_CAP", 37)
+    hodge_product_lhs(data, d, 4)
+    monkeypatch.setattr(wreath, "TYPE_CAP", 36)
+    with pytest.raises(SizeCapExceeded, match="sums 37 sector types"):
+        hodge_product_lhs(data, d, 4)
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("types enumerated past the cap")
+
+    monkeypatch.setattr("orbichar.hodge.type_entries", refuse)
+    with pytest.raises(SizeCapExceeded, match=f"type cap {wreath.TYPE_CAP}"):
+        hodge_product_lhs(data, d, 60)
+
+
+# ---------------------------------------------------------------------------
+# arithmetic without re-validation, against the validating constructor
+
+
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=5
+).map(HodgePolynomial.from_dict)
+
+
+def _raw_products(a, b):
+    return tuple(
+        ((s1 + s2, t1 + t2), c1 * c2) for (s1, t1), c1 in a.terms for (s2, t2), c2 in b.terms
+    )
+
+
+def _assert_normal(p):
+    keys = [k for k, _c in p.terms]
+    assert keys == sorted(set(keys))
+    for (s, t), c in p.terms:
+        assert type(s) is int and type(t) is int and s >= 0 and t >= 0
+        assert type(c) is int and c != 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys, st.integers(-2, 3))
+def test_trusted_polynomial_arithmetic(a, b, k):
+    cases = [
+        (a + b, a.terms + b.terms),
+        (a - b, a.terms + tuple((key, -c) for key, c in b.terms)),
+        (a * b, _raw_products(a, b)),
+        (-a, tuple((key, -c) for key, c in a.terms)),
+        (a.substitute_neg(), tuple(((s, t), (-1) ** (s + t) * c) for (s, t), c in a.terms)),
+    ]
+    for result, raw in cases:
+        assert result.terms == HodgePolynomial(raw).terms
+        _assert_normal(result)
+    raw = tuple(((s + k, t + k), c) for (s, t), c in a.terms)
+    try:
+        expected = HodgePolynomial(raw)
+    except InputError:
+        with pytest.raises(InputError):
+            a.shift_by(k)
+    else:
+        assert a.shift_by(k).terms == expected.terms
+        _assert_normal(a.shift_by(k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_polys, min_size=4, max_size=4), st.lists(_polys, min_size=4, max_size=4))
+def test_trusted_series_arithmetic(first, second):
+    a = HodgeSeries(tuple(first))
+    b = HodgeSeries(tuple(second))
+    product = a * b
+    for n in range(4):
+        raw = sum((_raw_products(first[i], second[n - i]) for i in range(n + 1)), ())
+        assert product.coefficients[n].terms == HodgePolynomial(raw).terms
+        _assert_normal(product.coefficients[n])
+    unit = HodgeSeries((HodgePolynomial.one(),) + tuple(first[1:]))
+    inverse = unit.inverse()
+    out = [HodgePolynomial.one()]
+    for n in range(1, 4):
+        raw = sum((_raw_products(first[k], out[n - k]) for k in range(1, n + 1)), ())
+        out.append(HodgePolynomial(tuple((key, -c) for key, c in raw)))
+    assert [c.terms for c in inverse.coefficients] == [c.terms for c in out]
+    for c in inverse.coefficients:
+        _assert_normal(c)
 
 
 def test_two_sector_q2_coefficient():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from orbichar.groups import (
     symmetric_group,
     trivial_group,
 )
-from orbichar.groups import conjugacy_classes
+from orbichar.groups import conjugacy_classes, orbit
 from orbichar.library import (
     point_s3,
     point_z2,
@@ -26,7 +27,9 @@ from orbichar.library import (
 )
 from orbichar.series import (
     TruncatedSeries,
+    _generator_rows,
     _integer_exponent,
+    _residue_span as _packed_residue_span,
     _weight,
     lhs_wreath_series,
     macdonald_dimension_check,
@@ -167,6 +170,36 @@ def test_subgroup_count_matches_bruteforce():
     for m in (1, 2, 3):
         for r in range(1, 13):
             assert subgroup_count(r, m).value == sublattice_count_bruteforce(r, m)
+
+
+def _residue_span(rows: list, r: int, m: int) -> frozenset:
+    """The subgroup of (Z/r)^m generated by the rows."""
+    gens = [tuple(v % r for v in row) for row in rows]
+    return frozenset(
+        orbit((0,) * m, gens, lambda x, g: tuple((a + b) % r for a, b in zip(x, g)))
+    )
+
+
+def _unpack(x: int, r: int, m: int) -> tuple:
+    w = r.bit_length() + 1
+    return tuple((x >> (w * i)) & ((1 << w) - 1) for i in range(m))
+
+
+def test_packed_residue_span_matches_tuples():
+    # every r <= 16, with r = 1 and the powers of two, where a field's top
+    # bit sits right above r's; every normal form for m <= 2, a seeded
+    # sample of them for m = 3 and 4
+    rng = random.Random(0)
+    for m in range(1, 5):
+        for r in range(1, 17):
+            forms = list(_generator_rows(r, m))
+            if m > 2:
+                forms = rng.sample(forms, min(5, len(forms)))
+            for rows in forms:
+                packed = _packed_residue_span(rows, r, m)
+                unpacked = {_unpack(x, r, m) for x in packed}
+                assert len(unpacked) == len(packed), (r, m, rows)
+                assert unpacked == _residue_span(rows, r, m), (r, m, rows)
 
 
 def test_bruteforce_exhaustive_agrees():

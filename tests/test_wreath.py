@@ -73,6 +73,21 @@ def test_wreath_order():
     assert WreathProduct(trivial_group(), 4).order == 24
 
 
+@pytest.mark.parametrize(
+    "base", [trivial_group(), cyclic_group(2), symmetric_group(3)], ids=["1", "Z2", "S3"]
+)
+def test_wreath_order_cap_and_text_without_exact_order(base):
+    # around each cap, and around the 1000-bit order past which the order
+    # prints as |G|^n * n!, the estimates agree with the exact order
+    for n in range(0, 460):
+        exact = base.order**n * factorial(n)
+        w = WreathProduct(base, n)
+        for cap in (0, 1, 2000, 20000, 2**1000):
+            assert w.order_exceeds(cap) == (exact > cap), (n, cap)
+        text = str(exact) if exact.bit_length() <= 1000 else f"{base.order}^{n} * {n}!"
+        assert w.order_text() == text, n
+
+
 def test_group_law_explicit():
     w = WreathProduct(cyclic_group(3), 2)
     ew = w.to_group()
