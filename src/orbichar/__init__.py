@@ -78,7 +78,6 @@ from .hodge import (
     hodge_product_rhs,
     shift_number,
     wreath_cycle_shift,
-    wreath_type_shift,
 )
 from .wreath import (
     TypeFunction,

@@ -9,6 +9,7 @@ byte-identical output.
 import argparse
 import json
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import factorial
@@ -22,6 +23,7 @@ from .equivariant import (
     trivial_action,
 )
 from .errors import CapExceeded, InputError
+from .groups import conjugacy_classes
 from .hodge import hodge_product_check
 from .homs import parse_presentation
 from .sectors import gamma_sectors, iterate_sectors, product_sectors_check
@@ -56,6 +58,18 @@ def cmd_euler(args) -> tuple[dict, int]:
     return report, EXIT_PASS
 
 
+def _type_entries(base, n: int) -> dict:
+    """The report dict of each type entry ((class, r), m) with r * m <= n.
+    Each is built once, and every row that lists the entry shares it."""
+    labels = [base.label(k.representative) for k in conjugacy_classes(base)]
+    return {
+        ((c, r), m): {"class": label, "r": r, "m": m}
+        for c, label in enumerate(labels)
+        for r in range(1, n + 1)
+        for m in range(1, n // r + 1)
+    }
+
+
 def cmd_wreath(args) -> tuple[dict, int]:
     base = library.builtin_group(args.group)
     n = args.n
@@ -81,12 +95,13 @@ def cmd_wreath(args) -> tuple[dict, int]:
             if k == n:
                 break
             k = min(2 * k, n)
+        entry = _type_entries(base, n)
         rows = []
         for t in all_types(base, n):
             cent = centralizer_order_by_formula(base, n, t)
             rows.append(
                 {
-                    "type": t.to_json(base),
+                    "type": [entry[e] for e in t.entries],
                     "centralizer_order": cent,
                     "class_size": product.order // cent,
                 }
@@ -103,13 +118,14 @@ def cmd_wreath(args) -> tuple[dict, int]:
 
     if args.what == "centralizers":
         by_type = classify_conjugacy_by_type(base, n)
+        entry = _type_entries(base, n)
         rows = []
         for t in all_types(base, n):
             formula = centralizer_order_by_formula(base, n, t)
             brute = product.order // len(by_type[t].members)
             rows.append(
                 {
-                    "type": t.to_json(base),
+                    "type": [entry[e] for e in t.entries],
                     "centralizer_formula": formula,
                     "centralizer_bruteforce": brute,
                     "equal": formula == brute,
@@ -342,15 +358,23 @@ _LEAVES = {
 }
 
 
-def json_text(obj, indent: str = "\n") -> str:
+def json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, for str-keyed dicts,
     lists and tuples of str, int, bool and None (leaves by exact type);
     anything else raises TypeError.
 
-    ``indent`` is the newline and indentation that precede this value's
-    closing bracket.  Each container returns its own joined string; this
-    is faster than ``json.dumps``, which indents in pure Python.
+    Each container returns its own joined string; this is faster than
+    ``json.dumps``, which indents in pure Python.  A dict whose values are
+    all leaves is written once per call and depth, so rows that share one
+    such object (the type entries of a wreath report) reuse its text.
     """
+    return _text(obj, "\n", defaultdict(dict))
+
+
+def _text(obj, indent: str, flat: dict) -> str:
+    """The text of ``obj``; ``indent`` is the newline and indentation that
+    precede its closing bracket.  ``flat[indent]`` maps the id of each
+    leaf-only dict written so far at that indent to its text."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         return leaf(obj)
@@ -359,16 +383,23 @@ def json_text(obj, indent: str = "\n") -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        memo = flat[indent]
+        text = memo.get(id(obj))
+        if text is not None:
+            return text
         parts = [
             encode_basestring_ascii(k) + ": "
-            + (f(v) if (f := get(type(v))) else json_text(v, inner))
+            + (f(v) if (f := get(type(v))) else _text(v, inner, flat))
             for k, v in sorted(obj.items())
         ]
-        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+        text = "{" + inner + ("," + inner).join(parts) + indent + "}"
+        if all(map(_LEAVES.__contains__, map(type, obj.values()))):
+            memo[id(obj)] = text
+        return text
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [f(v) if (f := get(type(v))) else json_text(v, inner) for v in obj]
+        parts = [f(v) if (f := get(type(v))) else _text(v, inner, flat) for v in obj]
         return "[" + inner + ("," + inner).join(parts) + indent + "]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

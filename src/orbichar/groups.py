@@ -361,9 +361,12 @@ def subgroup(group: FiniteGroup, elements) -> tuple[FiniteGroup, tuple]:
     """The subgroup on a closed subset of elements, reindexed to 0..k-1.
 
     Returns ``(H, carrier)`` where ``carrier[i]`` is the parent index of
-    element ``i`` of ``H``.  Raises InputError if the subset is not closed.
+    element ``i`` of ``H``; H is the group itself when the subset is every
+    element.  Raises InputError if the subset is not closed.
     """
     carrier = tuple(sorted(set(elements)))
+    if carrier == tuple(range(group.order)):
+        return group, carrier
     pos = {g: i for i, g in enumerate(carrier)}
     table = []
     for a in carrier:

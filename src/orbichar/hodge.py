@@ -330,27 +330,6 @@ def wreath_cycle_shift(shift, d: int, r: int) -> Fraction:
     return Fraction(shift) + Fraction(d * (r - 1), 2)
 
 
-def wreath_type_shift(rho, data, d: int, require_integer: bool = True):
-    """Total shift of the sector indexed by the assignment rho.
-
-    rho maps (datum index, cycle length r) -> multiplicity; the shift is the
-    multiplicity-weighted sum of per-cycle shifts, additive across disjoint
-    assignments.  With ``require_integer`` (the default, matching the
-    integer-shift restriction) a fractional total raises NonIntegerShift.
-    """
-    total = Fraction(0)
-    for (idx, r), mult in dict(rho).items():
-        if not isinstance(mult, int) or mult < 0:
-            raise InputError(f"multiplicity {mult!r} must be a nonnegative int")
-        if not 0 <= idx < len(data):
-            raise InputError(f"datum index {idx} out of range")
-        if mult:
-            total += mult * wreath_cycle_shift(data[idx].shift, d, r)
-    if require_integer and total.denominator != 1:
-        raise NonIntegerShift(f"type shift {total} is not an integer")
-    return total
-
-
 def h_cr_polynomial(data) -> HodgePolynomial:
     """The shifted polynomial: each sector's dims moved up by (xy)^shift.
 

@@ -216,17 +216,6 @@ def _integer_exponent(value, what: str) -> int:
     return int(frac)
 
 
-def one_minus_q_power(r: int, order: int) -> TruncatedSeries:
-    """The polynomial 1 - q^r as a truncated series."""
-    if r < 1:
-        raise InputError(f"power must be >= 1, got {r}")
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
-    if r <= order:
-        coeffs[r] = Fraction(-1)
-    return TruncatedSeries(tuple(coeffs))
-
-
 # ---------------------------------------------------------------------------
 # sublattice counts J_{r,m}
 
@@ -355,13 +344,25 @@ def rhs_main_formula(m: int, chi, order: int) -> TruncatedSeries:
     if m < 0:
         raise InputError(f"m must be >= 0, got {m}")
     chi_int = _integer_exponent(chi, f"chi_({m})")
+    out = TruncatedSeries.one(order)  # refuses a negative order
     if m == 0:
-        return one_minus_q_power(1, order) ** (-chi_int)
-    out = TruncatedSeries.one(order)
+        return _binomial_factor(1, chi_int, order)
     for r in range(1, order + 1):
         j = subgroup_count(r, m).value
-        out = out * one_minus_q_power(r, order) ** (-j * chi_int)
+        out = out * _binomial_factor(r, j * chi_int, order)
     return out
+
+
+def _binomial_factor(r: int, k: int, order: int) -> TruncatedSeries:
+    """(1 - q^r)^(-k) truncated at q^order, for r >= 1 and any int k.
+    Its coefficient of q^(r*i) is b_i = C(k + i - 1, i); b_i * (k + i) is
+    (i + 1) * b_(i+1), so each division is exact, negative k included."""
+    coeffs = [0] * (order + 1)
+    b = 1
+    for i in range(order // r + 1):
+        coeffs[r * i] = b
+        b = b * (k + i) // (i + 1)
+    return TruncatedSeries(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -224,17 +224,6 @@ class TypeFunction:
     def total(self) -> int:
         return sum(r * m for ((_, r), m) in self.entries)
 
-    def to_json(self, base: FiniteGroup) -> list:
-        classes = conjugacy_classes(base)
-        return [
-            {
-                "class": base.label(classes[c].representative),
-                "r": r,
-                "m": m,
-            }
-            for ((c, r), m) in self.entries
-        ]
-
 
 def cycle_decomposition(wreath: WreathProduct, w: WreathElement) -> list[CycleDatum]:
     """Cycles of the permutation part with their cycle products.

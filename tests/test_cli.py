@@ -1,12 +1,13 @@
+import hashlib
 import json
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbichar import wreath
-from orbichar.cli import json_text, main
+from orbichar.cli import build_parser, cmd_wreath, json_text, main
 
 
 def run(capsys, *argv):
@@ -158,6 +159,36 @@ def test_wreath_centralizers(capsys):
     )
     assert code == 0
     assert report["pass"] and all(r["equal"] for r in report["rows"])
+
+
+def test_wreath_rows_share_one_dict_per_entry():
+    args = build_parser().parse_args(["wreath", "classes", "--group", "D4", "--n", "6"])
+    report, code = cmd_wreath(args)
+    assert code == 0
+    entries = [e for row in report["rows"] for e in row["type"]]
+    distinct = {(e["class"], e["r"], e["m"]) for e in entries}
+    assert len(entries) > 10 * len(distinct)
+    assert len({id(e) for e in entries}) == len(distinct)
+
+
+# sha256 of stdout, recorded before type entries were shared between rows
+WREATH_REPORT_HASHES = {
+    ("classes", "D4", "6"): "af46470fb6ab6ec240eda2a5734ff5b1da6fe2ed043fadf5fb8e63bd3ba51892",
+    ("classes", "S3", "5"): "3c538fac8598b569decb1a585094e9d157f587ac297f3ac903783af6909915ad",
+    ("classes", "trivial", "8"): "0b488d5f12c351a26b301379d0b55e405caed5f02f3d9bd624c990873c407ef7",
+    ("classes", "S4", "4"): "e48141ce2b68b1299cb002127a28c6f1ff55dba3e822de199ad746ebfab5a908",
+    ("centralizers", "Z2", "3"): "d6b3e9b6cd740c55a64006213e4358f96f9bdc6e9687d60d761ce47df8848e2a",
+    ("centralizers", "S3", "3"): "785f08ab9fbefefa77df3549c7265653a7ddaeefce4dacf942d05d6750bd6953",
+    ("centralizers", "D4", "2"): "d25b7107bff71e142beb0f3b25fe91adef8119aa100580aed9441b14a209dfc7",
+}
+
+
+@pytest.mark.parametrize("what,group,n", sorted(WREATH_REPORT_HASHES))
+def test_wreath_reports_unchanged(capsys, what, group, n):
+    code, out, err = run(capsys, "wreath", what, "--group", group, "--n", n)
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == WREATH_REPORT_HASHES[what, group, n]
 
 
 def test_wreath_centralizer_cap(capsys):
@@ -315,6 +346,15 @@ def test_verify_main_m0_trivial_point(capsys):
     assert code == 0
     assert report["lhs"] == ["1"] * 9
     assert report["rhs"] == ["1"] * 9
+
+
+@pytest.mark.parametrize("m", ["0", "1"])
+def test_verify_main_negative_order_is_bad_input(capsys, m):
+    code, out, err = run(
+        capsys, "verify", "main", "--complex", "point", "--m", m, "--order", "-1"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: truncation order must be >= 0\n"
 
 
 def test_verify_main_m1(capsys):
@@ -597,6 +637,37 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(JSON_VALUES)
 def test_json_text_matches_json_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@st.composite
+def shared_reports(draw):
+    """A report built from a small pool of dicts and lists, each of which
+    may appear many times: in one list, at other depths, and inside other
+    pooled containers.  The first two pooled objects are a leaf-only dict
+    and a dict holding a list that holds it."""
+    leaf = draw(st.dictionaries(st.text(max_size=3), JSON_LEAVES, min_size=1, max_size=3))
+    pool = [leaf, {"row": [leaf, leaf], "n": 1}]
+    for _ in range(draw(st.integers(0, 4))):
+        items = draw(st.lists(JSON_LEAVES | st.sampled_from(pool), max_size=4))
+        if draw(st.booleans()):
+            keys = draw(st.lists(st.text(max_size=3), min_size=len(items),
+                                 max_size=len(items), unique=True))
+            pool.append(dict(zip(keys, items)))
+        else:
+            pool.append(items)
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    return {"rows": rows, "nested": [rows, [pool]], "pool": pool, "leaf": leaf}
+
+
+_LEAF = {"class": "e", "m": 1, "r": 2}
+_HOLDER = {"type": [_LEAF, _LEAF], "size": 3}
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_reports())
+@example({"a": _LEAF, "b": [_LEAF, [_LEAF, _HOLDER]], "c": [_HOLDER, _HOLDER]})
+def test_json_text_with_shared_objects(obj):
     assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 

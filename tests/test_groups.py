@@ -107,6 +107,20 @@ def test_subgroup_rejects_nonclosed():
         subgroup(g, [g.identity, transpositions[0], transpositions[1]])
 
 
+def test_subgroup_on_every_element_is_the_group():
+    for g in (trivial_group(), cyclic_group(4), symmetric_group(3), dihedral_group(5)):
+        sub, carrier = subgroup(g, reversed(range(g.order)))
+        assert sub is g
+        assert carrier == tuple(range(g.order))
+        assert sub.labels == g.labels
+    # a proper subset still gets its own reindexed table
+    g = symmetric_group(3)
+    sub, carrier = subgroup(g, [g.identity])
+    assert sub.order == 1 and carrier == (g.identity,)
+    with pytest.raises(InputError, match="subset not closed"):
+        subgroup(g, range(1, g.order))
+
+
 def test_direct_product():
     p, pairs = direct_product(cyclic_group(2), cyclic_group(3))
     assert p.order == 6

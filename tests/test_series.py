@@ -27,13 +27,13 @@ from orbichar.library import (
 )
 from orbichar.series import (
     TruncatedSeries,
+    _binomial_factor,
     _generator_rows,
     _integer_exponent,
     _residue_span as _packed_residue_span,
     _weight,
     lhs_wreath_series,
     macdonald_dimension_check,
-    one_minus_q_power,
     point_wreath_chi_m,
     rhs_exp_formula,
     rhs_main_formula,
@@ -48,6 +48,17 @@ from orbichar.wreath import all_types, centralizer_extension
 
 def series(*coeffs):
     return TruncatedSeries(tuple(Fraction(c) for c in coeffs))
+
+
+def one_minus_q_power(r: int, order: int) -> TruncatedSeries:
+    """The polynomial 1 - q^r as a truncated series."""
+    if r < 1:
+        raise InputError(f"power must be >= 1, got {r}")
+    coeffs = [Fraction(0)] * (order + 1)
+    coeffs[0] = Fraction(1)
+    if r <= order:
+        coeffs[r] = Fraction(-1)
+    return TruncatedSeries(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +312,42 @@ def test_multiindex_matches_collapsed():
             a = rhs_main_formula(m, chi, 6)
             b = rhs_main_formula_multiindex(m, chi, 6)
             assert a.coefficients == b.coefficients, (m, chi)
+
+
+def rhs_main_formula_by_powers(m: int, chi: int, order: int) -> TruncatedSeries:
+    """The right side with every factor taken as a power of the inverse of
+    1 - q^r, the route ``rhs_main_formula`` used before its factors were
+    built from binomial coefficients."""
+    if m == 0:
+        return one_minus_q_power(1, order) ** (-chi)
+    out = TruncatedSeries.one(order)
+    for r in range(1, order + 1):
+        j = subgroup_count(r, m).value
+        out = out * one_minus_q_power(r, order) ** (-j * chi)
+    return out
+
+
+def test_binomial_factor_matches_powers():
+    for order in range(13):
+        for r in range(1, max(order, 1) + 1):
+            for k in range(-6, 7):
+                expected = one_minus_q_power(r, order) ** (-k)
+                assert _binomial_factor(r, k, order) == expected, (r, k, order)
+    # the exponents J_{r,m} * chi that the right side meets, up to 600 * 7
+    ks = {subgroup_count(r, m).value * chi for r in range(1, 8) for m in (2, 3, 4)
+          for chi in (-3, 7)}
+    for k in sorted(ks):
+        for r in (1, 2, 5, 12):
+            expected = one_minus_q_power(r, 12) ** (-k)
+            assert _binomial_factor(r, k, 12) == expected, (r, k)
+
+
+def test_rhs_main_formula_matches_powers():
+    for m in range(5):
+        for chi in (-3, 0, 1, 7):
+            for order in (0, 1, 4, 9, 12):
+                expected = rhs_main_formula_by_powers(m, chi, order)
+                assert rhs_main_formula(m, chi, order) == expected, (m, chi, order)
 
 
 def test_rhs_requires_integer_chi():
