@@ -194,15 +194,33 @@ def _verify_jcount(args):
         raise InputError(
             f"jcount needs --n >= 1 and --m >= 1, got --n {r_max} --m {m_max}"
         )
-    rows = []
+    # The brute force closes one residue span of r^(m-1) elements per normal
+    # form, J_{r,m} of them; their running sum trips the cap before any span.
+    # Every row closes at least one residue, so the row count is checked first.
+    def over_cap(residues: int, where: str) -> CapExceeded:
+        return CapExceeded(
+            f"jcount brute force closes at least {residues} residues ({where}),"
+            f" above the residue cap {series.JCOUNT_RESIDUE_CAP}"
+        )
+
+    if r_max * m_max > series.JCOUNT_RESIDUE_CAP:
+        raise over_cap(r_max * m_max, "one per row")
+    formulas = []
+    residues = 0
     for m in range(1, m_max + 1):
         for r in range(1, r_max + 1):
             formula = series.subgroup_count(r, m).value
-            brute = series.sublattice_count_bruteforce(r, m)
-            equal = formula == brute
-            rows.append(
-                {"r": r, "m": m, "formula": formula, "bruteforce": brute, "equal": equal}
-            )
+            residues += formula * r ** (m - 1)
+            if residues > series.JCOUNT_RESIDUE_CAP:
+                raise over_cap(residues, f"through r={r}, m={m}")
+            formulas.append((r, m, formula))
+    rows = []
+    for r, m, formula in formulas:
+        brute = series.sublattice_count_bruteforce(r, m)
+        equal = formula == brute
+        rows.append(
+            {"r": r, "m": m, "formula": formula, "bruteforce": brute, "equal": equal}
+        )
     return {
         "identity": "index-r-subgroup-counts",
         "r_max": r_max,

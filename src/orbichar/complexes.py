@@ -21,7 +21,7 @@ DEFAULT_SIMPLEX_CAP = 10**6
 class SimplicialComplex:
     """Immutable abstract simplicial complex."""
 
-    __slots__ = ("vertices", "simplices", "simplex_set")
+    __slots__ = ("vertices", "simplices", "simplex_set", "_by_least")
 
     def __init__(self, simplices, vertices=None, _skip_validation=False):
         simps = sorted({tuple(sorted(s)) for s in simplices}, key=_simplex_key)
@@ -50,6 +50,7 @@ class SimplicialComplex:
             if set(derived) - set(vertices):
                 raise InputError("simplices mention vertices outside the vertex set")
         self.vertices = vertices
+        self._by_least = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -61,6 +62,16 @@ class SimplicialComplex:
 
     def simplices_of_dim(self, k: int) -> list:
         return [s for s in self.simplices if len(s) == k + 1]
+
+    def by_least_vertex(self) -> dict:
+        """Vertex -> the simplices whose least vertex it is, in complex
+        order.  Built once, on first use."""
+        if self._by_least is None:
+            index = {v: [] for v in self.vertices}
+            for s in self.simplices:
+                index[s[0]].append(s)
+            self._by_least = index
+        return self._by_least
 
     def f_vector(self) -> list:
         out = [0] * (self.dim() + 1)

@@ -13,6 +13,14 @@ Condition (1) follows from (2), so only (2) and (3) are checked: if g
 preserves s, then for each vertex v of s, g.v lies in s and in the orbit of
 v, and by (2) the only such vertex is v itself.
 
+Condition (3) is checked by counting.  Every image g.s lies over the same
+vertex orbits as s, so the simplices over that image hold the orbit of s,
+and they form that one orbit exactly when there are |G| / |G_s| of them.
+Once (2) holds, the setwise stabilizer G_s fixes s vertexwise (the argument
+above), so it is the intersection of its vertices' stabilizers: the AND of
+per-vertex bit masks (bit g set when g fixes v), built only for vertices
+of simplices that share an image with another.
+
 Under (1) the isotropy group is constant on open simplices, so the
 Euler-Satake sum over simplex orbits is well defined; under (2)+(3) the
 orbit complex is a genuine simplicial complex triangulating the orbit
@@ -190,19 +198,31 @@ def regularity_failure(ec: EquivariantComplex) -> str | None:
     for orbit in ec.vertex_orbits():
         for v in orbit:
             orbit_of[v] = orbit[0]
-    elements = range(ec.group.order)
+    by_image: dict[tuple, list] = {}
     for s in ec.cx.simplices:
         labels = [orbit_of[v] for v in s]
         if len(set(labels)) != len(labels):
             return f"simplex {s} meets a vertex orbit twice"
-    by_image: dict[tuple, list] = {}
-    for s in ec.cx.simplices:
-        by_image.setdefault(tuple(sorted(orbit_of[v] for v in s)), []).append(s)
+        by_image.setdefault(tuple(sorted(labels)), []).append(s)
+    # Condition (3) by orbit-stabilizer counts (see the module docstring).
+    order = ec.group.order
+    stabilizer: dict[int, int] = {}  # vertex -> bit g set iff g fixes it
+
+    def vertex_stabilizer(v: int) -> int:
+        mask = stabilizer.get(v)
+        if mask is None:
+            i = ec._vpos[v]
+            mask = sum(1 << g for g, row in enumerate(ec.action) if row[i] == v)
+            stabilizer[v] = mask
+        return mask
+
     for image, group_of in by_image.items():
         if len(group_of) == 1:
             continue
-        orbit = {ec.map_simplex(g, group_of[0]) for g in elements}
-        if set(group_of) != orbit:
+        mask = -1
+        for v in group_of[0]:
+            mask &= vertex_stabilizer(v)
+        if len(group_of) * mask.bit_count() != order:
             return f"simplices over {image} fall into several orbits"
     return None
 
@@ -283,14 +303,20 @@ def fixed_subcomplex(rec: RegularEquivariantComplex, elements) -> SimplicialComp
     """Subcomplex of simplices fixed vertexwise by every listed element.
 
     Under the certificate this triangulates the common fixed-point set.
-    Vertex ids are inherited from the parent complex.
+    Vertex ids are inherited from the parent complex.  The fixed vertices
+    come from the listed elements' action rows, read column by column; the
+    simplices are then looked up in the fixed vertices' least-vertex lists
+    only, so the cost follows the fixed vertices' stars, not the complex.
     """
     ec = _require_regular(rec)
-    els = sorted(set(elements))
-    fixed_vertices = {
-        v for v in ec.cx.vertices if all(ec.apply(g, v) == v for g in els)
+    rows = [ec.action[g] for g in set(elements)]
+    fixed = {
+        col[0]
+        for col in zip(ec.cx.vertices, *rows)
+        if col.count(col[0]) == len(col)
     }
-    simps = [s for s in ec.cx.simplices if all(v in fixed_vertices for v in s)]
+    index = ec.cx.by_least_vertex()
+    simps = [s for v in fixed for s in index[v] if all(u in fixed for u in s)]
     return SimplicialComplex(simps, _skip_validation=True)
 
 

@@ -65,23 +65,25 @@ class SectorDecomposition:
         return sum(s.chi_top() for s in self.sectors)
 
     def report(self, group: FiniteGroup) -> dict:
+        es = [s.chi_es() for s in self.sectors]
+        top = [s.chi_top() for s in self.sectors]
         return {
             "gamma": self.presentation.name
             or f"<{self.presentation.generators} generators>",
             "sector_count": len(self.sectors),
             "dropped_classes": self.dropped_classes,
-            "chi_gamma_es": str(self.chi_es()),
-            "chi_gamma_top": self.chi_top(),
+            "chi_gamma_es": str(sum(es, Fraction(0))),
+            "chi_gamma_top": sum(top),
             "sectors": [
                 {
                     "images": [group.label(x) for x in s.hom_class.representative.images],
                     "orbit_size": s.hom_class.orbit_size,
                     "centralizer_order": len(s.centralizer_elements),
                     "fixed_f_vector": s.fixed.cx.f_vector(),
-                    "chi_es": str(s.chi_es()),
-                    "chi_top": s.chi_top(),
+                    "chi_es": str(s_es),
+                    "chi_top": s_top,
                 }
-                for s in self.sectors
+                for s, s_es, s_top in zip(self.sectors, es, top)
             ],
         }
 
@@ -183,14 +185,16 @@ def product_sectors_check(
     db = gamma_sectors(b, presentation)
     prod_ec, _group, _pairs = equivariant_product(a.ec, b.ec)
     dp = gamma_sectors(regularize(prod_ec), presentation)
+    es = [d.chi_es() for d in (da, db, dp)]
+    top = [d.chi_top() for d in (da, db, dp)]
     report = {
         "gamma": presentation.name,
         "sector_counts": [len(da.sectors), len(db.sectors), len(dp.sectors)],
         "counts_multiply": len(dp.sectors) == len(da.sectors) * len(db.sectors),
-        "chi_es": [str(da.chi_es()), str(db.chi_es()), str(dp.chi_es())],
-        "chi_es_multiplies": dp.chi_es() == da.chi_es() * db.chi_es(),
-        "chi_top": [da.chi_top(), db.chi_top(), dp.chi_top()],
-        "chi_top_multiplies": dp.chi_top() == da.chi_top() * db.chi_top(),
+        "chi_es": [str(x) for x in es],
+        "chi_es_multiplies": es[2] == es[0] * es[1],
+        "chi_top": top,
+        "chi_top_multiplies": top[2] == top[0] * top[1],
     }
     report["equal"] = (
         report["counts_multiply"]

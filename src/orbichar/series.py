@@ -227,6 +227,10 @@ class SubgroupCount:
     value: int
 
 
+# Residues the jcount brute force may close in all: sum of J_{r,m} * r^(m-1).
+JCOUNT_RESIDUE_CAP = 2 * 10**6
+
+
 def _divisors(r: int) -> list:
     return [d for d in range(1, r + 1) if r % d == 0]
 

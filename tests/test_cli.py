@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orbichar import wreath
+from orbichar import series, wreath
 from orbichar.cli import build_parser, cmd_wreath, json_text, main
 
 
@@ -189,6 +189,40 @@ def test_wreath_reports_unchanged(capsys, what, group, n):
     assert code == 0 and err == ""
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == WREATH_REPORT_HASHES[what, group, n]
+
+
+# sha256 of stdout, recorded before fixed subcomplexes were read from the
+# fixed vertices' stars and each sector's invariants were computed once
+SECTOR_REPORT_HASHES = {
+    ("euler", "--complex", "circle(3)", "--group", "D6", "--gamma", "Z^3"):
+        "5c9b988cbe461fb58967274de92e77f9b38c8e727b58cbd61414c90d99737024",
+    ("euler", "--complex", "circle(4)", "--group", "D6", "--gamma", "Z^2"):
+        "9123ad9ae03a7b1ca53cbfba1eb05e4711caf4f93d8948f0cb4eefe2f9dbc2b6",
+    ("euler", "--complex", "octahedron", "--group", "S3", "--gamma", "F_2"):
+        "4e56c2f8184c0a854e135dedc42e519a137497173a41032b8280110f610cf2b1",
+    ("euler", "--complex", "torus", "--group", "Z2"):
+        "b97d6bd18daf263d2afe8c8f94528cf298d9f1ee0c8a2d7b599843c9a6d8118f",
+    ("verify", "sectors", "--complex", "circle4-rotation", "--gamma", "Z,Z"):
+        "ad524840044cf16ec86eebec5f03f57a2913597c623ff188bb1d61990aac644c",
+    ("verify", "main", "--complex", "edge-swap", "--m", "2", "--order", "3"):
+        "0852237e6769dec321626e8c1937d072a0a59aa17032aed629849308b1ac9dfd",
+    ("verify", "macdonald", "--complex", "edge-swap", "--order", "3"):
+        "84a9afab079982b8f68a18e26776e6aeb4100db1f0d58a96157e3d4517566167",
+    ("verify", "products"):
+        "5994ba356d26003c1bdc15ceb4ad315989a897f2f5069b48a2c4150fc945f23c",
+    ("verify", "products", "--gamma", "Z^2"):
+        "1e9a740f2e8b7ba543bf3e5dc56732254b6574d30f597eb99a777b97a4f78f7e",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", sorted(SECTOR_REPORT_HASHES), ids=" ".join
+)
+def test_sector_reports_unchanged(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SECTOR_REPORT_HASHES[argv]
 
 
 def test_wreath_centralizer_cap(capsys):
@@ -395,6 +429,36 @@ def test_verify_jcount_needs_a_nonempty_range(capsys, bounds):
     code, out, err = run(capsys, "verify", "jcount", *bounds)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "n, m, named",
+    [
+        ("30", "3", "closes at least 2245987 residues (through r=22, m=3)"),
+        ("12", "4", "closes at least 2026166 residues (through r=9, m=4)"),
+        ("3000000", "1", "closes at least 3000000 residues (one per row)"),
+    ],
+)
+def test_jcount_cap_trips_before_the_brute_force(capsys, monkeypatch, n, m, named):
+    def no_brute_force(*args, **kwargs):
+        raise AssertionError("the brute force ran before the cap")
+
+    monkeypatch.setattr(series, "sublattice_count_bruteforce", no_brute_force)
+    started = time.monotonic()
+    code, out, err = run(capsys, "verify", "jcount", "--n", n, "--m", m)
+    assert time.monotonic() - started < 1
+    assert code == 3 and out == ""
+    assert err.startswith("error: cap exceeded:") and err.count("\n") == 1
+    assert named in err and "residue cap 2000000" in err
+
+
+def test_jcount_below_the_cap_unchanged(capsys):
+    # 132,415 residues; sha256 of stdout recorded before the cap existed
+    code, out, err = run(capsys, "verify", "jcount", "--n", "12", "--m", "3")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "29bfb1f66fc052e8b59da7a6e13b86c7270f2571a5ae337d75d875bd56f45746"
+    )
 
 
 def test_verify_macdonald(capsys):

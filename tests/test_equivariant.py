@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from orbichar.equivariant import (
     subdivide_equivariant,
     trivial_action,
 )
+from orbichar.complexes import SimplicialComplex
 from orbichar.errors import InputError, NotRegular, RegularizationFailed
 from orbichar.groups import (
     build_group_from_permutations,
@@ -28,6 +30,7 @@ from orbichar.groups import (
     symmetric_group,
     trivial_group,
 )
+from orbichar.homs import free_abelian, hom_classes
 from orbichar.library import (
     EQUIVARIANT_PRESETS,
     circle,
@@ -116,8 +119,8 @@ def _three_condition_failure(ec):
 
 
 @st.composite
-def _invariant_complexes(draw):
-    nv = draw(st.integers(min_value=1, max_value=6))
+def _invariant_complexes(draw, max_vertices=6):
+    nv = draw(st.integers(min_value=1, max_value=max_vertices))
     gens = draw(st.lists(st.permutations(range(nv)), min_size=1, max_size=2))
     group = build_group_from_permutations(gens, degree=nv)
     # the group's elements are the sorted closure, as in the builder
@@ -244,6 +247,67 @@ def test_fixed_subcomplexes():
     assert betti_numbers(fixed) == [1, 1]
     free = octahedron_antipodal()
     assert fixed_subcomplex(free, [1]).f_vector() == []
+
+
+def _fixed_subcomplex_by_scan(rec, elements):
+    """Test oracle: the fixed subcomplex as it was first written, testing
+    every simplex of the complex."""
+    ec = rec.ec
+    els = sorted(set(elements))
+    fixed_vertices = {
+        v for v in ec.cx.vertices if all(ec.apply(g, v) == v for g in els)
+    }
+    simps = [s for s in ec.cx.simplices if all(v in fixed_vertices for v in s)]
+    return SimplicialComplex(simps, _skip_validation=True)
+
+
+def _assert_fixed_subcomplexes_match_scan(rec, element_lists):
+    cx = rec.cx
+    by_least = {v: [] for v in cx.vertices}
+    for s in cx.simplices:
+        by_least[s[0]].append(s)
+    assert cx.by_least_vertex() == by_least
+    for elements in element_lists:
+        fixed = fixed_subcomplex(rec, elements)
+        oracle = _fixed_subcomplex_by_scan(rec, elements)
+        # equality compares the vertex tuples and the simplex orders
+        assert fixed == oracle, elements
+
+
+def _empty_single_and_pair_lists(order):
+    elements = range(order)
+    return (
+        [()]
+        + [(g,) for g in elements]
+        + list(itertools.combinations(elements, 2))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_invariant_complexes(max_vertices=4))
+def test_fixed_subcomplex_matches_scan(ec):
+    rec = regularize(ec)
+    _assert_fixed_subcomplexes_match_scan(
+        rec, _empty_single_and_pair_lists(rec.group.order)
+    )
+
+
+def test_fixed_subcomplex_matches_scan_on_presets():
+    for _name, rec in suite():
+        _assert_fixed_subcomplexes_match_scan(
+            rec, _empty_single_and_pair_lists(rec.group.order)
+        )
+
+
+@pytest.mark.parametrize("preset", [s0_swap, edge_swap, circle4_rotation])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fixed_subcomplex_matches_scan_on_wreath_powers(preset, n):
+    power, _ew = power_with_wreath_action(preset(), n)
+    rec = regularize(power)
+    classes = hom_classes(free_abelian(2), rec.group)
+    _assert_fixed_subcomplexes_match_scan(
+        rec, [cls.representative.images for cls in classes]
+    )
 
 
 def test_orbit_complex_antipodal_is_projective_plane():

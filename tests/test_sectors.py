@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from orbichar import sectors
+from orbichar.cli import main
 from orbichar.complexes import euler_characteristic
 from orbichar.equivariant import (
     EquivariantComplex,
@@ -202,3 +205,36 @@ def test_trivial_extension_scaling():
         for r in (2, 3):
             report = trivial_extension_scaling_check(ec, 1, r, m)
             assert report["equal"], report
+
+
+def _count_sector_invariants(monkeypatch):
+    calls = {"euler_satake": 0, "orbit_complex": 0}
+    for name in calls:
+        inner = getattr(sectors, name)
+
+        def counted(rec, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(rec)
+
+        monkeypatch.setattr(sectors, name, counted)
+    return calls
+
+
+def test_euler_computes_each_sector_invariant_once(capsys, monkeypatch):
+    calls = _count_sector_invariants(monkeypatch)
+    code = main(["euler", "--complex", "circle(3)", "--group", "D6", "--gamma", "Z^3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["sector_count"] > 1
+    assert calls == {
+        "euler_satake": report["sector_count"],
+        "orbit_complex": report["sector_count"],
+    }
+
+
+def test_verify_products_computes_each_sector_invariant_once(capsys, monkeypatch):
+    calls = _count_sector_invariants(monkeypatch)
+    code = main(["verify", "products"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    sector_count = sum(sum(pair["sector_counts"]) for pair in report["pairs"])
+    assert calls == {"euler_satake": sector_count, "orbit_complex": sector_count}
