@@ -56,7 +56,6 @@ from .sectors import (
 )
 from .series import (
     TruncatedSeries,
-    lhs_wreath_series,
     macdonald_dimension_check,
     point_wreath_chi_m,
     rhs_exp_formula,

@@ -194,25 +194,36 @@ def _verify_jcount(args):
         raise InputError(
             f"jcount needs --n >= 1 and --m >= 1, got --n {r_max} --m {m_max}"
         )
-    # The brute force closes one residue span of r^(m-1) elements per normal
-    # form, J_{r,m} of them; their running sum trips the cap before any span.
-    # Every row closes at least one residue, so the row count is checked first.
-    def over_cap(residues: int, where: str) -> CapExceeded:
+    # The brute force builds one m x m generator matrix and closes one
+    # residue span of r^(m-1) elements per normal form, J_{r,m} of them; the
+    # running sum of both trips the cap before any span.  Every row closes
+    # at least one residue, so the row count is checked first.
+    cap = series.JCOUNT_RESIDUE_CAP
+
+    def over_cap(residues: int, where: str, entries: int = 0) -> CapExceeded:
+        filled = (
+            f" and fills {entries} matrix entries, {residues + entries} in all"
+            if entries
+            else ""
+        )
         return CapExceeded(
-            f"jcount brute force closes at least {residues} residues ({where}),"
-            f" above the residue cap {series.JCOUNT_RESIDUE_CAP}"
+            f"jcount brute force closes at least {residues} residues ({where})"
+            f"{filled}, above the residue cap {cap}"
         )
 
-    if r_max * m_max > series.JCOUNT_RESIDUE_CAP:
+    if r_max * m_max > cap:
         raise over_cap(r_max * m_max, "one per row")
     formulas = []
-    residues = 0
+    residues = entries = 0
     for m in range(1, m_max + 1):
         for r in range(1, r_max + 1):
             formula = series.subgroup_count(r, m).value
             residues += formula * r ** (m - 1)
-            if residues > series.JCOUNT_RESIDUE_CAP:
-                raise over_cap(residues, f"through r={r}, m={m}")
+            entries += formula * m * m
+            if residues + entries > cap:
+                # the entries are named where the residues alone fit
+                named = entries if residues <= cap else 0
+                raise over_cap(residues, f"through r={r}, m={m}", named)
             formulas.append((r, m, formula))
     rows = []
     for r, m, formula in formulas:

@@ -42,10 +42,9 @@ from .errors import (
     ExpNonzeroConstant,
     InputError,
     NonIntegerExponent,
-    NonInvertibleSeries,
     SizeCapExceeded,
 )
-from .groups import FiniteGroup, conjugacy_classes, orbit
+from .groups import FiniteGroup, conjugacy_classes
 from .homs import free_abelian
 from .sectors import chi_m_top, gamma_sectors
 from .wreath import centralizer_extension, type_counts
@@ -60,12 +59,12 @@ class Series:
     """Coefficients c_0..c_N of a power series in q, truncated at q^N.
 
     The ring algebra lives here once.  A subclass names its coefficient
-    ring: ``_zero`` and ``_one``, ``_coerce`` (applied to every coefficient
-    on construction) and ``_unit_inverse`` (the inverse of an invertible
-    constant term, else NonInvertibleSeries).  Coefficients must support
-    ``+``, ``-``, ``*``, unary ``-`` and truth testing (false for zero).
-    ``_sum_of_products`` computes one coefficient of a product or inverse;
-    a ring may replace it with a faster one.
+    ring: ``_zero`` and ``_one``, and ``_coerce`` (applied to every
+    coefficient on construction).  Coefficients must support ``+``, ``-``,
+    ``*`` and truth testing (false for zero).  ``_sum_of_products``
+    computes one coefficient of a product; a ring may replace it with a
+    faster one.  Powers of a factor are built in closed form from
+    ``binomial_coefficients``, not by repeated multiplication.
     """
 
     coefficients: tuple
@@ -127,34 +126,6 @@ class Series:
                     pairs[i + j].append((ai, bj))
         return type(self)(tuple(map(self._sum_of_products, pairs)))
 
-    def inverse(self):
-        a = self.coefficients
-        u = self._unit_inverse(a[0])
-        left = [(k, ak) for k, ak in enumerate(a) if k and ak]
-        out = [u]
-        for n in range(1, self.order + 1):
-            pairs = []
-            for k, ak in left:
-                if k > n:
-                    break
-                if out[n - k]:
-                    pairs.append((ak, out[n - k]))
-            out.append(-(self._sum_of_products(pairs) * u))
-        return type(self)(tuple(out))
-
-    def __pow__(self, k):
-        k = _integer_exponent(k, "series exponent")
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = self.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
 
 @dataclass(frozen=True)
 class TruncatedSeries(Series):
@@ -163,12 +134,6 @@ class TruncatedSeries(Series):
     _zero = Fraction(0)
     _one = Fraction(1)
     _coerce = Fraction
-
-    @staticmethod
-    def _unit_inverse(c: Fraction) -> Fraction:
-        if c == 0:
-            raise NonInvertibleSeries("constant term is zero")
-        return 1 / c
 
     def scale(self, value) -> "TruncatedSeries":
         v = Fraction(value)
@@ -185,17 +150,6 @@ class TruncatedSeries(Series):
                 sum(k * a[k] * out[n - k] for k in range(1, n + 1))
                 / n
             )
-        return TruncatedSeries(tuple(out))
-
-    def log(self) -> "TruncatedSeries":
-        a = self.coefficients
-        if a[0] != 1:
-            raise NonInvertibleSeries(f"log needs constant term 1, got {a[0]}")
-        out = [Fraction(0)] * (self.order + 1)
-        for n in range(1, self.order + 1):
-            out[n] = a[n] - sum(
-                k * out[k] * a[n - k] for k in range(1, n)
-            ) / Fraction(n)
         return TruncatedSeries(tuple(out))
 
     def to_fraction_strings(self) -> list:
@@ -227,7 +181,8 @@ class SubgroupCount:
     value: int
 
 
-# Residues the jcount brute force may close in all: sum of J_{r,m} * r^(m-1).
+# Residues the jcount brute force may close in all, counting each entry of
+# its m x m generator matrices as one: sum of J_{r,m} * (r^(m-1) + m^2).
 JCOUNT_RESIDUE_CAP = 2 * 10**6
 
 
@@ -236,13 +191,18 @@ def _divisors(r: int) -> list:
 
 
 def _ordered_factorizations(r: int, m: int):
-    """All tuples (j_1..j_m) of positive integers with product r."""
-    if m == 1:
-        yield (r,)
-        return
-    for d in _divisors(r):
-        for rest in _ordered_factorizations(r // d, m - 1):
-            yield (d,) + rest
+    """All tuples (j_1..j_m) of positive integers with product r, in
+    lexicographic order.  The walk keeps its own stack, so a large m
+    costs no recursion depth; once the product is used up, the remaining
+    coordinates are all 1."""
+    stack = [((), r)]
+    while stack:
+        prefix, rest = stack.pop()
+        if rest == 1 or len(prefix) == m - 1:
+            yield prefix + (rest,) + (1,) * (m - 1 - len(prefix))
+            continue
+        for d in reversed(_divisors(rest)):
+            stack.append((prefix + (d,), rest // d))
 
 
 def subgroup_count(r: int, m: int) -> SubgroupCount:
@@ -312,18 +272,38 @@ def _residue_span(rows: list, r: int, m: int) -> frozenset:
     A sum mod r adds the packed ints, then adds 2^(w-1) - r to every field:
     its top bit is set exactly where the sum reached r, and r is subtracted
     from those fields.
+
+    The group is abelian, so the span is the sum C_1 + ... + C_m of the
+    cyclic subgroups of the rows: each C_i lists the multiples of row i
+    until they return to 0 (a row that is 0 mod r adds nothing), and each
+    sum is one packed add per pair.  The rows are added last first: in an
+    upper-triangular candidate the later rows have fewer nonzero
+    coordinates, so the partial sums meet the next subgroup less (on the
+    candidates of ``verify jcount --n 12 --m 3``, 29% fewer adds than
+    first row first).
     """
     w = r.bit_length() + 1
     fields = range(0, w * m, w)
     offset = sum(((1 << (w - 1)) - r) << f for f in fields)
     top = sum(1 << (f + w - 1) for f in fields)
+    high = w - 1
 
-    def add(x: int, g: int) -> int:
-        s = x + g
-        return s - (((s + offset) & top) >> (w - 1)) * r
-
-    gens = [sum((v % r) << f for v, f in zip(row, fields)) for row in rows]
-    return frozenset(orbit(0, gens, add))
+    span = {0}
+    for row in reversed(rows):
+        g = sum((v % r) << f for v, f in zip(row, fields))
+        multiples = [0]
+        x = g
+        while x:
+            multiples.append(x)
+            x += g
+            x -= (((x + offset) & top) >> high) * r
+        if len(multiples) > 1:
+            span = {
+                (s := a + b) - (((s + offset) & top) >> high) * r
+                for a in span
+                for b in multiples
+            }
+    return frozenset(span)
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +337,24 @@ def rhs_main_formula(m: int, chi, order: int) -> TruncatedSeries:
     return out
 
 
+def binomial_coefficients(k: int, c: int, count: int) -> list:
+    """The first ``count`` coefficients of (1 + c z)^k, for any int k and
+    int c: b_i = C(k, i) * c^i, with C(k, i) = k (k-1) ... (k-i+1) / i!.
+    b_i * (k - i) * c is (i + 1) * b_(i+1), so each division is exact,
+    negative k included; for k >= 0 the row ends in zeros past i = k."""
+    out = []
+    b = 1
+    for i in range(count):
+        out.append(b)
+        b = b * (k - i) * c // (i + 1)
+    return out
+
+
 def _binomial_factor(r: int, k: int, order: int) -> TruncatedSeries:
     """(1 - q^r)^(-k) truncated at q^order, for r >= 1 and any int k.
-    Its coefficient of q^(r*i) is b_i = C(k + i - 1, i); b_i * (k + i) is
-    (i + 1) * b_(i+1), so each division is exact, negative k included."""
+    Its coefficient of q^(r*i) is C(k + i - 1, i) = (-1)^i C(-k, i)."""
     coeffs = [0] * (order + 1)
-    b = 1
-    for i in range(order // r + 1):
-        coeffs[r * i] = b
-        b = b * (k + i) // (i + 1)
+    coeffs[::r] = binomial_coefficients(-k, -1, order // r + 1)
     return TruncatedSeries(tuple(coeffs))
 
 
@@ -524,17 +513,6 @@ def _collect_terms(fn, order: int) -> tuple:
             note = str(exc)
             break
     return values, note
-
-
-def lhs_wreath_series(rec: RegularEquivariantComplex, kind, order: int) -> TruncatedSeries:
-    """The computed series: coefficient n is the invariant of the n-th
-    wreath symmetric product of the complex.  Raises SizeCapExceeded naming
-    the first infeasible n; the verify_* wrappers instead report the largest
-    feasible truncation."""
-    values, note = _lhs_values(rec, kind, order)
-    if note is not None:
-        raise SizeCapExceeded(note)
-    return TruncatedSeries(tuple(values))
 
 
 def _lhs_values(rec, kind, order: int) -> tuple:

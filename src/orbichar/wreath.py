@@ -264,37 +264,41 @@ def type_of(wreath: WreathProduct, w: WreathElement) -> TypeFunction:
     return TypeFunction(tuple(sorted(counts.items())))
 
 
-def type_entries(k: int, size: int) -> list:
-    """Every map (index, cycle length r) -> multiplicity m with indices
-    below k and sum of r * m equal to ``size``, as sorted entry tuples
-    (((index, r), m), ...) without zero multiplicities."""
-    keys = [(c, r) for c in range(k) for r in range(1, size + 1)]
+def type_trie(k: int, top: int) -> list:
+    """The nonempty maps (index, cycle length r) -> multiplicity m with
+    indices below k and weight (sum of r * m) at most ``top``, as one trie
+    in pre-order: a list of nodes (depth, (index, r), m, weight).
 
+    The root, the empty map, is not listed; a node of depth d extends its
+    parent, the last node of depth d - 1 before it (the root for d = 0), by
+    the entry ((index, r), m).  A child's key comes after its parent's last
+    key in (index, r) order, siblings run through keys and then m in
+    ascending order, and each node precedes its subtree.  So pre-order is
+    the sorted order of the maps as entry tuples (((index, r), m), ...).
+    """
+    keys = [[(c, r) for r in range(top + 1)] for c in range(k)]
     out = []
 
-    def rec(i: int, remaining: int, acc: list) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        if i == len(keys):
-            return
-        (c, r) = keys[i]
-        if r > remaining:
-            # the later lengths of class c are longer still
-            rec((c + 1) * size, remaining, acc)
-            return
-        rec(i + 1, remaining, acc)
-        for m in range(1, remaining // r + 1):
-            rec(i + 1, remaining - r * m, acc + [((c, r), m)])
+    def rec(c0: int, r0: int, depth: int, weight: int) -> None:
+        room = top - weight
+        for c in range(c0, k):
+            row = keys[c]
+            for r in range(r0 if c == c0 else 1, room + 1):
+                key = row[r]
+                for m in range(1, room // r + 1):
+                    w = weight + r * m
+                    out.append((depth, key, m, w))
+                    if w < top:
+                        rec(c, r + 1, depth + 1, w)
 
-    rec(0, size, [])
+    rec(0, 1, 0, 0)
     return out
 
 
 def type_counts(k: int, order: int) -> list:
-    """Entry n, for n = 0..order, is the number of maps ``type_entries(k,
-    n)`` lists: the coefficients of the product over r >= 1 of
-    (1 - q^r)^(-k)."""
+    """Entry n, for n = 0..order, is the number of maps of weight n that
+    ``type_trie(k, order)`` lists (one, the empty map, for n = 0): the
+    coefficients of the product over r >= 1 of (1 - q^r)^(-k)."""
     out = [1] + [0] * order
     for r in range(1, order + 1):
         for _ in range(k):
@@ -304,9 +308,19 @@ def type_counts(k: int, order: int) -> list:
 
 
 def all_types(base: FiniteGroup, size: int) -> list[TypeFunction]:
-    """Every type of total weight ``size``, in canonical order."""
-    entries = type_entries(len(conjugacy_classes(base)), size)
-    return [TypeFunction(e) for e in sorted(entries)]
+    """Every type of total weight ``size``, in canonical (sorted) order: the
+    weight-``size`` nodes of the type trie, whose pre-order is that order."""
+    if size == 0:
+        return [TypeFunction(())]
+    prefixes = [()]  # the entry tuple of the open node at each depth
+    out = []
+    for depth, key, m, weight in type_trie(len(conjugacy_classes(base)), size):
+        entries = prefixes[depth] + ((key, m),)
+        del prefixes[depth + 1 :]
+        prefixes.append(entries)
+        if weight == size:
+            out.append(TypeFunction(entries))
+    return out
 
 
 def centralizer_order_by_formula(base: FiniteGroup, size: int, t: TypeFunction) -> int:

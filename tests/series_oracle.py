@@ -1,0 +1,140 @@
+"""Series oracles: routes the library no longer takes, kept for the tests.
+
+Test-only.  The library builds each power of a factor in closed form
+(``series.binomial_coefficients``), closes jcount residue spans as sums of
+cyclic subgroups, and walks the sector types of the Hodge left side as one
+trie (``wreath.type_trie``).  The functions here are the routes those
+replaced -- inverses and powers by repeated squaring, the generator-orbit
+span, the flat type enumeration -- plus evaluations and the wreath-series
+wrapper that only tests call.  Each computes its answer independently of
+the code it checks.
+"""
+from fractions import Fraction
+
+from orbichar.errors import NonInvertibleSeries, SizeCapExceeded
+from orbichar.groups import orbit
+from orbichar.hodge import HodgePolynomial, HodgeSeries
+from orbichar.series import TruncatedSeries, _integer_exponent, _lhs_values
+
+
+def _unit_inverse(c):
+    """The inverse of an invertible constant term: any nonzero Fraction, or
+    the Hodge polynomial 1."""
+    if isinstance(c, HodgePolynomial):
+        if c != HodgePolynomial.one():
+            raise NonInvertibleSeries("series inverse requires constant coefficient 1")
+        return c
+    if c == 0:
+        raise NonInvertibleSeries("constant term is zero")
+    return 1 / c
+
+
+def inverse(series):
+    """The inverse series, one coefficient at a time."""
+    a = series.coefficients
+    u = _unit_inverse(a[0])
+    left = [(k, ak) for k, ak in enumerate(a) if k and ak]
+    out = [u]
+    for n in range(1, series.order + 1):
+        pairs = []
+        for k, ak in left:
+            if k > n:
+                break
+            if out[n - k]:
+                pairs.append((ak, out[n - k]))
+        out.append(-(series._sum_of_products(pairs) * u))
+    return type(series)(tuple(out))
+
+
+def power(series, k):
+    """series ** k for any int k: the inverse first when k < 0, then
+    repeated squaring."""
+    k = _integer_exponent(k, "series exponent")
+    if k < 0:
+        return power(inverse(series), -k)
+    result = series.one(series.order)
+    base = series
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
+def log(series: TruncatedSeries) -> TruncatedSeries:
+    """The logarithm of a series with constant term 1."""
+    a = series.coefficients
+    if a[0] != 1:
+        raise NonInvertibleSeries(f"log needs constant term 1, got {a[0]}")
+    out = [Fraction(0)] * (series.order + 1)
+    for n in range(1, series.order + 1):
+        out[n] = a[n] - sum(k * out[k] * a[n - k] for k in range(1, n)) / Fraction(n)
+    return TruncatedSeries(tuple(out))
+
+
+def evaluate(poly: HodgePolynomial, x, y) -> Fraction:
+    """The polynomial's value at (x, y)."""
+    xv, yv = Fraction(x), Fraction(y)
+    return sum((c * xv**s * yv**t for (s, t), c in poly.terms), Fraction(0))
+
+
+def evaluate_xy(series: HodgeSeries, x, y) -> TruncatedSeries:
+    """Collapse to a plain q-series by evaluating every coefficient."""
+    return TruncatedSeries(tuple(evaluate(c, x, y) for c in series.coefficients))
+
+
+def lhs_wreath_series(rec, kind, order: int) -> TruncatedSeries:
+    """The computed series: coefficient n is the invariant of the n-th
+    wreath symmetric product of the complex.  Raises SizeCapExceeded naming
+    the first infeasible n; the verify_* wrappers instead report the largest
+    feasible truncation."""
+    values, note = _lhs_values(rec, kind, order)
+    if note is not None:
+        raise SizeCapExceeded(note)
+    return TruncatedSeries(tuple(values))
+
+
+def residue_span_bfs(rows: list, r: int, m: int) -> frozenset:
+    """The subgroup of (Z/r)^m generated by the rows, packed as
+    ``series._residue_span`` packs it, closed by a breadth-first walk over
+    the generators (one packed add per residue and generator)."""
+    w = r.bit_length() + 1
+    fields = range(0, w * m, w)
+    offset = sum(((1 << (w - 1)) - r) << f for f in fields)
+    top = sum(1 << (f + w - 1) for f in fields)
+
+    def add(x: int, g: int) -> int:
+        s = x + g
+        return s - (((s + offset) & top) >> (w - 1)) * r
+
+    gens = [sum((v % r) << f for v, f in zip(row, fields)) for row in rows]
+    return frozenset(orbit(0, gens, add))
+
+
+def type_entries(k: int, size: int) -> list:
+    """Every map (index, cycle length r) -> multiplicity m with indices
+    below k and sum of r * m equal to ``size``, as sorted entry tuples
+    (((index, r), m), ...) without zero multiplicities, by a flat
+    recursion over the keys."""
+    keys = [(c, r) for c in range(k) for r in range(1, size + 1)]
+
+    out = []
+
+    def rec(i: int, remaining: int, acc: list) -> None:
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        if i == len(keys):
+            return
+        (c, r) = keys[i]
+        if r > remaining:
+            # the later lengths of class c are longer still
+            rec((c + 1) * size, remaining, acc)
+            return
+        rec(i + 1, remaining, acc)
+        for m in range(1, remaining // r + 1):
+            rec(i + 1, remaining - r * m, acc + [((c, r), m)])
+
+    rec(0, size, [])
+    return out

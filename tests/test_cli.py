@@ -461,6 +461,55 @@ def test_jcount_below_the_cap_unchanged(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "n, m",
+    [("1", "1500"), ("1", "200")],
+)
+def test_jcount_cap_counts_matrix_entries(capsys, monkeypatch, n, m):
+    # one residue per row, but each candidate also fills an m x m matrix:
+    # the running sum passes the cap at m = 182, before any brute force
+    # and before the factorization walk could exhaust the recursion limit
+    def no_brute_force(*args, **kwargs):
+        raise AssertionError("the brute force ran before the cap")
+
+    monkeypatch.setattr(series, "sublattice_count_bruteforce", no_brute_force)
+    started = time.monotonic()
+    code, out, err = run(capsys, "verify", "jcount", "--n", n, "--m", m)
+    assert time.monotonic() - started < 1
+    assert code == 3 and out == ""
+    assert err == (
+        "error: cap exceeded: jcount brute force closes at least 182 residues"
+        " (through r=1, m=182) and fills 2026115 matrix entries, 2026297 in"
+        " all, above the residue cap 2000000\n"
+    )
+
+
+# sha256 of stdout, recorded before the factors of the Hodge right side were
+# built in closed form, its left side walked a type trie and the jcount
+# spans were closed as sums of cyclic subgroups
+_PINNED_STDOUT = {
+    "verify hodge --complex point-Z2 --order 10":
+        "5de05e74607e1d241504f609ec12bba295d8d4f2d88f5e06f6bf93127513e4bd",
+    "verify hodge --complex two-sector-shifted --order 8":
+        "18804b31e3b067f5c5661baf0095037893012a9839f35e3ec3da0baae73a7503",
+    "verify hodge --complex abelian-surface --order 5":
+        "bfa408dc622e7f16ffd5398f0334e8a575d504b836fdcc61adb4c2c4919be2d8",
+    "verify hodge --order 6":
+        "e6bc097e3909c4a3e1f4c92b7200975cd9d646064f45ae9bcffbc714b9478979",
+    "verify jcount --n 16 --m 2":
+        "409aeac2fe39f0db803515cf2d7c9424b30cbf487adb79272dec74d5dd3faabb",
+    "verify jcount --n 8 --m 3":
+        "e729051e95bb4273481e9eaeb49de9b54b98dd6661a9a2118cf267d395c47c1d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_PINNED_STDOUT))
+def test_hodge_and_jcount_reports_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT[argv]
+
+
 def test_verify_macdonald(capsys):
     code, report = run_json(
         capsys, "verify", "macdonald", "--complex", "point-Z2", "--order", "4"

@@ -19,6 +19,8 @@ from orbichar.hodge import (
     HodgePolynomial,
     HodgeSeries,
     SectorHodgeDatum,
+    _binomial_power,
+    _check_xy_exponent,
     _validate_inputs,
     h_cr_polynomial,
     hodge_product_check,
@@ -31,7 +33,7 @@ from orbichar.hodge import (
 )
 from orbichar.library import hodge_dataset_from_json, hodge_datasets
 from orbichar.series import rhs_main_formula
-from orbichar.wreath import type_entries
+from series_oracle import evaluate, evaluate_xy, inverse, power, type_entries
 
 
 def _perfbench_jobs():
@@ -79,9 +81,9 @@ def test_polynomial_substitute_neg():
 
 def test_polynomial_evaluate():
     a = poly({(0, 0): 1, (1, 1): 2, (2, 2): 1})
-    assert a.evaluate(1, 1) == 4
-    assert a.evaluate(-1, -1) == 4
-    assert a.evaluate(2, 1) == 1 + 4 + 4
+    assert evaluate(a, 1, 1) == 4
+    assert evaluate(a, -1, -1) == 4
+    assert evaluate(a, 2, 1) == 1 + 4 + 4
 
 
 def _all_int(p):
@@ -107,18 +109,18 @@ def test_evaluation_commutes_with_series_ring():
     s = sp_generating(dims, 5)
     data, d = hodge_datasets()["two-sector-shifted"]
     t = hodge_product_rhs(data, d, 5)
-    s1, t1 = s.evaluate_xy(1, 1), t.evaluate_xy(1, 1)
-    assert (s * t).evaluate_xy(1, 1) == s1 * t1
-    assert (s - t).evaluate_xy(1, 1) == s1 - t1
+    s1, t1 = evaluate_xy(s, 1, 1), evaluate_xy(t, 1, 1)
+    assert evaluate_xy(s * t, 1, 1) == s1 * t1
+    assert evaluate_xy(s - t, 1, 1) == s1 - t1
     for k in (-2, -1, 2, 3):
-        assert (s**k).evaluate_xy(1, 1) == s1**k, k
-    assert all(_all_int(c) for c in (s * t**-1).coefficients)
+        assert evaluate_xy(power(s, k), 1, 1) == power(s1, k), k
+    assert all(_all_int(c) for c in (s * power(t, -1)).coefficients)
 
 
 def test_series_rejects_bad_coefficients():
     two = HodgeSeries((poly({(0, 0): 2}), HodgePolynomial.zero()))
     with pytest.raises(NonInvertibleSeries):
-        two.inverse()
+        inverse(two)
     with pytest.raises(InputError):
         HodgeSeries((1, 0))
     with pytest.raises(InputError):
@@ -128,8 +130,30 @@ def test_series_rejects_bad_coefficients():
 def test_series_inverse_geometric():
     one = HodgePolynomial.one()
     xyq = HodgeSeries((HodgePolynomial.zero(), poly({(1, 1): -1}), HodgePolynomial.zero()))
-    s = (HodgeSeries.one(2) + xyq).inverse()
+    s = inverse(HodgeSeries.one(2) + xyq)
     assert s.coefficients[2] == poly({(2, 2): 1})
+
+
+def _one_plus_monomial(s: int, t: int, n: int, c: int, order: int) -> HodgeSeries:
+    """The series 1 + c x^s y^t q^n, truncated at q^order."""
+    coeffs = [HodgePolynomial.one()] + [HodgePolynomial.zero()] * order
+    if n <= order:
+        coeffs[n] = HodgePolynomial.monomial(s, t, c)
+    return HodgeSeries(tuple(coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(1, 4),
+    st.sampled_from((-1, 1)),
+    st.integers(-6, 6),
+    st.integers(0, 10),
+)
+def test_closed_form_factor_matches_powers(s, t, n, c, k, order):
+    expected = power(_one_plus_monomial(s, t, n, c, order), k)
+    assert _binomial_power(s, t, n, c, k, order) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +308,14 @@ def test_sp_generating_product_identity():
 def test_rhs_point_dataset_is_partition_series():
     data, d = hodge_datasets()["point-trivial"]
     series = hodge_product_rhs(data, d, 6)
-    values = [c.evaluate(1, 1) for c in series.coefficients]
+    values = [evaluate(c, 1, 1) for c in series.coefficients]
     assert values == [1, 1, 2, 3, 5, 7, 11]
 
 
 def test_lhs_point_dataset_is_partition_series():
     data, d = hodge_datasets()["point-trivial"]
     series = hodge_product_lhs(data, d, 6)
-    values = [c.evaluate(1, 1) for c in series.coefficients]
+    values = [evaluate(c, 1, 1) for c in series.coefficients]
     assert values == [1, 1, 2, 3, 5, 7, 11]
 
 
@@ -323,6 +347,31 @@ def hodge_product_lhs_per_type(data, d: int, order: int) -> HodgeSeries:
     return HodgeSeries(tuple(coefficients))
 
 
+def sp_generating_by_powers(dims: BigradedDims, order: int) -> HodgeSeries:
+    """``sp_generating`` with each factor raised to its power by repeated
+    squaring, the route it took before its factors were built in closed
+    form."""
+    out = HodgeSeries.one(order)
+    for (s, t), dim in dims.entries:
+        sign = 1 if (s + t) % 2 else -1
+        out = out * power(_one_plus_monomial(s, t, 1, sign, order), sign * dim)
+    return out
+
+
+def hodge_product_rhs_by_powers(data, d: int, order: int) -> HodgeSeries:
+    """``hodge_product_rhs`` with each factor raised to its power by
+    repeated squaring."""
+    _validate_inputs(data, d, order)
+    h = h_cr_polynomial(data)
+    out = HodgeSeries.one(order)
+    for n in range(1, order + 1):
+        e = _check_xy_exponent(d, n)
+        for (s, t), coeff in h.terms:
+            exponent = -coeff if (s + t) % 2 == 0 else coeff
+            out = out * power(_one_plus_monomial(s + e, t + e, n, -1, order), exponent)
+    return out
+
+
 # the largest order each bundled dataset runs at in the hodge-series pool
 _POOL_ORDERS = {"point-trivial": 20, "point-Z2": 12, "two-sector-shifted": 10}
 
@@ -344,6 +393,13 @@ def test_lhs_matches_per_type_oracle(name, data, d, order):
     assert hodge_product_lhs(data, d, order) == hodge_product_lhs_per_type(data, d, order)
 
 
+@pytest.mark.parametrize("name, data, d, order", _LHS_CASES, ids=[c[0] for c in _LHS_CASES])
+def test_rhs_matches_powers_oracle(name, data, d, order):
+    assert hodge_product_rhs(data, d, order) == hodge_product_rhs_by_powers(data, d, order)
+    for datum in data:
+        assert sp_generating(datum.dims, order) == sp_generating_by_powers(datum.dims, order)
+
+
 def test_lhs_type_cap_trips_before_enumerating(monkeypatch):
     # point-Z2 has two sectors: 2 + 5 + 10 + 20 = 37 types for n <= 4, and
     # about 4.8 * 10^9 for n <= 60
@@ -358,7 +414,7 @@ def test_lhs_type_cap_trips_before_enumerating(monkeypatch):
     def refuse(*args):
         raise AssertionError("types enumerated past the cap")
 
-    monkeypatch.setattr("orbichar.hodge.type_entries", refuse)
+    monkeypatch.setattr("orbichar.hodge.type_trie", refuse)
     with pytest.raises(SizeCapExceeded, match=f"type cap {wreath.TYPE_CAP}"):
         hodge_product_lhs(data, d, 60)
 
@@ -421,13 +477,13 @@ def test_trusted_series_arithmetic(first, second):
         assert product.coefficients[n].terms == HodgePolynomial(raw).terms
         _assert_normal(product.coefficients[n])
     unit = HodgeSeries((HodgePolynomial.one(),) + tuple(first[1:]))
-    inverse = unit.inverse()
+    inverse_series = inverse(unit)
     out = [HodgePolynomial.one()]
     for n in range(1, 4):
         raw = sum((_raw_products(first[k], out[n - k]) for k in range(1, n + 1)), ())
         out.append(HodgePolynomial(tuple((key, -c) for key, c in raw)))
-    assert [c.terms for c in inverse.coefficients] == [c.terms for c in out]
-    for c in inverse.coefficients:
+    assert [c.terms for c in inverse_series.coefficients] == [c.terms for c in out]
+    for c in inverse_series.coefficients:
         _assert_normal(c)
 
 
@@ -444,8 +500,8 @@ def test_specialization_to_euler_product():
     # chi = the signed total sector dimension
     for name in ("point-trivial", "point-Z2", "two-sector-shifted"):
         data, d = hodge_datasets()[name]
-        series = hodge_product_rhs(data, d, 5).evaluate_xy(1, 1)
-        chi = int(h_cr_polynomial(data).substitute_neg().evaluate(1, 1))
+        series = evaluate_xy(hodge_product_rhs(data, d, 5), 1, 1)
+        chi = int(evaluate(h_cr_polynomial(data).substitute_neg(), 1, 1))
         expected = rhs_main_formula(1, chi, 5)
         assert series.coefficients == expected.coefficients, name
 

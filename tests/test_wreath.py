@@ -24,8 +24,11 @@ from orbichar.wreath import (
     centralizer_order_by_formula,
     classify_conjugacy_by_type,
     cycle_decomposition,
+    type_counts,
     type_of,
+    type_trie,
 )
+from series_oracle import type_entries
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +141,36 @@ def test_type_counts_z2():
     assert len(all_types(cyclic_group(2), 3)) == 10  # hand count
     assert len(all_types(trivial_group(), 4)) == 5  # partitions of 4
     assert len(all_types(trivial_group(), 6)) == 11
+
+
+def test_type_trie_matches_flat_enumeration():
+    for k in range(5):
+        for top in range(9):
+            nodes = type_trie(k, top)
+            assert len(nodes) == sum(type_counts(k, top)[1:]), (k, top)
+            prefixes = [()]
+            by_weight = {n: [] for n in range(1, top + 1)}
+            for depth, key, m, weight in nodes:
+                parent = prefixes[depth]
+                # a child's key comes after its parent's last key
+                assert not parent or parent[-1][0] < key, (k, top, parent, key)
+                entries = parent + ((key, m),)
+                assert weight == sum(r * mult for (_c, r), mult in entries)
+                del prefixes[depth + 1 :]
+                prefixes.append(entries)
+                by_weight[weight].append(entries)
+            for n in range(1, top + 1):
+                assert by_weight[n] == sorted(type_entries(k, n)), (k, top, n)
+
+
+def test_all_types_reads_the_trie():
+    for base in (trivial_group(), cyclic_group(2), cyclic_group(3), dihedral_group(4)):
+        k = len(conjugacy_classes(base))
+        assert all_types(base, 0) == [TypeFunction(())]
+        for n in range(1, 8):
+            types = all_types(base, n)
+            assert isinstance(types, list)
+            assert [t.entries for t in types] == sorted(type_entries(k, n)), n
 
 
 def test_types_are_complete_conjugacy_invariant():
