@@ -21,7 +21,6 @@ from .equivariant import (
     RegularEquivariantComplex,
     equivariant_product,
     euler_satake,
-    euler_satake_subcomplex,
     fixed_subcomplex,
     orbit_complex,
     power_with_wreath_action,

@@ -9,7 +9,6 @@ byte-identical output.
 import argparse
 import json
 import sys
-from collections import defaultdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import factorial
@@ -58,16 +57,60 @@ def cmd_euler(args) -> tuple[dict, int]:
     return report, EXIT_PASS
 
 
-def _type_entries(base, n: int) -> dict:
-    """The report dict of each type entry ((class, r), m) with r * m <= n.
-    Each is built once, and every row that lists the entry shares it."""
-    labels = [base.label(k.representative) for k in conjugacy_classes(base)]
-    return {
-        ((c, r), m): {"class": label, "r": r, "m": m}
-        for c, label in enumerate(labels)
-        for r in range(1, n + 1)
-        for m in range(1, n // r + 1)
-    }
+def _class_rows(base, n: int, wreath_order: int, indent: str):
+    """The ``rows`` list of a ``wreath classes`` report, as a fragment for
+    ``indent``: one row per type of weight n, in sorted order.
+
+    One walk of the type trie writes them.  Each entry ((c, r), m) has its
+    centralizer factor and its text computed once; a node's centralizer
+    order is its parent's times its entry's factor, and its type text is
+    its parent's entries plus its own, so a weight-n node is written as it
+    is reached.
+    """
+    if n == 0:  # the empty type alone
+        return [{"centralizer_order": 1, "class_size": 1, "type": []}]
+    row = indent + "  "  # a row's braces
+    field = row + "  "  # a row's keys
+    item = field + "  "  # a type entry's braces
+    # entries[c][r][m] = (factor, text as a type's first entry, text after another)
+    entries = []
+    for cls in conjugacy_classes(base):
+        label = base.label(cls.representative)
+        cent = base.order // len(cls.members)
+        by_r = [None]
+        for r in range(1, n + 1):
+            by_m = [None]
+            for m in range(1, n // r + 1):
+                text = [item]
+                _text({"class": label, "r": r, "m": m}, item, text)
+                text = "".join(text)
+                by_m.append((wreath.centralizer_factor(cent, r, m), text, "," + text))
+            by_r.append(by_m)
+        entries.append(by_r)
+
+    pieces = []
+    sep = "["
+    start = row + "{" + field + '"centralizer_order": '
+    size = "," + field + '"class_size": '
+    types = "," + field + '"type": ['
+    close = field + "]" + row + "}"
+    # orders[d + 1] and path[d]: the running centralizer order and the entry
+    # text of the open node at depth d; orders[0] = 1 is the root's
+    orders = [1]
+    path = []
+    for depth, (c, r), m, weight in wreath.type_trie(len(entries), n):
+        factor, first, later = entries[c][r][m]
+        del orders[depth + 1 :], path[depth:]
+        order = orders[depth] * factor
+        orders.append(order)
+        path.append(later if depth else first)
+        if weight == n:
+            pieces.append(f"{sep}{start}{order}{size}{wreath_order // order}{types}")
+            pieces += path
+            pieces.append(close)
+            sep = ","
+    pieces.append(indent + "]")
+    return Fragment(pieces, indent)
 
 
 def cmd_wreath(args) -> tuple[dict, int]:
@@ -95,37 +138,30 @@ def cmd_wreath(args) -> tuple[dict, int]:
             if k == n:
                 break
             k = min(2 * k, n)
-        entry = _type_entries(base, n)
-        rows = []
-        for t in all_types(base, n):
-            cent = centralizer_order_by_formula(base, n, t)
-            rows.append(
-                {
-                    "type": [entry[e] for e in t.entries],
-                    "centralizer_order": cent,
-                    "class_size": product.order // cent,
-                }
-            )
         report = {
             "command": "wreath-classes",
             "group": args.group,
             "n": n,
             "wreath_order": product.order,
-            "class_count": len(rows),
-            "rows": rows,
+            "class_count": count,
+            # a value of the top-level report: the writer places it at "\n  "
+            "rows": _class_rows(base, n, product.order, "\n  "),
         }
         return report, EXIT_PASS
 
     if args.what == "centralizers":
         by_type = classify_conjugacy_by_type(base, n)
-        entry = _type_entries(base, n)
+        labels = [base.label(k.representative) for k in conjugacy_classes(base)]
         rows = []
         for t in all_types(base, n):
             formula = centralizer_order_by_formula(base, n, t)
             brute = product.order // len(by_type[t].members)
             rows.append(
                 {
-                    "type": [entry[e] for e in t.entries],
+                    "type": [
+                        {"class": labels[c], "r": r, "m": m}
+                        for (c, r), m in t.entries
+                    ],
                     "centralizer_formula": formula,
                     "centralizer_bruteforce": brute,
                     "equal": formula == brute,
@@ -387,58 +423,90 @@ _LEAVES = {
 }
 
 
+class Fragment:
+    """A report value written ahead of time: ``pieces`` are its text for
+    the place whose closing bracket follows ``indent`` (the newline and
+    indentation ``_text`` is given there).  The writer adds the pieces
+    unchanged, and raises ValueError if the fragment stands anywhere else.
+    """
+
+    __slots__ = ("pieces", "indent")
+
+    def __init__(self, pieces: list, indent: str):
+        self.pieces = pieces
+        self.indent = indent
+
+
 def json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, for str-keyed dicts,
-    lists and tuples of str, int, bool and None (leaves by exact type);
-    anything else raises TypeError.
+    lists and tuples of str, int, bool, None (leaves by exact type) and
+    fragments; anything else raises TypeError.
 
-    Each container returns its own joined string; this is faster than
-    ``json.dumps``, which indents in pure Python.  A dict whose values are
-    all leaves is written once per call and depth, so rows that share one
-    such object (the type entries of a wreath report) reuse its text.
+    It is faster than ``json.dumps``, which indents in pure Python.
     """
-    return _text(obj, "\n", defaultdict(dict))
+    out = []
+    _text(obj, "\n", out)
+    return "".join(out)
 
 
-def _text(obj, indent: str, flat: dict) -> str:
-    """The text of ``obj``; ``indent`` is the newline and indentation that
-    precede its closing bracket.  ``flat[indent]`` maps the id of each
-    leaf-only dict written so far at that indent to its text."""
+def _text(obj, indent: str, out: list) -> None:
+    """Append the text of ``obj`` to ``out``; ``indent`` is the newline and
+    indentation that precede its closing bracket.  No container joins its
+    own text, so every piece is written once."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
-        return leaf(obj)
+        out.append(leaf(obj))
+        return
+    if type(obj) is Fragment:
+        if obj.indent != indent:
+            raise ValueError(
+                f"a fragment for indent {obj.indent!r} placed at {indent!r}"
+            )
+        out += obj.pieces
+        return
     get = _LEAVES.get
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        memo = flat[indent]
-        text = memo.get(id(obj))
-        if text is not None:
-            return text
-        parts = [
-            encode_basestring_ascii(k) + ": "
-            + (f(v) if (f := get(type(v))) else _text(v, inner, flat))
-            for k, v in sorted(obj.items())
-        ]
-        text = "{" + inner + ("," + inner).join(parts) + indent + "}"
-        if all(map(_LEAVES.__contains__, map(type, obj.values()))):
-            memo[id(obj)] = text
-        return text
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            if (f := get(type(v))) is not None:
+                out.append(f(v))
+            else:
+                _text(v, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+        return
     if isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        parts = [f(v) if (f := get(type(v))) else _text(v, inner, flat) for v in obj]
-        return "[" + inner + ("," + inner).join(parts) + indent + "]"
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            if (f := get(type(v))) is not None:
+                out.append(f(v))
+            else:
+                _text(v, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+        return
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, out: str | None):
-    text = json_text(report) + "\n"
-    sys.stdout.write(text)
+    """Write the report's text and a newline to stdout, and to ``out`` if
+    given, piece by piece: no string of the whole report is built."""
+    pieces = []
+    _text(report, "\n", pieces)
+    pieces.append("\n")
+    sys.stdout.writelines(pieces)
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def main(argv=None) -> int:

@@ -268,19 +268,6 @@ def euler_satake(rec: RegularEquivariantComplex) -> Fraction:
     return _satake_sum(ec, ec.cx.simplices, ec.cx.simplex_set)
 
 
-def euler_satake_subcomplex(rec: RegularEquivariantComplex, simplices) -> Fraction:
-    """Euler-Satake sum restricted to an invariant subcomplex."""
-    ec = _require_regular(rec)
-    subset = set(simplices)
-    for s in subset:
-        if s not in ec.cx.simplex_set:
-            raise InputError(f"{s} is not a simplex of the complex")
-        for i in range(len(s)):
-            if len(s) > 1 and s[:i] + s[i + 1 :] not in subset:
-                raise InputError(f"subset is not closed under faces at {s}")
-    return _satake_sum(ec, sorted(subset), subset)
-
-
 def _satake_sum(ec: EquivariantComplex, simplices, inside) -> Fraction:
     """(-1)^dim / |isotropy| summed over the orbits through ``simplices``;
     the isotropy order is |G| / orbit size.  Raises InputError if an orbit

@@ -101,13 +101,6 @@ class FiniteGroup:
             return None
         return tuple(map(self.label, self.elements()))
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.table[x][a]
-            k += 1
-        return k
-
     def power(self, a: int, k: int) -> int:
         if k < 0:
             return self.power(self.inverse[a], -k)
@@ -115,10 +108,6 @@ class FiniteGroup:
         for _ in range(k):
             x = self.table[x][a]
         return x
-
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"

@@ -519,6 +519,10 @@ def _lhs_values(rec, kind, order: int) -> tuple:
     """Coefficients 0..order of the chosen wreath series, as
     ``_collect_terms`` returns them."""
     parsed = _parse_kind(kind)
+    if parsed[0] == "top_m" and order > 0 and _is_point(rec):
+        # one call caches the coefficients through ``order``; each term
+        # below reads that list instead of rebuilding a longer one
+        point_wreath_chi_m(rec.group, order, parsed[1])
     return _collect_terms(lambda n: _wreath_coefficient(rec, n, parsed), order)
 
 
@@ -546,9 +550,46 @@ def _compare_report(lhs_values: list, rhs: TruncatedSeries, note) -> dict:
     return out
 
 
+# Most digits a printed integer may have: Python's default limit for
+# ``str`` of an int.
+PRINTED_DIGITS_CAP = 4300
+
+
+def exp_printed_digits(chi: Fraction, order: int) -> int:
+    """Digits of max(|a|, b)^order * order! for chi = a/b (1 when a = 0),
+    which bounds every numerator and denominator of chi^n / n!, n <= order.
+
+    Estimated from logarithms, as ``WreathProduct.order_text`` does; the
+    product is computed only when the estimate is within a few digits of
+    ``PRINTED_DIGITS_CAP``, so the cap is exact where it matters."""
+    if not chi:
+        return 1
+    base = max(abs(chi.numerator), chi.denominator)
+    estimate = order * math.log10(base) + math.lgamma(order + 1) / math.log(10)
+    if abs(estimate - PRINTED_DIGITS_CAP) > 3:
+        return math.floor(estimate) + 1
+    bound = base**order * math.factorial(order)
+    digits = max(math.floor(estimate) - 2, 0)
+    while 10**digits <= bound:
+        digits += 1
+    return digits
+
+
 def verify_exp_formula(rec: RegularEquivariantComplex, order: int) -> dict:
-    """Check sum of chi_ES(n-th wreath product) q^n = exp(q chi_ES)."""
+    """Check sum of chi_ES(n-th wreath product) q^n = exp(q chi_ES).
+
+    Raises CapExceeded, before any term is computed, when the report's
+    numbers could pass ``PRINTED_DIGITS_CAP``: on a point, chi_ES = 1/|G|
+    and the last term is exactly 1/(|G|^order * order!)."""
     chi = euler_satake(rec)
+    if order > 0:
+        digits = exp_printed_digits(chi, order)
+        if digits > PRINTED_DIGITS_CAP:
+            raise CapExceeded(
+                f"exp formula to order {order} prints numbers of up to {digits}"
+                f" digits (max(|a|, b)^order * order! for chi_ES = {chi}),"
+                f" above the printed-digit cap {PRINTED_DIGITS_CAP}"
+            )
     rhs = rhs_exp_formula(chi, order)
     values, note = _lhs_values(rec, "es", order)
     report = {"identity": "exp-formula", "chi_es": str(chi), "order": order}

@@ -332,9 +332,15 @@ def centralizer_order_by_formula(base: FiniteGroup, size: int, t: TypeFunction) 
     for ((c, r), m) in t.entries:
         if not 0 <= c < len(classes):
             raise InvalidType(f"class index {c} out of range")
-        cent = base.order // len(classes[c].members)
-        out *= (r * cent) ** m * math.factorial(m)
+        out *= centralizer_factor(base.order // len(classes[c].members), r, m)
     return out
+
+
+def centralizer_factor(cent: int, r: int, m: int) -> int:
+    """(r * cent)^m * m!: the factor of a type's centralizer order that its
+    entry ((c, r), m) contributes, for a class c whose centralizer in G has
+    order ``cent``."""
+    return (r * cent) ** m * math.factorial(m)
 
 
 def classify_conjugacy_by_type(base: FiniteGroup, size: int) -> dict:

@@ -18,7 +18,6 @@ from orbichar.complexes import euler_characteristic
 from orbichar.equivariant import (
     equivariant_product,
     euler_satake,
-    euler_satake_subcomplex,
     orbit_complex,
     regularize,
     trivial_action,
@@ -50,6 +49,7 @@ from orbichar.wreath import (
     centralizer_order_by_formula,
     classify_conjugacy_by_type,
 )
+from helpers import euler_satake_subcomplex
 from series_oracle import evaluate
 
 

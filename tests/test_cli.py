@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orbichar import series, wreath
-from orbichar.cli import build_parser, cmd_wreath, json_text, main
+from orbichar import cli, series, wreath
+from orbichar.cli import Fragment, json_text, main
+from orbichar.groups import conjugacy_classes
+from orbichar.library import builtin_group
 
 
 def run(capsys, *argv):
@@ -161,14 +163,55 @@ def test_wreath_centralizers(capsys):
     assert report["pass"] and all(r["equal"] for r in report["rows"])
 
 
-def test_wreath_rows_share_one_dict_per_entry():
-    args = build_parser().parse_args(["wreath", "classes", "--group", "D4", "--n", "6"])
-    report, code = cmd_wreath(args)
+def test_wreath_rows_render_each_entry_once(capsys, monkeypatch):
+    # each type entry's text is built once per job, however many rows list it
+    rendered = []
+    real = cli._text
+
+    def counting(obj, indent, out):
+        if isinstance(obj, dict) and obj.keys() == {"class", "r", "m"}:
+            rendered.append((obj["class"], obj["r"], obj["m"]))
+        real(obj, indent, out)
+
+    monkeypatch.setattr(cli, "_text", counting)
+    code, report = run_json(capsys, "wreath", "classes", "--group", "D4", "--n", "6")
     assert code == 0
-    entries = [e for row in report["rows"] for e in row["type"]]
-    distinct = {(e["class"], e["r"], e["m"]) for e in entries}
+    entries = [(e["class"], e["r"], e["m"]) for row in report["rows"] for e in row["type"]]
+    distinct = set(entries)
     assert len(entries) > 10 * len(distinct)
-    assert len({id(e) for e in entries}) == len(distinct)
+    assert sorted(rendered) == sorted(distinct)
+
+
+def wreath_classes_oracle(group: str, n: int) -> dict:
+    """The ``wreath classes`` report built type by type: ``all_types``, one
+    ``centralizer_order_by_formula`` call and one dict per row."""
+    base = builtin_group(group)
+    labels = [base.label(k.representative) for k in conjugacy_classes(base)]
+    order = wreath.WreathProduct(base, n).order
+    rows = []
+    for t in wreath.all_types(base, n):
+        cent = wreath.centralizer_order_by_formula(base, n, t)
+        rows.append({
+            "type": [{"class": labels[c], "r": r, "m": m} for (c, r), m in t.entries],
+            "centralizer_order": cent,
+            "class_size": order // cent,
+        })
+    return {
+        "command": "wreath-classes",
+        "group": group,
+        "n": n,
+        "wreath_order": order,
+        "class_count": len(rows),
+        "rows": rows,
+    }
+
+
+@pytest.mark.parametrize("group", ["trivial", "Z2", "Z3", "S3", "D4", "S4", "Z4", "D6"])
+def test_wreath_classes_match_the_type_by_type_oracle(capsys, group):
+    for n in range(9):
+        code, report = run_json(capsys, "wreath", "classes", "--group", group, "--n", str(n))
+        assert code == 0
+        assert report == wreath_classes_oracle(group, n), n
 
 
 # sha256 of stdout, recorded before type entries were shared between rows
@@ -177,6 +220,9 @@ WREATH_REPORT_HASHES = {
     ("classes", "S3", "5"): "3c538fac8598b569decb1a585094e9d157f587ac297f3ac903783af6909915ad",
     ("classes", "trivial", "8"): "0b488d5f12c351a26b301379d0b55e405caed5f02f3d9bd624c990873c407ef7",
     ("classes", "S4", "4"): "e48141ce2b68b1299cb002127a28c6f1ff55dba3e822de199ad746ebfab5a908",
+    # these two recorded before rows were written from one trie walk
+    ("classes", "S4", "8"): "c0fd1d2d91f4f6f0f5f68bc09a40bad68d655ae44c58fcb4e0ca403c82f894e6",
+    ("classes", "D4", "8"): "8999d1392583a40911f60e69a3505b221fbb42b95dd9fdc22ca611bd261eda11",
     ("centralizers", "Z2", "3"): "d6b3e9b6cd740c55a64006213e4358f96f9bdc6e9687d60d761ce47df8848e2a",
     ("centralizers", "S3", "3"): "785f08ab9fbefefa77df3549c7265653a7ddaeefce4dacf942d05d6750bd6953",
     ("centralizers", "D4", "2"): "d25b7107bff71e142beb0f3b25fe91adef8119aa100580aed9441b14a209dfc7",
@@ -670,6 +716,21 @@ def test_capped_series_check_with_a_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1 and report["mismatch_index"] == 1 and "cap" in report
 
 
+@pytest.mark.parametrize("group,order", [("Z2", 1424), ("S3", 1250), ("S4", 1081)])
+def test_verify_exp_caps_the_printed_digits(capsys, group, order):
+    # the last term, 1/(|G|^order * order!), would pass str()'s 4,300 digits
+    # one order later than the largest that prints; the cap trips at once
+    started = time.monotonic()
+    code, out, err = run(
+        capsys, "verify", "exp", "--complex", "point", "--group", group,
+        "--order", str(order),
+    )
+    assert time.monotonic() - started < 1
+    assert code == 3 and out == ""
+    assert err.startswith("error: cap exceeded: exp formula to order") and err.count("\n") == 1
+    assert f"printed-digit cap {series.PRINTED_DIGITS_CAP}" in err
+
+
 @pytest.mark.parametrize("flag", ["--cap-homs", "--cap-simplices"])
 def test_cap_flags_are_gone(capsys, flag):
     with pytest.raises(SystemExit) as exc:
@@ -782,6 +843,45 @@ _HOLDER = {"type": [_LEAF, _LEAF], "size": 3}
 @example({"a": _LEAF, "b": [_LEAF, [_LEAF, _HOLDER]], "c": [_HOLDER, _HOLDER]})
 def test_json_text_with_shared_objects(obj):
     assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _subvalues(obj, indent="\n", path=()):
+    """(path, indent, value) for ``obj`` and every value inside it; the
+    indent is the one the writer passes where the value stands."""
+    yield path, indent, obj
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield from _subvalues(value, indent + "  ", path + (key,))
+
+
+def _replaced(obj, path, new):
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    if isinstance(obj, dict):
+        return {**obj, key: _replaced(obj[key], rest, new)}
+    items = list(obj)
+    items[key] = _replaced(obj[key], rest, new)
+    return type(obj)(items)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES, st.data())
+def test_fragment_writes_its_value_in_place(obj, data):
+    path, indent, value = data.draw(st.sampled_from(list(_subvalues(obj))))
+    pieces = []
+    cli._text(value, indent, pieces)
+    expected = json.dumps(obj, indent=2, sort_keys=True)
+    assert json_text(_replaced(obj, path, Fragment(pieces, indent))) == expected
+    # a fragment rendered for another indentation is refused, not misprinted
+    other = data.draw(st.sampled_from(["\n", "\n  ", "\n    ", ""]).filter(lambda s: s != indent))
+    with pytest.raises(ValueError):
+        json_text(_replaced(obj, path, Fragment(pieces, other)))
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from orbichar.equivariant import (
     action_from_generator_maps,
     equivariant_product,
     euler_satake,
-    euler_satake_subcomplex,
     fixed_subcomplex,
     orbit_complex,
     power_with_wreath_action,
@@ -46,6 +45,7 @@ from orbichar.library import (
     two_points,
 )
 
+from helpers import euler_satake_subcomplex
 from homology_oracle import homology_traces
 
 

@@ -41,6 +41,8 @@ from orbichar.sectors import (
     product_sectors_check,
 )
 
+from helpers import element_order
+
 Z = free_abelian(1)
 Z2 = free_abelian(2)
 
@@ -159,14 +161,14 @@ def test_central_extension_structure():
     ext, carrier = central_cyclic_extension(g, 1, 2)
     assert ext.order == 4
     # x with x^2 = the nontrivial element of Z/2 gives Z/4
-    orders = sorted(ext.element_order(x) for x in ext.elements())
+    orders = sorted(element_order(ext, x) for x in ext.elements())
     assert orders == [1, 2, 4, 4]
 
 
 def test_central_extension_requires_central():
     g = symmetric_group(3)
     transposition = next(
-        x for x in g.elements() if g.element_order(x) == 2
+        x for x in g.elements() if element_order(g, x) == 2
     )
     with pytest.raises(InputError):
         central_cyclic_extension(g, transposition, 2)

@@ -33,6 +33,7 @@ from orbichar.series import (
     _ordered_factorizations,
     _residue_span as _packed_residue_span,
     _weight,
+    exp_printed_digits,
     macdonald_dimension_check,
     point_wreath_chi_m,
     rhs_exp_formula,
@@ -613,6 +614,39 @@ def test_equal_tables_share_cache_entries():
     sizes = (len(series._POINT_CHI_CACHE), len(series._EXTENSION_CACHE))
     assert point_wreath_chi_m(b, 4, 3) == first
     assert (len(series._POINT_CHI_CACHE), len(series._EXTENSION_CACHE)) == sizes
+
+
+def test_point_chi_left_side_builds_its_coefficients_once(monkeypatch):
+    from orbichar import series as series_mod
+
+    monkeypatch.setattr(series_mod, "_POINT_CHI_CACHE", {})
+    orders = []
+    real = series_mod.type_counts
+
+    def counted(k, order):
+        orders.append(order)
+        return real(k, order)
+
+    monkeypatch.setattr(series_mod, "type_counts", counted)
+    report = verify_main_formula(point_z2(), 1, 30)
+    assert report["equal"] and len(report["lhs"]) == 31
+    assert orders == [30]
+
+
+def test_exp_printed_digits():
+    # digits of max(|a|, b)^order * order!, estimated or exact
+    for a, b in ((1, 1), (1, 2), (1, 6), (-7, 3), (5, 24)):
+        for order in (1, 5, 50, 300):
+            bound = max(abs(a), b) ** order * math.factorial(order)
+            assert exp_printed_digits(Fraction(a, b), order) == len(str(bound))
+    assert exp_printed_digits(Fraction(0), 10**4) == 1
+    # near the cap the product is compared with 10^4300 exactly
+    for size, last in ((2, 1423), (6, 1249), (24, 1080)):
+        chi = Fraction(1, size)
+        assert size**last * math.factorial(last) < 10**4300
+        assert exp_printed_digits(chi, last) == 4300
+        assert size ** (last + 1) * math.factorial(last + 1) >= 10**4300
+        assert exp_printed_digits(chi, last + 1) > 4300
 
 
 def test_torus_series_low_order():
