@@ -12,6 +12,7 @@ module depends on dict iteration order or other incidental state.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -329,12 +330,11 @@ def class_index(group: FiniteGroup) -> tuple:
 def centralizer(group: FiniteGroup, elements) -> tuple:
     """Sorted tuple of all g commuting with every element of ``elements``."""
     table = group.table
-    elems = sorted(set(elements))
-    return tuple(
-        g
-        for g in range(group.order)
-        if all(table[g][x] == table[x][g] for x in elems)
-    )
+    out = range(group.order)
+    for x in sorted(set(elements)):
+        row = table[x]
+        out = [g for g in out if table[g][x] == row[g]]
+    return tuple(out)
 
 
 def is_central(group: FiniteGroup, z: int) -> bool:
@@ -351,25 +351,75 @@ def subgroup(group: FiniteGroup, elements) -> tuple[FiniteGroup, tuple]:
 
     Returns ``(H, carrier)`` where ``carrier[i]`` is the parent index of
     element ``i`` of ``H``; H is the group itself when the subset is every
-    element.  Raises InputError if the subset is not closed.
+    element.  Otherwise H takes its identity, inverses and labels from the
+    parent and builds its |H|^2 table on first read (``_Subgroup``); the
+    subset is checked for closure at once, by ``generators``, at a cost of
+    about |H| products per generator.  Raises InputError if the subset is
+    not closed.
     """
     carrier = tuple(sorted(set(elements)))
     if carrier == tuple(range(group.order)):
         return group, carrier
-    pos = {g: i for i, g in enumerate(carrier)}
-    table = []
-    for a in carrier:
-        row = []
-        for b in carrier:
-            c = group.table[a][b]
-            if c not in pos:
+    generators(group, carrier)
+    return _Subgroup(group, carrier), carrier
+
+
+class _Subgroup(FiniteGroup):
+    """The subgroup of ``parent`` on the closed, sorted ``carrier``.
+
+    ``table`` and ``inverse`` are built from the parent's on first read:
+    a sector reads only its subgroup's order, and the subgroups of
+    ``verify sectors`` and the point recursion read the rest.
+    """
+
+    __slots__ = ("parent", "carrier")
+
+    def __init__(self, parent: FiniteGroup, carrier: tuple):
+        self.parent = parent
+        self.carrier = carrier
+        self.order = len(carrier)
+        self.identity = bisect.bisect_left(carrier, parent.identity)
+        labels = parent._labels
+        self._labels = None if labels is None else _LazyLabels(parent.label, carrier)
+        self._classes = None
+        self._class_of = None
+        self._hash = None
+
+    def __getattr__(self, name):
+        # called only while a slot is unset: fill it from the parent's
+        if name not in ("table", "inverse"):
+            raise AttributeError(name)
+        carrier = self.carrier
+        pos = dict(zip(carrier, range(self.order)))
+        if name == "inverse":
+            inverse = self.parent.inverse
+            value = tuple([pos[inverse[g]] for g in carrier])
+        else:
+            rows = map(self.parent.table.__getitem__, carrier)
+            value = tuple(tuple([pos[row[b]] for b in carrier]) for row in rows)
+        setattr(self, name, value)
+        return value
+
+
+def generators(group: FiniteGroup, elements) -> list:
+    """Generators of the subgroup on the closed subset ``elements``: each
+    element, in increasing order, that those before it do not generate.
+    Raises InputError when their span leaves the subset."""
+    members = set(elements)
+    if not members:
+        raise NoIdentity("no two-sided identity element")
+    gens = []
+    span = {group.identity}
+    for x in sorted(members):
+        if x not in span:
+            gens.append(x)
+            span = orbit(group.identity, gens, group.mul)
+            if not span <= members:
                 raise InputError(
-                    f"subset not closed: {a}*{b}={c} is outside the subset"
+                    f"subset not closed: {gens} generate {sorted(span - members)[0]}"
+                    f" outside the subset"
                 )
-            row.append(pos[c])
-        table.append(row)
-    labels = None if group._labels is None else _LazyLabels(group.label, carrier)
-    return FiniteGroup(table, labels=labels, _skip_validation=True), carrier
+    return gens
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> tuple[FiniteGroup, list]:

@@ -29,7 +29,9 @@ and the series ring) sums into int dicts and builds its result with
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 
 from . import wreath
@@ -336,11 +338,11 @@ def sp_generating(dims: BigradedDims, order: int) -> HodgeSeries:
     even (s,t) and (1 + x^s y^t q)^(dim) over odd.  All coefficients are
     nonnegative.
     """
-    out = HodgeSeries.one(order)
+    factors = []
     for (s, t), dim in dims.entries:
         sign = 1 if (s + t) % 2 else -1
-        out = out * _binomial_power(s, t, 1, sign, sign * dim, order)
-    return out
+        factors.append(_binomial_power(s, t, 1, sign, sign * dim, order))
+    return reduce(operator.mul, factors) if factors else HodgeSeries.one(order)
 
 
 def _binomial_power(s: int, t: int, n: int, c: int, k: int, order: int) -> HodgeSeries:
@@ -395,13 +397,13 @@ def hodge_product_rhs(data, d: int, order: int) -> HodgeSeries:
     """
     _validate_inputs(data, d, order)
     h = h_cr_polynomial(data)
-    out = HodgeSeries.one(order)
+    factors = []
     for n in range(order, 0, -1):
         e = _check_xy_exponent(d, n)
         for (s, t), coeff in h.terms:
             exponent = -coeff if (s + t) % 2 == 0 else coeff
-            out = out * _binomial_power(s + e, t + e, n, -1, exponent, order)
-    return out
+            factors.append(_binomial_power(s + e, t + e, n, -1, exponent, order))
+    return reduce(operator.mul, factors) if factors else HodgeSeries.one(order)
 
 
 def hodge_product_lhs(data, d: int, order: int) -> HodgeSeries:

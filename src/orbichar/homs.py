@@ -1,4 +1,4 @@
-"""Finitely presented groups and exhaustive homomorphism enumeration.
+"""Finitely presented groups and homomorphism classes into finite groups.
 
 A presentation is a generator count k together with relators, each relator a
 word in the generators.  Words are tuples of nonzero signed integers: letter
@@ -6,11 +6,22 @@ word in the generators.  Words are tuples of nonzero signed integers: letter
 cover everything the sector machinery needs: ``Z``, ``Z^m``, ``F_k`` and
 ``trivial``.
 
-Homomorphisms into a finite group G are enumerated by backtracking over
-generator images.  A relator is checked as soon as all generators occurring
-in it have been assigned, so e.g. for Z^m the commutation constraints prune
-prefixes immediately.  Enumeration is exact or it raises -- there is no
-silent truncation.
+Classes of homomorphisms Gamma -> G under conjugation by G come from one
+orderly walk (``hom_classes``, after McKay's isomorph-free generation).  A
+class's lex-least tuple is found greedily: x_1 is least in its conjugacy
+class, x_2 least in its orbit under the centralizer C(x_1), and so on.  So
+the walk extends a prefix only by the least members of the orbits of the
+prefix's centralizer, keeps a candidate when the relators whose last
+generator it is hold, and narrows the centralizer to the candidate's.
+Each class is met once, in lex order, with its centralizer C and orbit
+size |G| / |C|.
+
+A second route, every homomorphism (``enumerate_homs``, backtracking with
+each relator checked once its last generator is assigned) closed into
+G-orbits (``hom_orbits``), is kept for the direct side of ``verify
+sectors``: the walk's "class of x_1, then C(x_1)-orbits of x_2" is the
+very lemma that check tests.  Both routes refuse a candidate space |G|^k
+above ``DEFAULT_HOM_CAP`` before any work -- there is no silent truncation.
 """
 from __future__ import annotations
 
@@ -18,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import EnumerationCapExceeded, InputError, InvalidWord
-from .groups import FiniteGroup, orbits
+from .groups import FiniteGroup, centralizer, conjugacy_classes, generators, orbit, orbits
 
 DEFAULT_HOM_CAP = 10**8
 
@@ -134,6 +145,23 @@ def _evaluate(group: FiniteGroup, images, word) -> int:
     return x
 
 
+def _check_hom_cap(presentation: Presentation, group: FiniteGroup) -> None:
+    n, k = group.order, presentation.generators
+    if n**k > DEFAULT_HOM_CAP:
+        raise EnumerationCapExceeded(
+            f"|G|^k = {n}^{k} exceeds enumeration cap {DEFAULT_HOM_CAP}"
+        )
+
+
+def _relator_buckets(presentation: Presentation) -> list:
+    """The relators, bucketed by the last generator they mention."""
+    buckets: list[list[tuple]] = [[] for _ in range(presentation.generators)]
+    for word in presentation.relators:
+        if word:
+            buckets[max(abs(l) for l in word) - 1].append(word)
+    return buckets
+
+
 def enumerate_homs(presentation: Presentation, group: FiniteGroup) -> list[GroupHom]:
     """All homomorphisms, sorted lexicographically by image tuple.
 
@@ -141,19 +169,12 @@ def enumerate_homs(presentation: Presentation, group: FiniteGroup) -> list[Group
     the call raises EnumerationCapExceeded rather than returning a partial
     answer.
     """
+    _check_hom_cap(presentation, group)
     k = presentation.generators
     n = group.order
-    if n**k > DEFAULT_HOM_CAP:
-        raise EnumerationCapExceeded(
-            f"|G|^k = {n}^{k} exceeds enumeration cap {DEFAULT_HOM_CAP}"
-        )
     if k == 0:
         return [GroupHom(group, ())]
-    # Relators, bucketed by the last generator they mention.
-    buckets: list[list[tuple]] = [[] for _ in range(k)]
-    for word in presentation.relators:
-        if word:
-            buckets[max(abs(l) for l in word) - 1].append(word)
+    buckets = _relator_buckets(presentation)
     out: list[GroupHom] = []
     images = [0] * k
 
@@ -172,18 +193,78 @@ def enumerate_homs(presentation: Presentation, group: FiniteGroup) -> list[Group
 
 @dataclass(frozen=True)
 class HomClass:
-    """A conjugacy class of homomorphisms, with a lex-minimal representative."""
+    """A conjugacy class of homomorphisms, with a lex-minimal representative
+    and the centralizer of its image (a sorted tuple of elements of G)."""
 
     representative: GroupHom
     orbit_size: int
+    centralizer: tuple = field(compare=False, repr=False)
 
 
 def hom_classes(presentation: Presentation, group: FiniteGroup) -> list[HomClass]:
-    """Orbits of Hom(P, G) under pointwise conjugation by G.
+    """Orbits of Hom(P, G) under pointwise conjugation by G, by the orderly
+    walk of the module docstring.
 
     Canonical output: lex-min representative per orbit, classes sorted by
     representative.  Orbit sizes always sum to the total homomorphism count.
     """
+    _check_hom_cap(presentation, group)
+    k = presentation.generators
+    n = group.order
+    everything = tuple(range(n))
+    if k == 0:
+        return [HomClass(GroupHom(group, ()), 1, everything)]
+    buckets = _relator_buckets(presentation)
+    table, identity = group.table, group.identity
+    out: list[HomClass] = []
+    images = [0] * k
+
+    def extend(i: int, cent: tuple) -> None:
+        for x in _orbit_minima(group, cent):
+            images[i] = x
+            if all(_evaluate(group, images, w) == identity for w in buckets[i]):
+                row = table[x]
+                narrowed = tuple([g for g in cent if table[g][x] == row[g]])
+                if len(narrowed) == len(cent):
+                    narrowed = cent  # share the equal tuple
+                if i + 1 == k:
+                    hom = GroupHom(group, tuple(images))
+                    out.append(HomClass(hom, n // len(narrowed), narrowed))
+                else:
+                    extend(i + 1, narrowed)
+
+    extend(0, everything)
+    return out
+
+
+def _orbit_minima(group: FiniteGroup, cent: tuple) -> list:
+    """The least member of each orbit that conjugation by the subgroup
+    ``cent`` makes on G, in increasing order: the conjugacy class
+    representatives when ``cent`` is all of G, else an orbit walk along
+    the conjugations by ``groups.generators(group, cent)``."""
+    n = group.order
+    if len(cent) == n:
+        return [c.representative for c in conjugacy_classes(group)]
+    table, inverse = group.table, group.inverse
+    moves = []
+    for g in generators(group, cent):
+        row, back = table[g], inverse[g]
+        moves.append([table[y][back] for y in row])  # x -> g x g^-1
+    return [
+        members[0]
+        for members in orbits(range(n), lambda x: orbit(x, moves, _conjugate))
+    ]
+
+
+def _conjugate(x: int, move: list) -> int:
+    """x moved by one conjugation, given as the list of all its images."""
+    return move[x]
+
+
+def hom_orbits(presentation: Presentation, group: FiniteGroup) -> list[HomClass]:
+    """The classes of ``hom_classes`` by the second route: every
+    homomorphism, each orbit closed by conjugating with all of G, and each
+    centralizer from ``groups.centralizer``."""
     homs = enumerate_homs(presentation, group)
     table, inverse = group.table, group.inverse
 
@@ -195,6 +276,6 @@ def hom_classes(presentation: Presentation, group: FiniteGroup) -> list[HomClass
 
     # The homs are lex-sorted, so each orbit opens at its lex-min member.
     return [
-        HomClass(GroupHom(group, members[0]), len(members))
+        HomClass(GroupHom(group, members[0]), len(members), centralizer(group, members[0]))
         for members in orbits([h.images for h in homs], conjugates)
     ]

@@ -28,12 +28,13 @@ from .equivariant import (
     orbit_complex,
     regularize,
 )
-from .groups import FiniteGroup, centralizer, subgroup
+from .groups import FiniteGroup, subgroup
 from .homs import (
     HomClass,
     Presentation,
     free_abelian,
     hom_classes,
+    hom_orbits,
     product_presentation,
 )
 
@@ -91,13 +92,14 @@ class SectorDecomposition:
 def sector_for_class(
     rec: RegularEquivariantComplex, cls: HomClass
 ) -> Sector | None:
-    """The sector of one homomorphism class, or None if its fixed set is empty."""
+    """The sector of one homomorphism class, or None if its fixed set is
+    empty.  It acts through the class's centralizer, as a subgroup whose
+    table is built only if something reads it."""
     ec = rec.ec
-    images = cls.representative.images
-    fixed = fixed_subcomplex(rec, images)
+    fixed = fixed_subcomplex(rec, cls.representative.images)
     if not fixed.simplices:
         return None
-    cent = centralizer(ec.group, images)
+    cent = cls.centralizer
     sub, carrier = subgroup(ec.group, cent)
     rows = tuple(
         tuple(ec.apply(carrier[i], v) for v in fixed.vertices)
@@ -110,7 +112,12 @@ def sector_for_class(
 def gamma_sectors(
     rec: RegularEquivariantComplex, presentation: Presentation
 ) -> SectorDecomposition:
-    classes = hom_classes(presentation, rec.group)
+    return _decomposition(rec, presentation, hom_classes(presentation, rec.group))
+
+
+def _decomposition(
+    rec: RegularEquivariantComplex, presentation: Presentation, classes
+) -> SectorDecomposition:
     sectors = []
     dropped = 0
     for cls in classes:
@@ -151,6 +158,13 @@ def iterate_sectors(
     Computes the ``second``-sectors of every ``first``-sector and compares
     the resulting multiset of Euler-Satake contributions (and the count)
     with the sectors of first x second computed in one step.
+
+    The two sides stay two computations.  The iterated side walks classes
+    of x_1, then orbits of x_2 under the sector's group C(x_1), which is
+    also how ``hom_classes`` walks any presentation: that lemma is what
+    this check tests.  So the direct side takes its classes from the orbit
+    route, ``homs.hom_orbits``: every homomorphism of the product
+    presentation, closed into G-orbits, under the same |G|^k cap.
     """
     outer = gamma_sectors(rec, first)
     nested = []
@@ -159,7 +173,8 @@ def iterate_sectors(
         inner = gamma_sectors(sector.fixed, second)
         nested.append(inner)
         iterated_values.extend(s.chi_es() for s in inner.sectors)
-    combined = gamma_sectors(rec, product_presentation(first, second))
+    product = product_presentation(first, second)
+    combined = _decomposition(rec, product, hom_orbits(product, rec.group))
     direct_values = [s.chi_es() for s in combined.sectors]
     report = {
         "first": first.name,

@@ -44,7 +44,7 @@ from .errors import (
     NonIntegerExponent,
     SizeCapExceeded,
 )
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import FiniteGroup, centralizer, conjugacy_classes, subgroup
 from .homs import free_abelian
 from .sectors import chi_m_top, gamma_sectors
 from .wreath import centralizer_extension, type_counts
@@ -395,14 +395,19 @@ def point_wreath_chi_m(group: FiniteGroup, size: int, m: int) -> int:
             = prod over (c, r) of F_{E(c, r)}(q^r),
 
     where F_E(q) = sum_k chi_(m-1)(pt x E ~ S_k) q^k, and F_E = 1/(1-q) at
-    m = 1.  The coefficients are built as that truncated product, so the
-    cost is polynomial in ``size``, and no table of the wreath product is
-    ever built; the explicit route is compared with this one where they
-    overlap.
+    m = 1.  At m = 2 each F_E(c, r) is the product over s >= 1 of
+    (1 - q^s)^(-k(E)), and k(E) = r * k(C_G(c)): a_{r,c} is central, so
+    each class of E is a class of C_G(c) times a power of a_{r,c}.  So the
+    extension tables are built only for m >= 3.  The coefficients are
+    built as that truncated product, so the cost is polynomial in
+    ``size``, and no table of the wreath product is ever built; the
+    explicit route is compared with this one where they overlap.
 
     ``verify main`` on a point stays two computations: this side recurses
     through the extension groups and never calls J_{r,m} or
-    ``rhs_main_formula``.
+    ``rhs_main_formula``, and it counts the classes of each C_G(c) from
+    that subgroup's table, not by the homomorphism walk that gives the
+    right side its chi_(m).
     """
     if size < 0 or m < 0:
         raise InputError("size and m must be nonnegative")
@@ -423,11 +428,19 @@ def _point_chi_coefficients(group: FiniteGroup, m: int, order: int) -> list:
         out = type_counts(len(conjugacy_classes(group)), order)
     else:
         out = [1] + [0] * order
-        for c in range(len(conjugacy_classes(group))):
+        for c, cls in enumerate(conjugacy_classes(group)):
+            if m == 2:
+                # k(C_G(c)), from the centralizer subgroup's own table
+                rep = cls.representative
+                cent, _carrier = subgroup(group, centralizer(group, [rep]))
+                cent_classes = len(conjugacy_classes(cent))
             for r in range(1, order + 1):
-                factor = _point_chi_coefficients(
-                    _extension_cached(group, c, r), m - 1, order // r
-                )
+                if m == 2:
+                    factor = type_counts(r * cent_classes, order // r)
+                else:
+                    factor = _point_chi_coefficients(
+                        _extension_cached(group, c, r), m - 1, order // r
+                    )
                 # multiply by factor(q^r), top coefficient first
                 for i in range(order, r - 1, -1):
                     terms = map(operator.mul, factor[1 : i // r + 1], out[i - r :: -r])
@@ -649,6 +662,10 @@ def macdonald_dimension_check(rec: RegularEquivariantComplex, order: int) -> dic
 
     # Both parts read the same wreath powers; each is built once.
     built: dict = {}
+    if point and order > 0:
+        # one call caches the class counts through ``order``; each term of
+        # part 2 reads that list instead of rebuilding a longer one
+        point_wreath_chi_m(rec.group, order, 1)
 
     def quotient_dim(n: int) -> Fraction:
         if n == 0 or point:

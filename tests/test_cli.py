@@ -271,6 +271,26 @@ def test_sector_reports_unchanged(capsys, argv):
     assert digest == SECTOR_REPORT_HASHES[argv]
 
 
+# sha256 of stdout, recorded before homomorphism classes came from the
+# orderly walk and sector subgroups built their tables on first read
+POINT_SECTOR_REPORT_HASHES = {
+    ("euler", "--complex", "point", "--group", "D60", "--gamma", "Z^2"):
+        "afdea2e40d954ae20791e5fe21882128662a32825a69d8e0379d151058eeadbf",
+    ("euler", "--complex", "point", "--group", "D12", "--gamma", "Z^4"):
+        "549e3d1cc449b55313e388d70451266d1e7e067069b12c2ac26433c9fba46da4",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", sorted(POINT_SECTOR_REPORT_HASHES), ids=" ".join
+)
+def test_point_sector_reports_unchanged(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == POINT_SECTOR_REPORT_HASHES[argv]
+
+
 def test_wreath_centralizer_cap(capsys):
     # |Z2 ~ S_2000| has about 6,300 digits, more than str converts: the
     # message names the order as 2^2000 * 2000!

@@ -13,6 +13,7 @@ from orbichar.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    generators,
     is_central,
     orbit,
     orbits,
@@ -121,6 +122,51 @@ def test_subgroup_on_every_element_is_the_group():
     assert sub.order == 1 and carrier == (g.identity,)
     with pytest.raises(InputError, match="subset not closed"):
         subgroup(g, range(1, g.order))
+
+
+def _eager_subgroup(group, carrier):
+    """Test oracle: the subgroup's table built entry by entry, as a plain
+    FiniteGroup with the parent's labels."""
+    pos = {g: i for i, g in enumerate(carrier)}
+    table = [[pos[group.mul(a, b)] for b in carrier] for a in carrier]
+    labels = None if group.labels is None else [group.label(g) for g in carrier]
+    return FiniteGroup(table, labels=labels)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [symmetric_group(4), dihedral_group(6), cyclic_group(6)],
+    ids=["S4", "D6", "Z6"],
+)
+def test_lazy_subgroup_equals_eager_build(group):
+    unset = FiniteGroup.__dict__["table"]  # the slot, read without building
+    for cls in conjugacy_classes(group):
+        cent = centralizer(group, [cls.representative])
+        sub, carrier = subgroup(group, cent)
+        if sub is group:
+            continue
+        with pytest.raises(AttributeError):
+            unset.__get__(sub, type(sub))
+        eager = _eager_subgroup(group, carrier)
+        assert sub.order == eager.order
+        assert sub.identity == eager.identity
+        assert sub.labels == eager.labels
+        assert sub.inverse == eager.inverse
+        assert sub.table == eager.table
+        assert unset.__get__(sub, type(sub)) is sub.table  # built once
+        assert sub == eager and hash(sub) == hash(eager)
+
+
+def test_generators_span_the_subgroup():
+    for group in (symmetric_group(4), dihedral_group(6), cyclic_group(12)):
+        for cls in conjugacy_classes(group):
+            cent = centralizer(group, [cls.representative])
+            gens = generators(group, cent)
+            assert gens == sorted(gens)
+            assert orbit(group.identity, gens, group.mul) == set(cent)
+            # greedy: no generator lies in the span of those before it
+            for i, x in enumerate(gens):
+                assert x not in orbit(group.identity, gens[:i], group.mul)
 
 
 def test_direct_product():

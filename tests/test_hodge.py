@@ -400,6 +400,31 @@ def test_rhs_matches_powers_oracle(name, data, d, order):
         assert sp_generating(datum.dims, order) == sp_generating_by_powers(datum.dims, order)
 
 
+def test_products_start_from_their_first_factor(monkeypatch):
+    # f factors take f - 1 products; only an empty product is the series one
+    dims = BigradedDims.from_dict({(0, 0): 1, (1, 1): 2, (1, 0): 1})
+    data, d = hodge_datasets()["two-sector-shifted"]
+    terms = len(h_cr_polynomial(data).terms)
+    expected_sp = sp_generating_by_powers(dims, 4)
+    expected_rhs = hodge_product_rhs_by_powers(data, d, 4)
+    calls = []
+    real = HodgeSeries.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(HodgeSeries, "__mul__", counted)
+    assert sp_generating(dims, 4) == expected_sp
+    assert len(calls) == 2
+    del calls[:]
+    assert hodge_product_rhs(data, d, 4) == expected_rhs
+    assert len(calls) == 4 * terms - 1
+    assert hodge_product_rhs(data, d, 0) == HodgeSeries.one(0)
+    with pytest.raises(InputError, match="order must be >= 0"):
+        sp_generating(BigradedDims.from_dict({}), -1)
+
+
 def test_lhs_type_cap_trips_before_enumerating(monkeypatch):
     # point-Z2 has two sectors: 2 + 5 + 10 + 20 = 37 types for n <= 4, and
     # about 4.8 * 10^9 for n <= 60

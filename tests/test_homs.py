@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbichar.errors import EnumerationCapExceeded, InvalidWord
-from orbichar.groups import cyclic_group, symmetric_group, trivial_group
+from orbichar.groups import (
+    centralizer,
+    cyclic_group,
+    dihedral_group,
+    symmetric_group,
+    trivial_group,
+)
 from orbichar.homs import (
     GroupHom,
     Presentation,
@@ -11,6 +17,7 @@ from orbichar.homs import (
     free_abelian,
     free_group,
     hom_classes,
+    hom_orbits,
     parse_presentation,
     product_presentation,
     trivial_presentation,
@@ -76,6 +83,7 @@ def test_trivial_presentation_single_hom():
     assert len(classes) == 1
     assert classes[0].representative.images == ()
     assert classes[0].orbit_size == 1
+    assert classes[0].centralizer == tuple(range(6))
 
 
 def test_free_vs_abelian_into_abelian_group():
@@ -89,6 +97,8 @@ def test_enumeration_cap():
     # 24^6 candidates is past DEFAULT_HOM_CAP = 10^8; nothing is enumerated
     with pytest.raises(EnumerationCapExceeded):
         enumerate_homs(free_abelian(6), symmetric_group(4))
+    with pytest.raises(EnumerationCapExceeded):
+        hom_classes(free_abelian(6), symmetric_group(4))
 
 
 def test_hom_respects_relators():
@@ -137,3 +147,73 @@ def test_orbit_stabilizer_sum(m):
     classes = hom_classes(free_abelian(m), g)
     assert all(g.order % c.orbit_size == 0 for c in classes)
     assert sum(c.orbit_size for c in classes) == len(enumerate_homs(free_abelian(m), g))
+
+
+# ---------------------------------------------------------------------------
+# the orderly walk against the orbit route
+
+
+def _wreath_z3_s2():
+    from orbichar.wreath import WreathProduct
+
+    return WreathProduct(cyclic_group(3), 2).to_group().group
+
+
+WALK_GROUPS = {
+    "trivial": trivial_group,
+    "Z5": lambda: cyclic_group(5),
+    "S3": lambda: symmetric_group(3),
+    "S4": lambda: symmetric_group(4),
+    "D4": lambda: dihedral_group(4),
+    "D6": lambda: dihedral_group(6),
+    "Z3~S2": _wreath_z3_s2,
+}
+
+
+def _assert_walk_matches_orbits(presentation, group):
+    walk = hom_classes(presentation, group)
+    orbit_route = hom_orbits(presentation, group)
+    # representatives, orbit sizes and order
+    assert [(c.representative.images, c.orbit_size) for c in walk] == [
+        (c.representative.images, c.orbit_size) for c in orbit_route
+    ]
+    for cls in walk:
+        images = cls.representative.images
+        assert cls.centralizer == centralizer(group, images)
+        assert cls.orbit_size * len(cls.centralizer) == group.order
+    return walk
+
+
+@pytest.mark.parametrize("name", sorted(WALK_GROUPS))
+@pytest.mark.parametrize(
+    "presentation",
+    [free_abelian(1), free_abelian(2), free_abelian(3), free_group(2)],
+    ids=["Z", "Z^2", "Z^3", "F_2"],
+)
+def test_walk_matches_orbit_route(name, presentation):
+    _assert_walk_matches_orbits(presentation, WALK_GROUPS[name]())
+
+
+_SMALL_GROUPS = [
+    trivial_group(),
+    cyclic_group(2),
+    cyclic_group(4),
+    cyclic_group(6),
+    symmetric_group(3),
+    dihedral_group(4),
+    dihedral_group(5),
+]
+
+_words = st.lists(
+    st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=5
+).map(tuple)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(range(len(_SMALL_GROUPS))),
+    st.lists(_words, max_size=2),
+)
+def test_walk_matches_orbit_route_on_random_presentations(index, relators):
+    presentation = Presentation(2, tuple(relators))
+    _assert_walk_matches_orbits(presentation, _SMALL_GROUPS[index])

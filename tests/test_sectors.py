@@ -149,6 +149,28 @@ def test_iterated_sector_counts_point():
     assert report["direct_sector_count"] == 8
 
 
+def test_iterated_sectors_direct_side_never_walks(monkeypatch):
+    # the direct side takes every homomorphism of Z x Z and closes G-orbits;
+    # only the outer and inner one-generator sectors go through the walk
+    walked, closed = [], []
+    walk, orbit_route = sectors.hom_classes, sectors.hom_orbits
+
+    def counted_walk(presentation, group):
+        walked.append(presentation.generators)
+        return walk(presentation, group)
+
+    def counted_orbits(presentation, group):
+        closed.append(presentation.generators)
+        return orbit_route(presentation, group)
+
+    monkeypatch.setattr(sectors, "hom_classes", counted_walk)
+    monkeypatch.setattr(sectors, "hom_orbits", counted_orbits)
+    report = iterate_sectors(point_s3(), Z, Z)
+    assert report["equal"]
+    assert closed == [2]
+    assert walked and set(walked) == {1}
+
+
 def test_product_sectors_multiplicative():
     report = product_sectors_check(point_z2(), point_s3(), Z)
     assert report["equal"], report

@@ -633,6 +633,23 @@ def test_point_chi_left_side_builds_its_coefficients_once(monkeypatch):
     assert orders == [30]
 
 
+def test_macdonald_point_builds_its_class_counts_once(monkeypatch):
+    from orbichar import series as series_mod
+
+    monkeypatch.setattr(series_mod, "_POINT_CHI_CACHE", {})
+    orders = []
+    real = series_mod.type_counts
+
+    def counted(k, order):
+        orders.append(order)
+        return real(k, order)
+
+    monkeypatch.setattr(series_mod, "type_counts", counted)
+    report = macdonald_dimension_check(point_s3(), 30)
+    assert report["equal"] and len(report["part2"]["lhs"]) == 31
+    assert orders == [30]
+
+
 def test_exp_printed_digits():
     # digits of max(|a|, b)^order * order!, estimated or exact
     for a, b in ((1, 1), (1, 2), (1, 6), (-7, 3), (5, 24)):

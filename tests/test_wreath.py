@@ -11,6 +11,7 @@ from orbichar.groups import (
     conjugacy_classes,
     cyclic_group,
     dihedral_group,
+    subgroup,
     symmetric_group,
     trivial_group,
 )
@@ -281,6 +282,30 @@ def test_centralizer_extension_orders():
         for r in (1, 2, 3):
             ext = centralizer_extension(base, cls.representative, r)
             assert ext.order == r * cent
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        trivial_group(),
+        cyclic_group(4),
+        symmetric_group(3),
+        symmetric_group(4),
+        dihedral_group(4),
+        dihedral_group(6),
+        WreathProduct(cyclic_group(3), 2).to_group().group,
+    ],
+    ids=["trivial", "Z4", "S3", "S4", "D4", "D6", "Z3~S2"],
+)
+def test_centralizer_extension_class_count(base):
+    # a_{r,c} is central, so each class of E(c, r) is a class of C_G(c)
+    # times a power of a_{r,c}: k(E) = r * k(C_G(c)), the count the
+    # point recursion reads at m = 2 instead of building E
+    for cls in conjugacy_classes(base):
+        cent, _carrier = subgroup(base, centralizer(base, [cls.representative]))
+        for r in range(1, 5):
+            ext = centralizer_extension(base, cls.representative, r)
+            assert len(conjugacy_classes(ext)) == r * len(conjugacy_classes(cent))
 
 
 def test_centralizer_extension_is_abelian_over_cyclic():
