@@ -61,7 +61,6 @@ from .series import (
     rhs_main_formula,
     subgroup_count,
     sublattice_count_bruteforce,
-    top_m,
     verify_exp_formula,
     verify_main_formula,
 )

@@ -1,8 +1,8 @@
 """Exact truncated power series and the wreath generating-function identities.
 
 Everything here is coefficient-exact over Q: a TruncatedSeries is a tuple of
-Fractions c_0..c_N, and identity checks are plain equality of coefficients,
-never tolerances.
+exact rationals c_0..c_N (ints where given ints, else Fractions), and identity
+checks are plain equality of coefficients, never tolerances.
 
 The identities themselves compare a *computed* left side against a *formula*
 right side:
@@ -42,7 +42,6 @@ from .errors import (
     ExpNonzeroConstant,
     InputError,
     NonIntegerExponent,
-    SizeCapExceeded,
 )
 from .groups import FiniteGroup, centralizer, conjugacy_classes, subgroup
 from .homs import free_abelian
@@ -129,11 +128,16 @@ class Series:
 
 @dataclass(frozen=True)
 class TruncatedSeries(Series):
-    """A series with exact rational coefficients."""
+    """A series with exact rational coefficients.  An int coefficient stays
+    an int, so integer series multiply as ints; anything else becomes a
+    Fraction."""
 
-    _zero = Fraction(0)
-    _one = Fraction(1)
-    _coerce = Fraction
+    _zero = 0
+    _one = 1
+
+    @staticmethod
+    def _coerce(c):
+        return c if type(c) is int else Fraction(c)
 
     def scale(self, value) -> "TruncatedSeries":
         v = Fraction(value)
@@ -453,90 +457,29 @@ def _point_chi_coefficients(group: FiniteGroup, m: int, order: int) -> list:
 # left-hand sides
 
 
-def top_m(m: int) -> tuple:
-    """The series kind selecting chi_(m); the other kind is the string "es"."""
-    return ("top_m", int(m))
+def _wreath_terms(
+    rec: RegularEquivariantComplex, order: int, on_point, on_power, built: dict
+) -> tuple:
+    """Coefficients 0..order of a wreath series, as (values, note).
 
-
-def _parse_kind(kind) -> tuple:
-    if kind == "es":
-        return ("es", None)
-    if (
-        isinstance(kind, tuple)
-        and len(kind) == 2
-        and kind[0] == "top_m"
-        and isinstance(kind[1], int)
-        and kind[1] >= 0
-    ):
-        return kind
-    raise InputError(f"unknown series kind {kind!r}; use 'es' or top_m(m)")
-
-
-def _is_point(rec: RegularEquivariantComplex) -> bool:
-    return len(rec.cx.vertices) == 1
-
-
-def _wreath_coefficient(rec: RegularEquivariantComplex, n: int, kind: tuple) -> Fraction:
-    """The n-th coefficient of the chosen wreath series."""
-    tag, m = kind
-    if n == 0:
-        return Fraction(1)
-    if _is_point(rec):
-        group = rec.group
-        if tag == "es":
-            return Fraction(1, group.order**n * math.factorial(n))
-        return Fraction(point_wreath_chi_m(group, n, m))
-
-    def term(rec_n: RegularEquivariantComplex) -> Fraction:
-        if tag == "es":
-            return euler_satake(rec_n)
-        return Fraction(chi_m_top(rec_n, m))
-
-    return _regular_power(rec, n, term, {})
-
-
-def _regular_power(rec: RegularEquivariantComplex, n: int, term, built: dict):
-    """``term`` of the regularized n-th wreath power of the complex.
-
-    The power is kept in ``built`` under n, so callers that pass the same
-    dict build it once.  A cap that trips while building the power or
-    computing the term is re-raised naming n.
+    On a one-point complex they are ``on_point()``, a list through at least
+    ``order``, read once.  Otherwise coefficient 0 is 1 and coefficient n
+    is ``on_power`` of the regularized n-th wreath power, which is kept in
+    ``built`` under n, so callers that pass the same dict build it once.
+    The values stop at the first n whose power or term trips a cap; note
+    is then that cap's message naming n, and None when every term landed.
     """
-    try:
-        if n not in built:
-            ec, _ew = power_with_wreath_action(rec, n)
-            built[n] = regularize(ec)
-        return term(built[n])
-    except CapExceeded as exc:
-        raise SizeCapExceeded(f"wreath power n={n}: {exc}") from exc
-
-
-def _collect_terms(fn, order: int) -> tuple:
-    """Values fn(0..order) in order, stopping at the first capped term.
-
-    Returns (values, note); note is None when every term landed, else the
-    cap message of the first n that failed.
-    """
-    values: list = []
-    note = None
-    for n in range(order + 1):
+    if len(rec.cx.vertices) == 1:
+        return on_point()[: order + 1], None
+    values = [1]
+    for n in range(1, order + 1):
         try:
-            values.append(Fraction(fn(n)))
+            if n not in built:
+                built[n] = regularize(power_with_wreath_action(rec, n)[0])
+            values.append(on_power(built[n]))
         except CapExceeded as exc:
-            note = str(exc)
-            break
-    return values, note
-
-
-def _lhs_values(rec, kind, order: int) -> tuple:
-    """Coefficients 0..order of the chosen wreath series, as
-    ``_collect_terms`` returns them."""
-    parsed = _parse_kind(kind)
-    if parsed[0] == "top_m" and order > 0 and _is_point(rec):
-        # one call caches the coefficients through ``order``; each term
-        # below reads that list instead of rebuilding a longer one
-        point_wreath_chi_m(rec.group, order, parsed[1])
-    return _collect_terms(lambda n: _wreath_coefficient(rec, n, parsed), order)
+            return values, f"wreath power n={n}: {exc}"
+    return values, None
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +547,14 @@ def verify_exp_formula(rec: RegularEquivariantComplex, order: int) -> dict:
                 f" above the printed-digit cap {PRINTED_DIGITS_CAP}"
             )
     rhs = rhs_exp_formula(chi, order)
-    values, note = _lhs_values(rec, "es", order)
+    size = rec.group.order
+    values, note = _wreath_terms(
+        rec,
+        order,
+        lambda: [Fraction(1, size**n * math.factorial(n)) for n in range(order + 1)],
+        euler_satake,
+        {},
+    )
     report = {"identity": "exp-formula", "chi_es": str(chi), "order": order}
     report.update(_compare_report(values, rhs, note))
     return report
@@ -614,7 +564,13 @@ def verify_main_formula(rec: RegularEquivariantComplex, m: int, order: int) -> d
     """Check the chi_(m) wreath series against the J_{r,m} product formula."""
     chi = chi_m_top(rec, m)
     rhs = rhs_main_formula(m, chi, order)
-    values, note = _lhs_values(rec, top_m(m), order)
+    values, note = _wreath_terms(
+        rec,
+        order,
+        lambda: _point_chi_coefficients(rec.group, m, order) if m else [1] * (order + 1),
+        lambda rec_n: chi_m_top(rec_n, m),
+        {},
+    )
     report = {
         "identity": "main-product-formula",
         "m": m,
@@ -629,13 +585,15 @@ def verify_main_formula(rec: RegularEquivariantComplex, m: int, order: int) -> d
 # Macdonald dimension formulas
 
 
+def _quotient_dimension(rec: RegularEquivariantComplex) -> int:
+    """Signed homology dimension of the orbit space."""
+    return signed_total_dimension(betti_numbers(orbit_complex(rec)))
+
+
 def _z_sector_dimension(rec: RegularEquivariantComplex) -> int:
     """Signed homology dimension summed over the Z-sector orbit spaces."""
-    decomposition = gamma_sectors(rec, free_abelian(1))
-    return sum(
-        signed_total_dimension(betti_numbers(orbit_complex(s.fixed)))
-        for s in decomposition.sectors
-    )
+    sectors = gamma_sectors(rec, free_abelian(1)).sectors
+    return sum(_quotient_dimension(s.fixed) for s in sectors)
 
 
 def macdonald_dimension_check(rec: RegularEquivariantComplex, order: int) -> dict:
@@ -646,14 +604,14 @@ def macdonald_dimension_check(rec: RegularEquivariantComplex, order: int) -> dic
     the complex itself.  Part 2: the same with every space replaced by its
     Z-sector decomposition, where the right side becomes the product of
     (1-q^j)^(-D_Z) over j >= 1.
+
+    Over a point, D = 1 and D_Z = k(G), one Z-sector per class, from the
+    homomorphism walk of ``gamma_sectors``; part 2's left side counts the
+    types of G ~ S_n from ``conjugacy_classes``, so it stays two
+    computations.
     """
-    point = _is_point(rec)
-    if point:
-        d1 = 1
-        d2 = len(conjugacy_classes(rec.group))
-    else:
-        d1 = signed_total_dimension(betti_numbers(orbit_complex(rec)))
-        d2 = _z_sector_dimension(rec)
+    d1 = _quotient_dimension(rec)
+    d2 = _z_sector_dimension(rec)
 
     # The m = 0 product is (1-q)^(-d1), and J_{r,1} = 1 for every r, so the
     # m = 1 product is that of (1-q^r)^(-d2) over r >= 1.
@@ -662,32 +620,16 @@ def macdonald_dimension_check(rec: RegularEquivariantComplex, order: int) -> dic
 
     # Both parts read the same wreath powers; each is built once.
     built: dict = {}
-    if point and order > 0:
-        # one call caches the class counts through ``order``; each term of
-        # part 2 reads that list instead of rebuilding a longer one
-        point_wreath_chi_m(rec.group, order, 1)
-
-    def quotient_dim(n: int) -> Fraction:
-        if n == 0 or point:
-            return Fraction(1)
-        return _regular_power(
-            rec,
-            n,
-            lambda rec_n: signed_total_dimension(betti_numbers(orbit_complex(rec_n))),
-            built,
-        )
-
-    def sector_dim(n: int) -> Fraction:
-        if n == 0:
-            return Fraction(1)
-        if point:
-            # Each conjugacy class is a sector over a point, so the
-            # coefficient is the number of classes, i.e. of types.
-            return Fraction(point_wreath_chi_m(rec.group, n, 1))
-        return _regular_power(rec, n, _z_sector_dimension, built)
-
-    lhs1, note1 = _collect_terms(quotient_dim, order)
-    lhs2, note2 = _collect_terms(sector_dim, order)
+    lhs1, note1 = _wreath_terms(
+        rec, order, lambda: [1] * (order + 1), _quotient_dimension, built
+    )
+    lhs2, note2 = _wreath_terms(
+        rec,
+        order,
+        lambda: _point_chi_coefficients(rec.group, 1, order),
+        _z_sector_dimension,
+        built,
+    )
     part1 = {"dimension": d1}
     part1.update(_compare_report(lhs1, rhs1, note1))
     part2 = {"dimension": d2}

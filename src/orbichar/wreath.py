@@ -120,11 +120,16 @@ class WreathProduct:
                 yield WreathElement(comps, s)
 
     def generators(self) -> list[WreathElement]:
-        """A small generating set: base-group generators in slot 0, plus an
-        adjacent transposition and an n-cycle of positions."""
+        """A small generating set: the base group's greedy generators
+        (``groups.generators``) in slot 0, plus an adjacent transposition and
+        an n-cycle of positions."""
         e = self.base.identity
         n = self.size
-        gens = _greedy_base_generators(self.base, n)
+        idperm = tuple(range(n))
+        gens = [
+            WreathElement((x,) + (e,) * (n - 1), idperm)
+            for x in groups.generators(self.base, self.base.elements())
+        ]
         if n >= 2:
             swap = [1, 0] + list(range(2, n))
             gens.append(WreathElement((e,) * n, tuple(swap)))
@@ -135,24 +140,6 @@ class WreathProduct:
 
     def to_group(self) -> "ExplicitWreath":
         return ExplicitWreath(self)
-
-
-def _greedy_base_generators(base: FiniteGroup, n: int) -> list[WreathElement]:
-    """Each element not in the subgroup generated by the earlier choices,
-    in index order, placed in slot 0."""
-    e = base.identity
-    closed = {e}
-    chosen = []
-    for x in base.elements():
-        if x not in closed:
-            chosen.append(x)
-            closed = orbit(e, chosen, base.mul)
-    idperm = tuple(range(n))
-    out = []
-    for x in chosen:
-        comps = (x,) + (e,) * (n - 1)
-        out.append(WreathElement(tuple(comps), idperm))
-    return out
 
 
 class ExplicitWreath:

@@ -14,19 +14,19 @@ from fractions import Fraction
 from orbichar.errors import NonInvertibleSeries, SizeCapExceeded
 from orbichar.groups import orbit
 from orbichar.hodge import HodgePolynomial, HodgeSeries
-from orbichar.series import TruncatedSeries, _integer_exponent, _lhs_values
+from orbichar.series import TruncatedSeries, _integer_exponent, _wreath_terms
 
 
 def _unit_inverse(c):
-    """The inverse of an invertible constant term: any nonzero Fraction, or
-    the Hodge polynomial 1."""
+    """The inverse of an invertible constant term: any nonzero int or
+    Fraction, or the Hodge polynomial 1."""
     if isinstance(c, HodgePolynomial):
         if c != HodgePolynomial.one():
             raise NonInvertibleSeries("series inverse requires constant coefficient 1")
         return c
     if c == 0:
         raise NonInvertibleSeries("constant term is zero")
-    return 1 / c
+    return Fraction(1) / c
 
 
 def inverse(series):
@@ -84,12 +84,13 @@ def evaluate_xy(series: HodgeSeries, x, y) -> TruncatedSeries:
     return TruncatedSeries(tuple(evaluate(c, x, y) for c in series.coefficients))
 
 
-def lhs_wreath_series(rec, kind, order: int) -> TruncatedSeries:
-    """The computed series: coefficient n is the invariant of the n-th
-    wreath symmetric product of the complex.  Raises SizeCapExceeded naming
-    the first infeasible n; the verify_* wrappers instead report the largest
-    feasible truncation."""
-    values, note = _lhs_values(rec, kind, order)
+def lhs_wreath_series(rec, order: int, on_point, on_power) -> TruncatedSeries:
+    """The computed series: coefficient n is ``on_power`` of the n-th wreath
+    symmetric product of the complex, or ``on_point()`` read through
+    ``order`` on a point.  Raises SizeCapExceeded naming the first
+    infeasible n; the verify_* wrappers instead report the largest feasible
+    truncation."""
+    values, note = _wreath_terms(rec, order, on_point, on_power, {})
     if note is not None:
         raise SizeCapExceeded(note)
     return TruncatedSeries(tuple(values))

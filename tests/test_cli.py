@@ -722,6 +722,79 @@ def test_capped_series_check_exits_3(capsys, argv):
     )
 
 
+def test_macdonald_parts_share_their_wreath_powers(capsys, monkeypatch):
+    sizes = []
+    real = series.power_with_wreath_action
+
+    def counted(rec, n):
+        sizes.append(n)
+        return real(rec, n)
+
+    monkeypatch.setattr(series, "power_with_wreath_action", counted)
+    code, report = run_json(
+        capsys, "verify", "macdonald", "--complex", "S0-swap", "--order", "3"
+    )
+    assert code == 0 and report["equal"]
+    assert sizes == [1, 2, 3]
+
+
+def test_macdonald_point_part2_dimension_from_z_sectors(capsys, monkeypatch):
+    # D_Z over a point counts the Z-sectors; the left side counts types
+    presentations = []
+    real = series.gamma_sectors
+
+    def counted(rec, presentation):
+        presentations.append(presentation)
+        return real(rec, presentation)
+
+    monkeypatch.setattr(series, "gamma_sectors", counted)
+    code, report = run_json(
+        capsys, "verify", "macdonald", "--complex", "point", "--group", "S4",
+        "--order", "6",
+    )
+    assert code == 0 and report["equal"]
+    assert report["part1"]["dimension"] == 1
+    assert report["part2"]["dimension"] == len(conjugacy_classes(builtin_group("S4")))
+    assert [(p.generators, p.relators) for p in presentations] == [(1, ())]
+
+
+# exit code, sha256 of stdout and stderr, recorded before the wreath series
+# left sides came from one routine
+_PINNED_SERIES = {
+    "verify exp --complex point --group S4 --order 20": (
+        0, "74a72983a69e23d7bda5556a10bf53f25943666027b2ccf7e487eec445872471", ""
+    ),
+    "verify main --complex point --group S4 --m 4 --order 4": (
+        0, "47f3cbf0619016892b8218e8511119fd04f8782ec27e95273e0b11e7e9eba9bd", ""
+    ),
+    "verify main --complex point --group D4 --m 0 --order 5": (
+        0, "0aedc7340de8e5add899c79af2e0ac41e5320e03f91fa6cac957ec599ecbd889", ""
+    ),
+    "verify macdonald --complex point --group S4 --order 10": (
+        0, "4d06d3edb267e68d099a786cc080d4d0f59efd9853489e26332d6289cad96228", ""
+    ),
+    "verify macdonald --complex point-S3 --order 8": (
+        0, "8317b38795dd3980a5279e0cff8f3c8133bed0d87eb9f7dcfa75085ec167c46a", ""
+    ),
+    "verify macdonald --complex edge-swap --order 3": (
+        0, "84a9afab079982b8f68a18e26776e6aeb4100db1f0d58a96157e3d4517566167", ""
+    ),
+    "verify main --complex S0-swap --m 1 --order 6": (
+        3,
+        "88b71474bb65f7d231004176ef2e9843115f46351d6df27cc34d98289f27e0cc",
+        "error: cap exceeded: wreath power n=5: wreath product order 3840"
+        " exceeds cap 2000\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_PINNED_SERIES))
+def test_wreath_series_reports_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest, err) == _PINNED_SERIES[argv]
+
+
 def test_capped_series_check_with_a_mismatch_exits_1(capsys, monkeypatch):
     # force a mismatch below the cap by tampering with the formula side
     import orbichar.series as series_mod

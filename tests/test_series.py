@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbichar.equivariant import euler_satake, power_with_wreath_action, regularize
 from orbichar.errors import (
     ExpNonzeroConstant,
     InputError,
@@ -25,6 +26,7 @@ from orbichar.library import (
     s0_swap,
     torus_trivial,
 )
+from orbichar.sectors import chi_m_top
 from orbichar.series import (
     TruncatedSeries,
     _binomial_factor,
@@ -40,7 +42,6 @@ from orbichar.series import (
     rhs_main_formula,
     subgroup_count,
     sublattice_count_bruteforce,
-    top_m,
     verify_exp_formula,
     verify_main_formula,
 )
@@ -91,6 +92,8 @@ def test_inverse():
     a = series(1, -1, 0, 0)  # 1 - q
     inv = inverse(a)
     assert inv.coefficients == (1, 1, 1, 1)
+    ints = TruncatedSeries((3, 1, 0, 0))  # int coefficients stay ints
+    assert inverse(ints).coefficients == tuple(Fraction(-1, 3) ** i / 3 for i in range(4))
     with pytest.raises(NonInvertibleSeries):
         inverse(series(0, 1))
 
@@ -296,6 +299,25 @@ def test_rhs_main_formula_m1_chi2():
     assert s.coefficients == (1, 2, 5, 10, 20, 36, 65)
 
 
+def test_rhs_main_formula_stays_integral():
+    # ints multiply as ints, to the same values as the Fraction factors
+    for m, chi, order in ((0, 3, 10), (1, 2, 40), (2, -3, 20), (3, 5, 15)):
+        s = rhs_main_formula(m, chi, order)
+        assert all(type(c) is int for c in s.coefficients)
+        factors = [
+            _binomial_factor(r, (subgroup_count(r, m).value if m else 1) * chi, order)
+            for r in range(1, order + 1 if m else 2)
+        ]
+        product = series(1, *[0] * order)
+        for f in factors:
+            product = product * series(*f.coefficients)
+        assert all(type(c) is Fraction for c in product.coefficients)
+        assert s.coefficients == product.coefficients
+    exp = rhs_exp_formula(2, 6)
+    assert all(type(c) is Fraction for c in exp.coefficients)
+    assert exp.coefficients[6] == Fraction(2**6, math.factorial(6))
+
+
 def test_rhs_negative_chi():
     # chi = -1 flips the product to prod (1 - q^r)^{J_{r,m}}
     s = rhs_main_formula(1, -1, 5)
@@ -435,36 +457,30 @@ def test_point_wreath_chi_m_matches_explicit_sectors():
 
 
 def test_lhs_series_es_point():
+    # the closed form 1/(|G|^n n!) of a point against its explicit powers
     rec = point_z2()
-    s = lhs_wreath_series(rec, "es", 3)
-    assert s.coefficients == (
-        1,
-        Fraction(1, 2),
-        Fraction(1, 8),
-        Fraction(1, 48),
-    )
+    assert verify_exp_formula(rec, 3)["lhs"] == ["1", "1/2", "1/8", "1/48"]
+    s = lhs_wreath_series(rec, 3, lambda: [1, 2, 3, 4, 5], None)
+    assert s.coefficients == (1, 2, 3, 4)
+    explicit = [
+        euler_satake(regularize(power_with_wreath_action(rec, n)[0]))
+        for n in (1, 2, 3)
+    ]
+    assert explicit == [Fraction(1, 2), Fraction(1, 8), Fraction(1, 48)]
 
 
 def test_lhs_series_chi_m_s0():
     rec = s0_swap()
-    s = lhs_wreath_series(rec, top_m(1), 3)
+    s = lhs_wreath_series(rec, 3, None, lambda rec_n: chi_m_top(rec_n, 1))
     # hand-enumerated sector counts of (S0)^n with the Z2 wr S_n action
     assert s.coefficients == (1, 1, 2, 3)
-
-
-def test_lhs_series_kind_validation():
-    rec = point_z2()
-    with pytest.raises(InputError):
-        lhs_wreath_series(rec, "nonsense", 2)
-    with pytest.raises(InputError):
-        lhs_wreath_series(rec, top_m(-1), 2)
 
 
 def test_lhs_order_cap_reports_largest_feasible():
     # |Z2 wr S5| = 3840 exceeds the default wreath order cap of 2000.
     rec = s0_swap()
     with pytest.raises(SizeCapExceeded, match="n=5"):
-        lhs_wreath_series(rec, "es", 6)
+        lhs_wreath_series(rec, 6, None, euler_satake)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from orbichar.groups import (
     symmetric_group,
     trivial_group,
 )
+from orbichar.library import builtin_group
 from orbichar.series import point_wreath_chi_m
 from orbichar.wreath import (
     TypeFunction,
@@ -103,6 +104,32 @@ def test_group_law_explicit():
         for b in range(0, g.order, 7):
             ab = g.mul(a, b)
             assert ew.elements[ab] == w.mul(ew.elements[a], ew.elements[b])
+
+
+# (components, perm) of each generator of G ~ S_3, recorded when the base
+# generators were chosen by a greedy scan of their own
+_PINNED_GENERATORS = {
+    "trivial": [((0, 0, 0), (1, 0, 2)), ((0, 0, 0), (1, 2, 0))],
+    "Z2": [((1, 0, 0), (0, 1, 2)), ((0, 0, 0), (1, 0, 2)), ((0, 0, 0), (1, 2, 0))],
+    "S3": [
+        ((1, 0, 0), (0, 1, 2)),
+        ((2, 0, 0), (0, 1, 2)),
+        ((0, 0, 0), (1, 0, 2)),
+        ((0, 0, 0), (1, 2, 0)),
+    ],
+    "D4": [
+        ((1, 0, 0), (0, 1, 2)),
+        ((2, 0, 0), (0, 1, 2)),
+        ((0, 0, 0), (1, 0, 2)),
+        ((0, 0, 0), (1, 2, 0)),
+    ],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_PINNED_GENERATORS))
+def test_generators_pinned(spec):
+    gens = WreathProduct(builtin_group(spec), 3).generators()
+    assert [(g.components, g.perm) for g in gens] == _PINNED_GENERATORS[spec]
 
 
 @pytest.mark.parametrize(
