@@ -1,9 +1,10 @@
 """Finite abstract simplicial complexes with exact rational homology.
 
-A complex stores an explicit vertex id tuple plus the full downward-closed
-simplex family (each simplex a sorted tuple of vertex ids, the family sorted
-by dimension then lexicographically).  Vertex ids are arbitrary integers so
-that subcomplexes can keep their parent's labels.
+A complex stores the full downward-closed simplex family (each simplex a
+sorted tuple of vertex ids, the family sorted by dimension then
+lexicographically) plus its vertex id tuple, the ids of its 0-simplices.
+Vertex ids are arbitrary integers so that subcomplexes can keep their
+parent's labels.
 
 Betti numbers come from one sparse Gaussian elimination over Q
 (``_sparse_rank``) on integer boundary columns; no floating point anywhere.
@@ -23,7 +24,7 @@ class SimplicialComplex:
 
     __slots__ = ("vertices", "simplices", "simplex_set", "_by_least")
 
-    def __init__(self, simplices, vertices=None, _skip_validation=False):
+    def __init__(self, simplices, _skip_validation=False):
         simps = sorted({tuple(sorted(s)) for s in simplices}, key=_simplex_key)
         if not _skip_validation:
             for s in simps:
@@ -42,14 +43,7 @@ class SimplicialComplex:
                             )
         self.simplices = tuple(simps)
         self.simplex_set = frozenset(simps)
-        derived = tuple(sorted({v for s in simps for v in s}))
-        if vertices is None:
-            vertices = derived
-        else:
-            vertices = tuple(sorted(set(vertices)))
-            if set(derived) - set(vertices):
-                raise InputError("simplices mention vertices outside the vertex set")
-        self.vertices = vertices
+        self.vertices = tuple(sorted({v for s in simps for v in s}))
         self._by_least = None
 
     # -- basic queries ----------------------------------------------------
@@ -97,7 +91,7 @@ def _simplex_key(s):
     return (len(s), s)
 
 
-def from_maximal(maximal, vertices=None) -> SimplicialComplex:
+def from_maximal(maximal) -> SimplicialComplex:
     """Close a family of simplices downward."""
     simps = set()
     for s in maximal:
@@ -108,7 +102,7 @@ def from_maximal(maximal, vertices=None) -> SimplicialComplex:
         m = len(s)
         for mask in range(1, 1 << m):
             simps.add(tuple(s[i] for i in range(m) if mask >> i & 1))
-    return SimplicialComplex(simps, vertices=vertices, _skip_validation=True)
+    return SimplicialComplex(simps, _skip_validation=True)
 
 
 def _vertex_ids(value, what: str) -> list:
@@ -121,6 +115,13 @@ def _vertex_ids(value, what: str) -> list:
 
 
 def complex_from_json(data) -> SimplicialComplex:
+    """The complex of ``{"maximal_simplices": [...], "vertices": ...}``.
+
+    No maximal simplex may repeat a vertex.  The optional ``vertices``, a
+    count n (ids 0..n-1) or a list of ids, must hold every vertex the
+    simplices mention; a listed vertex in no maximal simplex is an
+    isolated point.
+    """
     if not isinstance(data, dict) or "maximal_simplices" not in data:
         raise InputError("complex spec needs a 'maximal_simplices' field")
     maximal = data["maximal_simplices"]
@@ -128,13 +129,15 @@ def complex_from_json(data) -> SimplicialComplex:
         raise InputError("'maximal_simplices' must be a list of simplices")
     for s in maximal:
         _vertex_ids(s, "a maximal simplex")
-    vertices = None
+        if len(set(s)) != len(s):
+            raise InputError(f"maximal simplex {s} repeats a vertex")
     if "vertices" in data:
         v = data["vertices"]
         vertices = range(v) if type(v) is int else _vertex_ids(v, "'vertices'")
-    if not maximal and vertices is not None:
-        return SimplicialComplex([(x,) for x in vertices])
-    return from_maximal(maximal, vertices=vertices)
+        if {u for s in maximal for u in s} - set(vertices):
+            raise InputError("simplices mention vertices outside the vertex set")
+        maximal = maximal + [[u] for u in vertices]
+    return from_maximal(maximal)
 
 
 def euler_characteristic(cx: SimplicialComplex) -> int:

@@ -286,24 +286,35 @@ def _satake_sum(ec: EquivariantComplex, simplices, inside) -> Fraction:
     return total
 
 
+def fixed_vertices(rec: RegularEquivariantComplex, elements) -> tuple:
+    """The vertices fixed by every listed element, in vertex order, read
+    column by column from the elements' action rows."""
+    ec = _require_regular(rec)
+    rows = [ec.action[g] for g in set(elements)]
+    return tuple(
+        col[0]
+        for col in zip(ec.cx.vertices, *rows)
+        if col.count(col[0]) == len(col)
+    )
+
+
 def fixed_subcomplex(rec: RegularEquivariantComplex, elements) -> SimplicialComplex:
     """Subcomplex of simplices fixed vertexwise by every listed element.
 
     Under the certificate this triangulates the common fixed-point set.
-    Vertex ids are inherited from the parent complex.  The fixed vertices
-    come from the listed elements' action rows, read column by column; the
-    simplices are then looked up in the fixed vertices' least-vertex lists
-    only, so the cost follows the fixed vertices' stars, not the complex.
+    Vertex ids are inherited from the parent complex.  It is the full
+    subcomplex on ``fixed_vertices``: the parent complex itself when every
+    vertex is fixed, else the simplices found in the fixed vertices'
+    least-vertex lists, so the cost follows the fixed vertices' stars, not
+    the complex.
     """
-    ec = _require_regular(rec)
-    rows = [ec.action[g] for g in set(elements)]
-    fixed = {
-        col[0]
-        for col in zip(ec.cx.vertices, *rows)
-        if col.count(col[0]) == len(col)
-    }
-    index = ec.cx.by_least_vertex()
-    simps = [s for v in fixed for s in index[v] if all(u in fixed for u in s)]
+    fixed = fixed_vertices(rec, elements)
+    cx = rec.cx
+    if len(fixed) == len(cx.vertices):
+        return cx
+    inside = set(fixed)
+    index = cx.by_least_vertex()
+    simps = [s for v in fixed for s in index[v] if all(u in inside for u in s)]
     return SimplicialComplex(simps, _skip_validation=True)
 
 

@@ -90,10 +90,6 @@ class ExpNonzeroConstant(InputError):
     """exp() of a series whose constant term is nonzero."""
 
 
-class NonInvertibleSeries(InputError):
-    """Inverse of a series whose constant term is zero (or a non-unit)."""
-
-
 class NonIntegerExponent(InputError):
     """A product formula was given a non-integer exponent."""
 

@@ -188,6 +188,7 @@ def enumerate_homs(presentation: Presentation, group: FiniteGroup) -> list[Group
                     assign(i + 1)
 
     assign(0)
+    del assign  # a recursive closure holds itself; unbinding frees the homs
     return out
 
 
@@ -234,6 +235,7 @@ def hom_classes(presentation: Presentation, group: FiniteGroup) -> list[HomClass
                     extend(i + 1, narrowed)
 
     extend(0, everything)
+    del extend  # a recursive closure holds itself; unbinding frees the classes
     return out
 
 

@@ -9,6 +9,13 @@ read off the decomposition:
 * chi_es: the sum of Euler-Satake characteristics of the sectors,
 * chi_top: the sum of Euler characteristics of their orbit spaces.
 
+A sector is determined by its fixed vertex set and its centralizer: its
+complex is the full subcomplex on the fixed vertices, and its action is
+the parent's action of the centralizer restricted to them.  So within one
+decomposition each distinct (fixed vertices, centralizer) pair is built
+and regularized once, the classes that share it share that one sector
+complex, and each invariant is computed once per shared complex.
+
 Classes with empty fixed sets are dropped (their count is reported).  The
 decomposition is canonically ordered by the lex-min class representatives,
 so reports are reproducible byte for byte.
@@ -25,6 +32,7 @@ from .equivariant import (
     equivariant_product,
     euler_satake,
     fixed_subcomplex,
+    fixed_vertices,
     orbit_complex,
     regularize,
 )
@@ -59,15 +67,27 @@ class SectorDecomposition:
     sectors: tuple
     dropped_classes: int
 
+    def per_sector(self, invariant) -> list:
+        """``invariant(s)`` for every sector s, computed once per shared
+        sector complex."""
+        values = {}
+        out = []
+        for s in self.sectors:
+            key = id(s.fixed)
+            if key not in values:
+                values[key] = invariant(s)
+            out.append(values[key])
+        return out
+
     def chi_es(self) -> Fraction:
-        return sum((s.chi_es() for s in self.sectors), Fraction(0))
+        return sum(self.per_sector(Sector.chi_es), Fraction(0))
 
     def chi_top(self) -> int:
-        return sum(s.chi_top() for s in self.sectors)
+        return sum(self.per_sector(Sector.chi_top))
 
     def report(self, group: FiniteGroup) -> dict:
-        es = [s.chi_es() for s in self.sectors]
-        top = [s.chi_top() for s in self.sectors]
+        es = self.per_sector(Sector.chi_es)
+        top = self.per_sector(Sector.chi_top)
         return {
             "gamma": self.presentation.name
             or f"<{self.presentation.generators} generators>",
@@ -89,26 +109,6 @@ class SectorDecomposition:
         }
 
 
-def sector_for_class(
-    rec: RegularEquivariantComplex, cls: HomClass
-) -> Sector | None:
-    """The sector of one homomorphism class, or None if its fixed set is
-    empty.  It acts through the class's centralizer, as a subgroup whose
-    table is built only if something reads it."""
-    ec = rec.ec
-    fixed = fixed_subcomplex(rec, cls.representative.images)
-    if not fixed.simplices:
-        return None
-    cent = cls.centralizer
-    sub, carrier = subgroup(ec.group, cent)
-    rows = tuple(
-        tuple(ec.apply(carrier[i], v) for v in fixed.vertices)
-        for i in range(sub.order)
-    )
-    sector_ec = EquivariantComplex(fixed, sub, rows, _skip_validation=True)
-    return Sector(cls, cent, regularize(sector_ec), carrier)
-
-
 def gamma_sectors(
     rec: RegularEquivariantComplex, presentation: Presentation
 ) -> SectorDecomposition:
@@ -118,14 +118,31 @@ def gamma_sectors(
 def _decomposition(
     rec: RegularEquivariantComplex, presentation: Presentation, classes
 ) -> SectorDecomposition:
+    """The sectors of ``classes``, each distinct (fixed vertices,
+    centralizer) pair built once (see the module docstring)."""
+    ec = rec.ec
+    built = {}  # (fixed vertices, centralizer) -> (sector complex, carrier)
     sectors = []
     dropped = 0
     for cls in classes:
-        sector = sector_for_class(rec, cls)
-        if sector is None:
+        images, cent = cls.representative.images, cls.centralizer
+        fixed = fixed_vertices(rec, images)
+        if not fixed:
             dropped += 1
-        else:
-            sectors.append(sector)
+            continue
+        shared = built.get((fixed, cent))
+        if shared is None:
+            # The centralizer acts as a subgroup whose table is built only
+            # if something reads it.
+            cx = fixed_subcomplex(rec, images)
+            sub, carrier = subgroup(ec.group, cent)
+            rows = tuple(
+                tuple(ec.apply(carrier[i], v) for v in cx.vertices)
+                for i in range(sub.order)
+            )
+            sector_ec = EquivariantComplex(cx, sub, rows, _skip_validation=True)
+            shared = built[fixed, cent] = (regularize(sector_ec), carrier)
+        sectors.append(Sector(cls, cent, *shared))
     return SectorDecomposition(presentation, tuple(sectors), dropped)
 
 
@@ -167,15 +184,13 @@ def iterate_sectors(
     presentation, closed into G-orbits, under the same |G|^k cap.
     """
     outer = gamma_sectors(rec, first)
-    nested = []
     iterated_values = []
     for sector in outer.sectors:
         inner = gamma_sectors(sector.fixed, second)
-        nested.append(inner)
-        iterated_values.extend(s.chi_es() for s in inner.sectors)
+        iterated_values.extend(inner.per_sector(Sector.chi_es))
     product = product_presentation(first, second)
     combined = _decomposition(rec, product, hom_orbits(product, rec.group))
-    direct_values = [s.chi_es() for s in combined.sectors]
+    direct_values = combined.per_sector(Sector.chi_es)
     report = {
         "first": first.name,
         "second": second.name,

@@ -592,8 +592,8 @@ def _quotient_dimension(rec: RegularEquivariantComplex) -> int:
 
 def _z_sector_dimension(rec: RegularEquivariantComplex) -> int:
     """Signed homology dimension summed over the Z-sector orbit spaces."""
-    sectors = gamma_sectors(rec, free_abelian(1)).sectors
-    return sum(_quotient_dimension(s.fixed) for s in sectors)
+    decomp = gamma_sectors(rec, free_abelian(1))
+    return sum(decomp.per_sector(lambda s: _quotient_dimension(s.fixed)))
 
 
 def macdonald_dimension_check(rec: RegularEquivariantComplex, order: int) -> dict:

@@ -279,6 +279,7 @@ def type_trie(k: int, top: int) -> list:
                         rec(c, r + 1, depth + 1, w)
 
     rec(0, 1, 0, 0)
+    del rec  # rec refers to itself through its cell; unbinding frees the trie
     return out
 
 

@@ -11,10 +11,14 @@ the code it checks.
 """
 from fractions import Fraction
 
-from orbichar.errors import NonInvertibleSeries, SizeCapExceeded
+from orbichar.errors import InputError, SizeCapExceeded
 from orbichar.groups import orbit
 from orbichar.hodge import HodgePolynomial, HodgeSeries
 from orbichar.series import TruncatedSeries, _integer_exponent, _wreath_terms
+
+
+class NonInvertibleSeries(InputError):
+    """Inverse of a series whose constant term is zero (or a non-unit)."""
 
 
 def _unit_inverse(c):

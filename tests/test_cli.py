@@ -82,6 +82,17 @@ def test_euler_json_complex(tmp_path, capsys):
     assert report["sector_count"] == 1
 
 
+def test_euler_json_listed_vertex_is_isolated_point(tmp_path, capsys):
+    path = tmp_path / "edge-and-two-points.json"
+    path.write_text(json.dumps({"vertices": 4, "maximal_simplices": [[0, 1]]}))
+    code, report = run_json(
+        capsys, "euler", "--complex", str(path), "--gamma", "trivial"
+    )
+    assert code == 0
+    assert report["chi_gamma_top"] == 3
+    assert report["sectors"][0]["fixed_f_vector"] == [4, 1]
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -91,9 +102,11 @@ def test_euler_json_complex(tmp_path, capsys):
         {"vertices": 2, "maximal_simplices": [[0], [1]], "action": {"g": [1, 7]}},
         {"vertices": 2, "maximal_simplices": [[0], [1]], "action": {"g": 5}},
         {"vertices": 2, "maximal_simplices": [[0], [1]], "action": [1, 0]},
+        {"maximal_simplices": [[0, 1, 2, 2]]},
+        {"vertices": 2, "maximal_simplices": [[0, 1, 2]]},
     ],
     ids=["mixed-ids", "vertex-string", "action-id", "action-range",
-         "action-row", "action-list"],
+         "action-row", "action-list", "repeated-vertex", "unlisted-vertex"],
 )
 def test_euler_json_complex_rejects_malformed_ids(tmp_path, capsys, spec):
     path = tmp_path / "bad.json"
@@ -289,6 +302,26 @@ def test_point_sector_reports_unchanged(capsys, argv):
     assert code == 0 and err == ""
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == POINT_SECTOR_REPORT_HASHES[argv]
+
+
+# sha256 of stdout, recorded before classes with one fixed vertex set and
+# one centralizer shared a sector
+SHARED_SECTOR_REPORT_HASHES = {
+    ("euler", "--complex", "point", "--group", "D100", "--gamma", "Z^2"):
+        "8d547578c19097001fb4ffcc035a16fcd2edb498d7d849175a5987ace756e88f",
+    ("euler", "--complex", "circle(12)", "--group", "D12", "--gamma", "Z^3"):
+        "28c19f89e7e64a604b046536d39f9193dc124474683e5ab0e27aa7d4589079ea",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", sorted(SHARED_SECTOR_REPORT_HASHES), ids=" ".join
+)
+def test_shared_sector_reports_unchanged(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SHARED_SECTOR_REPORT_HASHES[argv]
 
 
 def test_wreath_centralizer_cap(capsys):

@@ -53,6 +53,22 @@ def test_complex_from_json():
         complex_from_json({"vertices": 3})
 
 
+def test_complex_from_json_boundary():
+    # a listed vertex in no maximal simplex is an isolated point
+    cx = complex_from_json({"vertices": 4, "maximal_simplices": [[0, 1]]})
+    assert cx.vertices == (0, 1, 2, 3) and cx.f_vector() == [4, 1]
+    assert euler_characteristic(cx) == 3
+    listed = complex_from_json({"vertices": [5, 7], "maximal_simplices": [[7]]})
+    assert listed.simplices == ((5,), (7,))
+    for spec in (
+        {"maximal_simplices": [[0, 1, 2, 2]]},
+        {"vertices": 3, "maximal_simplices": [[0, 0]]},
+        {"vertices": 2, "maximal_simplices": [[0, 1, 2]]},
+    ):
+        with pytest.raises(InputError):
+            complex_from_json(spec)
+
+
 def test_euler_characteristics_of_library():
     assert euler_characteristic(point()) == 1
     assert euler_characteristic(two_points()) == 2

@@ -247,6 +247,9 @@ def test_fixed_subcomplexes():
     assert betti_numbers(fixed) == [1, 1]
     free = octahedron_antipodal()
     assert fixed_subcomplex(free, [1]).f_vector() == []
+    # every vertex fixed: the complex itself, not a copy
+    assert fixed_subcomplex(rec, [rec.group.identity]) is rec.cx
+    assert fixed_subcomplex(rec, []) is rec.cx
 
 
 def _fixed_subcomplex_by_scan(rec, elements):

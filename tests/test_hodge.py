@@ -11,7 +11,6 @@ from orbichar.errors import (
     InputError,
     NonIntegerExponentOfXY,
     NonIntegerShift,
-    NonInvertibleSeries,
     SizeCapExceeded,
 )
 from orbichar.hodge import (
@@ -33,7 +32,14 @@ from orbichar.hodge import (
 )
 from orbichar.library import hodge_dataset_from_json, hodge_datasets
 from orbichar.series import rhs_main_formula
-from series_oracle import evaluate, evaluate_xy, inverse, power, type_entries
+from series_oracle import (
+    NonInvertibleSeries,
+    evaluate,
+    evaluate_xy,
+    inverse,
+    power,
+    type_entries,
+)
 
 
 def _perfbench_jobs():

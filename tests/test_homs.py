@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -217,3 +219,18 @@ _words = st.lists(
 def test_walk_matches_orbit_route_on_random_presentations(index, relators):
     presentation = Presentation(2, tuple(relators))
     _assert_walk_matches_orbits(presentation, _SMALL_GROUPS[index])
+
+
+@pytest.mark.parametrize("walk", [hom_classes, enumerate_homs])
+def test_dropped_homs_leave_no_reference_cycle(walk):
+    # the recursive walks hold no cycle, so the result is freed by
+    # reference counting, without waiting for a cyclic collection
+    group, presentation = symmetric_group(4), free_abelian(2)
+    walk(presentation, group)
+    gc.collect()
+    gc.disable()
+    try:
+        walk(presentation, group)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -8,21 +8,36 @@ from orbichar.cli import main
 from orbichar.complexes import euler_characteristic
 from orbichar.equivariant import (
     EquivariantComplex,
+    equivariant_product,
+    euler_satake,
+    fixed_subcomplex,
     orbit_complex,
+    power_with_wreath_action,
     regularize,
     trivial_action,
 )
 from orbichar.errors import BadExtension, InputError
 from orbichar.groups import (
     central_cyclic_extension,
+    centralizer,
     cyclic_group,
     dihedral_group,
+    subgroup,
     symmetric_group,
 )
-from orbichar.homs import free_abelian, trivial_presentation
+from orbichar.homs import (
+    free_abelian,
+    hom_classes,
+    parse_presentation,
+    trivial_presentation,
+)
 from orbichar.library import (
+    EQUIVARIANT_PRESETS,
+    PRODUCT_PAIRS,
+    builtin_equivariant,
     circle4_rotation,
     edge_swap,
+    load_equivariant,
     octahedron_antipodal,
     octahedron_reflection,
     point,
@@ -244,15 +259,28 @@ def _count_sector_invariants(monkeypatch):
     return calls
 
 
+def _distinct_sectors(rec, presentation) -> int:
+    """How many distinct (fixed vertex set, centralizer) pairs the classes
+    with a nonempty fixed set have, read from the action rows."""
+    group, ec = rec.group, rec.ec
+    keys = set()
+    for cls in hom_classes(presentation, group):
+        images = cls.representative.images
+        fixed = tuple(
+            v for v in rec.cx.vertices if all(ec.apply(g, v) == v for g in images)
+        )
+        if fixed:
+            keys.add((fixed, tuple(centralizer(group, images))))
+    return len(keys)
+
+
 def test_euler_computes_each_sector_invariant_once(capsys, monkeypatch):
     calls = _count_sector_invariants(monkeypatch)
     code = main(["euler", "--complex", "circle(3)", "--group", "D6", "--gamma", "Z^3"])
     report = json.loads(capsys.readouterr().out)
-    assert code == 0 and report["sector_count"] > 1
-    assert calls == {
-        "euler_satake": report["sector_count"],
-        "orbit_complex": report["sector_count"],
-    }
+    distinct = _distinct_sectors(load_equivariant("circle(3)", "D6"), free_abelian(3))
+    assert code == 0 and report["sector_count"] == 168 and distinct == 4
+    assert calls == {"euler_satake": distinct, "orbit_complex": distinct}
 
 
 def test_verify_products_computes_each_sector_invariant_once(capsys, monkeypatch):
@@ -260,5 +288,65 @@ def test_verify_products_computes_each_sector_invariant_once(capsys, monkeypatch
     code = main(["verify", "products"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
+    distinct = 0
+    for a, b in PRODUCT_PAIRS:
+        a, b = builtin_equivariant(a), builtin_equivariant(b)
+        product = regularize(equivariant_product(a.ec, b.ec)[0])
+        distinct += sum(_distinct_sectors(rec, Z) for rec in (a, b, product))
     sector_count = sum(sum(pair["sector_counts"]) for pair in report["pairs"])
-    assert calls == {"euler_satake": sector_count, "orbit_complex": sector_count}
+    assert distinct < sector_count
+    assert calls == {"euler_satake": distinct, "orbit_complex": distinct}
+
+
+def _report_by_lone_sectors(rec, presentation) -> dict:
+    """What ``gamma_sectors(rec, presentation).report`` should read, with
+    every class's sector built and measured on its own."""
+    group, ec = rec.group, rec.ec
+    entries, dropped = [], 0
+    for cls in hom_classes(presentation, group):
+        fixed = fixed_subcomplex(rec, cls.representative.images)
+        if not fixed.simplices:
+            dropped += 1
+            continue
+        sub, carrier = subgroup(group, cls.centralizer)
+        rows = [[ec.apply(carrier[i], v) for v in fixed.vertices] for i in range(sub.order)]
+        sector = regularize(EquivariantComplex(fixed, sub, rows))
+        entries.append({
+            "images": [group.label(x) for x in cls.representative.images],
+            "orbit_size": cls.orbit_size,
+            "centralizer_order": len(cls.centralizer),
+            "fixed_f_vector": fixed.f_vector(),
+            "chi_es": euler_satake(sector),
+            "chi_top": euler_characteristic(orbit_complex(sector)),
+        })
+    return {
+        "gamma": presentation.name,
+        "sector_count": len(entries),
+        "dropped_classes": dropped,
+        "chi_gamma_es": str(sum((e["chi_es"] for e in entries), Fraction(0))),
+        "chi_gamma_top": sum(e["chi_top"] for e in entries),
+        "sectors": [dict(e, chi_es=str(e["chi_es"])) for e in entries],
+    }
+
+
+def _wreath_square(name):
+    ec, _wreath = power_with_wreath_action(builtin_equivariant(name), 2)
+    return regularize(ec)
+
+
+@pytest.mark.parametrize("gamma", ["Z", "Z^2", "Z^3", "F_2"])
+@pytest.mark.parametrize(
+    "rec",
+    [pytest.param(EQUIVARIANT_PRESETS[n], id=n) for n in EQUIVARIANT_PRESETS]
+    + [
+        pytest.param(lambda: _wreath_square("edge-swap"), id="edge-swap^2"),
+        pytest.param(lambda: load_equivariant("circle(3)", "D6"), id="circle(3)-D6"),
+    ],
+)
+def test_shared_sectors_report_as_lone_sectors(rec, gamma):
+    rec = rec()
+    presentation = parse_presentation(gamma)
+    assert gamma_sectors(rec, presentation).report(rec.group) == (
+        _report_by_lone_sectors(rec, presentation)
+    )
+

@@ -10,7 +10,6 @@ from orbichar.errors import (
     ExpNonzeroConstant,
     InputError,
     NonIntegerExponent,
-    NonInvertibleSeries,
     SizeCapExceeded,
 )
 from orbichar.groups import (
@@ -46,7 +45,14 @@ from orbichar.series import (
     verify_main_formula,
 )
 from orbichar.wreath import all_types, centralizer_extension
-from series_oracle import inverse, lhs_wreath_series, log, power, residue_span_bfs
+from series_oracle import (
+    NonInvertibleSeries,
+    inverse,
+    lhs_wreath_series,
+    log,
+    power,
+    residue_span_bfs,
+)
 
 
 def series(*coeffs):

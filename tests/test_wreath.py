@@ -1,3 +1,4 @@
+import gc
 from math import factorial
 
 import pytest
@@ -403,3 +404,12 @@ def test_class_data_is_stored_once():
         fresh = FiniteGroup(g.table, _skip_validation=True)
         assert conjugacy_classes(fresh) == classes
 
+
+def test_dropped_type_trie_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        type_trie(3, 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
