@@ -7,6 +7,7 @@ byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -383,7 +384,10 @@ def _add_common(sp):
     sp.add_argument("--out", help="also write the JSON report to this file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and reused, since each parser leaves objects
+    in reference cycles; ``func`` keeps the ``cmd_*`` bound at that call."""
     parser = argparse.ArgumentParser(
         prog="orbichar",
         description="Euler characteristics of global quotient orbifolds"

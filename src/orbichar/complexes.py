@@ -22,7 +22,7 @@ DEFAULT_SIMPLEX_CAP = 10**6
 class SimplicialComplex:
     """Immutable abstract simplicial complex."""
 
-    __slots__ = ("vertices", "simplices", "simplex_set", "_by_least")
+    __slots__ = ("vertices", "simplices", "_by_least")
 
     def __init__(self, simplices, _skip_validation=False):
         simps = sorted({tuple(sorted(s)) for s in simplices}, key=_simplex_key)
@@ -42,7 +42,6 @@ class SimplicialComplex:
                                 f"family is not downward closed: {s} lacks {face}"
                             )
         self.simplices = tuple(simps)
-        self.simplex_set = frozenset(simps)
         self.vertices = tuple(sorted({v for s in simps for v in s}))
         self._by_least = None
 
@@ -120,7 +119,9 @@ def complex_from_json(data) -> SimplicialComplex:
     No maximal simplex may repeat a vertex.  The optional ``vertices``, a
     count n (ids 0..n-1) or a list of ids, must hold every vertex the
     simplices mention; a listed vertex in no maximal simplex is an
-    isolated point.
+    isolated point.  A k-vertex maximal simplex closes into 2^k - 1 faces
+    and a listed vertex adds a point; that count, above
+    ``DEFAULT_SIMPLEX_CAP``, raises SizeCapExceeded before any is built.
     """
     if not isinstance(data, dict) or "maximal_simplices" not in data:
         raise InputError("complex spec needs a 'maximal_simplices' field")
@@ -131,13 +132,18 @@ def complex_from_json(data) -> SimplicialComplex:
         _vertex_ids(s, "a maximal simplex")
         if len(set(s)) != len(s):
             raise InputError(f"maximal simplex {s} repeats a vertex")
-    if "vertices" in data:
-        v = data["vertices"]
-        vertices = range(v) if type(v) is int else _vertex_ids(v, "'vertices'")
-        if {u for s in maximal for u in s} - set(vertices):
-            raise InputError("simplices mention vertices outside the vertex set")
-        maximal = maximal + [[u] for u in vertices]
-    return from_maximal(maximal)
+    v = data.get("vertices", [])
+    vertices = range(v) if type(v) is int else _vertex_ids(v, "'vertices'")
+    size = sum((1 << len(s)) - 1 for s in maximal)
+    size += max(v, 0) if type(v) is int else len(v)
+    if size > DEFAULT_SIMPLEX_CAP:
+        raise SizeCapExceeded(
+            f"JSON complex closes into {size} faces and points,"
+            f" above simplex cap {DEFAULT_SIMPLEX_CAP}"
+        )
+    if "vertices" in data and {u for s in maximal for u in s} - set(vertices):
+        raise InputError("simplices mention vertices outside the vertex set")
+    return from_maximal(maximal + [[u] for u in vertices])
 
 
 def euler_characteristic(cx: SimplicialComplex) -> int:

@@ -90,9 +90,10 @@ class EquivariantComplex:
                         raise InputError(
                             f"action is not a homomorphism at (g,h)=({g},{h})"
                         )
+        simplices = set(self.cx.simplices)
         for s in self.cx.simplices:
             for g in self.group.elements():
-                if self.map_simplex(g, s) not in self.cx.simplex_set:
+                if self.map_simplex(g, s) not in simplices:
                     raise InputError(
                         f"element {g} maps simplex {s} outside the complex"
                     )
@@ -265,23 +266,11 @@ def _require_regular(rec) -> EquivariantComplex:
 def euler_satake(rec: RegularEquivariantComplex) -> Fraction:
     """Sum over simplex orbits of (-1)^dim / |isotropy|."""
     ec = _require_regular(rec)
-    return _satake_sum(ec, ec.cx.simplices, ec.cx.simplex_set)
-
-
-def _satake_sum(ec: EquivariantComplex, simplices, inside) -> Fraction:
-    """(-1)^dim / |isotropy| summed over the orbits through ``simplices``;
-    the isotropy order is |G| / orbit size.  Raises InputError if an orbit
-    leaves ``inside``."""
     order = ec.group.order
-
-    def images(s: tuple) -> set:
-        out = {ec.map_simplex(g, s) for g in range(order)}
-        if not out <= inside:
-            raise InputError("subset is not invariant under the action")
-        return out
-
     total = Fraction(0)
-    for members in orbits(simplices, images):
+    for members in orbits(
+        ec.cx.simplices, lambda s: {ec.map_simplex(g, s) for g in range(order)}
+    ):
         total += Fraction((-1) ** (len(members[0]) - 1), order // len(members))
     return total
 

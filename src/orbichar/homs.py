@@ -13,8 +13,9 @@ class, x_2 least in its orbit under the centralizer C(x_1), and so on.  So
 the walk extends a prefix only by the least members of the orbits of the
 prefix's centralizer, keeps a candidate when the relators whose last
 generator it is hold, and narrows the centralizer to the candidate's.
-Each class is met once, in lex order, with its centralizer C and orbit
-size |G| / |C|.
+Every level, level 0 included, finds those orbits by one walk and reads
+no stored class list.  Each class is met once, in lex order, with its
+centralizer C and orbit size |G| / |C|.
 
 A second route, every homomorphism (``enumerate_homs``, backtracking with
 each relator checked once its last generator is assigned) closed into
@@ -29,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import EnumerationCapExceeded, InputError, InvalidWord
-from .groups import FiniteGroup, centralizer, conjugacy_classes, generators, orbit, orbits
+from .groups import FiniteGroup, centralizer, generators, orbit, orbits
 
 DEFAULT_HOM_CAP = 10**8
 
@@ -241,12 +242,9 @@ def hom_classes(presentation: Presentation, group: FiniteGroup) -> list[HomClass
 
 def _orbit_minima(group: FiniteGroup, cent: tuple) -> list:
     """The least member of each orbit that conjugation by the subgroup
-    ``cent`` makes on G, in increasing order: the conjugacy class
-    representatives when ``cent`` is all of G, else an orbit walk along
-    the conjugations by ``groups.generators(group, cent)``."""
+    ``cent`` makes on G, in increasing order, by an orbit walk along the
+    conjugations by ``groups.generators(group, cent)``, level 0 included."""
     n = group.order
-    if len(cent) == n:
-        return [c.representative for c in conjugacy_classes(group)]
     table, inverse = group.table, group.inverse
     moves = []
     for g in generators(group, cent):

@@ -50,9 +50,7 @@ from .homs import (
 @dataclass(frozen=True)
 class Sector:
     hom_class: HomClass
-    centralizer_elements: tuple  # in the parent group
     fixed: RegularEquivariantComplex  # over the reindexed centralizer
-    carrier: tuple  # centralizer-subgroup index -> parent element
 
     def chi_es(self) -> Fraction:
         return euler_satake(self.fixed)
@@ -99,7 +97,7 @@ class SectorDecomposition:
                 {
                     "images": [group.label(x) for x in s.hom_class.representative.images],
                     "orbit_size": s.hom_class.orbit_size,
-                    "centralizer_order": len(s.centralizer_elements),
+                    "centralizer_order": len(s.hom_class.centralizer),
                     "fixed_f_vector": s.fixed.cx.f_vector(),
                     "chi_es": str(s_es),
                     "chi_top": s_top,
@@ -121,7 +119,7 @@ def _decomposition(
     """The sectors of ``classes``, each distinct (fixed vertices,
     centralizer) pair built once (see the module docstring)."""
     ec = rec.ec
-    built = {}  # (fixed vertices, centralizer) -> (sector complex, carrier)
+    built = {}  # (fixed vertices, centralizer) -> sector complex
     sectors = []
     dropped = 0
     for cls in classes:
@@ -141,8 +139,8 @@ def _decomposition(
                 for i in range(sub.order)
             )
             sector_ec = EquivariantComplex(cx, sub, rows, _skip_validation=True)
-            shared = built[fixed, cent] = (regularize(sector_ec), carrier)
-        sectors.append(Sector(cls, cent, *shared))
+            shared = built[fixed, cent] = regularize(sector_ec)
+        sectors.append(Sector(cls, shared))
     return SectorDecomposition(presentation, tuple(sectors), dropped)
 
 
@@ -185,9 +183,10 @@ def iterate_sectors(
     """
     outer = gamma_sectors(rec, first)
     iterated_values = []
-    for sector in outer.sectors:
-        inner = gamma_sectors(sector.fixed, second)
-        iterated_values.extend(inner.per_sector(Sector.chi_es))
+    for values in outer.per_sector(
+        lambda s: gamma_sectors(s.fixed, second).per_sector(Sector.chi_es)
+    ):
+        iterated_values.extend(values)
     product = product_presentation(first, second)
     combined = _decomposition(rec, product, hom_orbits(product, rec.group))
     direct_values = combined.per_sector(Sector.chi_es)

@@ -365,20 +365,11 @@ def _binomial_factor(r: int, k: int, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # structural chi_(m) for wreath products over a point
 
-# Caches are keyed by groups, which hash and compare by their tables, so
-# equal groups share entries no matter how they were built.
 # _POINT_CHI_CACHE maps (group, m) to the coefficients of
 # sum_n chi_(m)(pt x G ~ S_n) q^n, as far as they have been asked for.
+# Groups hash and compare by their tables, so equal groups share entries
+# no matter how they were built.
 _POINT_CHI_CACHE: dict = {}
-_EXTENSION_CACHE: dict = {}
-
-
-def _extension_cached(group: FiniteGroup, class_index: int, r: int) -> FiniteGroup:
-    key = (group, class_index, r)
-    if key not in _EXTENSION_CACHE:
-        rep = conjugacy_classes(group)[class_index].representative
-        _EXTENSION_CACHE[key] = centralizer_extension(group, rep, r)
-    return _EXTENSION_CACHE[key]
 
 
 def point_wreath_chi_m(group: FiniteGroup, size: int, m: int) -> int:
@@ -407,11 +398,11 @@ def point_wreath_chi_m(group: FiniteGroup, size: int, m: int) -> int:
     ``size``, and no table of the wreath product is ever built; the
     explicit route is compared with this one where they overlap.
 
-    ``verify main`` on a point stays two computations: this side recurses
-    through the extension groups and never calls J_{r,m} or
-    ``rhs_main_formula``, and it counts the classes of each C_G(c) from
-    that subgroup's table, not by the homomorphism walk that gives the
-    right side its chi_(m).
+    ``verify main`` on a point is two computations: this side recurses
+    through the extension groups, never calls J_{r,m} or
+    ``rhs_main_formula``, and reads every class list from
+    ``groups.conjugacy_classes``; the right side's chi_(m) comes from the
+    homomorphism walk (``homs.hom_classes``), which reads no class list.
     """
     if size < 0 or m < 0:
         raise InputError("size and m must be nonnegative")
@@ -432,10 +423,10 @@ def _point_chi_coefficients(group: FiniteGroup, m: int, order: int) -> list:
         out = type_counts(len(conjugacy_classes(group)), order)
     else:
         out = [1] + [0] * order
-        for c, cls in enumerate(conjugacy_classes(group)):
+        for cls in conjugacy_classes(group):
+            rep = cls.representative
             if m == 2:
                 # k(C_G(c)), from the centralizer subgroup's own table
-                rep = cls.representative
                 cent, _carrier = subgroup(group, centralizer(group, [rep]))
                 cent_classes = len(conjugacy_classes(cent))
             for r in range(1, order + 1):
@@ -443,7 +434,7 @@ def _point_chi_coefficients(group: FiniteGroup, m: int, order: int) -> list:
                     factor = type_counts(r * cent_classes, order // r)
                 else:
                     factor = _point_chi_coefficients(
-                        _extension_cached(group, c, r), m - 1, order // r
+                        centralizer_extension(group, rep, r), m - 1, order // r
                     )
                 # multiply by factor(q^r), top coefficient first
                 for i in range(order, r - 1, -1):
@@ -605,10 +596,11 @@ def macdonald_dimension_check(rec: RegularEquivariantComplex, order: int) -> dic
     Z-sector decomposition, where the right side becomes the product of
     (1-q^j)^(-D_Z) over j >= 1.
 
-    Over a point, D = 1 and D_Z = k(G), one Z-sector per class, from the
-    homomorphism walk of ``gamma_sectors``; part 2's left side counts the
-    types of G ~ S_n from ``conjugacy_classes``, so it stays two
-    computations.
+    Over a point, D = 1 and D_Z = k(G), one Z-sector per class.  Part 2
+    is two computations there: its right side takes k(G) from the
+    homomorphism walk of ``gamma_sectors``, which reads no class list,
+    and its left side counts the types of G ~ S_n from the classes that
+    ``groups.conjugacy_classes`` stores on G.
     """
     d1 = _quotient_dimension(rec)
     d2 = _z_sector_dimension(rec)

@@ -160,7 +160,6 @@ class ExplicitWreath:
             raise OrderCapExceeded(
                 f"wreath product order {wreath.order_text()} exceeds cap {cap}"
             )
-        self.wreath = wreath
         self.elements = list(wreath.elements())
         base, n = wreath.base, wreath.size
         perms = sorted(itertools.permutations(range(n)))

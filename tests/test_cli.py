@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import time
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orbichar import cli, series, wreath
+from orbichar import cli, complexes, series, wreath
 from orbichar.cli import Fragment, json_text, main
 from orbichar.groups import conjugacy_classes
 from orbichar.library import builtin_group
@@ -30,6 +31,31 @@ def test_euler_point_s3_z(capsys):
     assert code == 0
     assert report["chi_gamma_es"] == "1"
     assert report["sector_count"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify jcount --n 6 --m 2",
+        "wreath classes --group S3 --n 3",
+        "verify main --complex point --group S3 --m 2 --order 3",
+        "euler --complex point --group S3 --gamma Z",
+        "verify hodge --complex point-Z2 --order 4",
+        "verify macdonald --complex point --group Z2 --order 3",
+    ],
+)
+def test_repeated_main_leaves_no_reference_cycles(capsys, argv):
+    # the parser is built once per process, not once per call
+    main(argv.split())
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv.split())
+        left = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert left == 0
 
 
 def test_euler_point_s3_trivial(capsys):
@@ -117,6 +143,39 @@ def test_euler_json_complex_rejects_malformed_ids(tmp_path, capsys, spec):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec,size",
+    [
+        ({"vertices": 1000, "maximal_simplices": []}, 1000),
+        ({"vertices": list(range(1000)), "maximal_simplices": []}, 1000),
+        ({"maximal_simplices": [list(range(10))]}, 1023),
+    ],
+    ids=["isolated-vertex-count", "isolated-vertex-list", "10-simplex"],
+)
+def test_json_complex_capped_before_it_is_built(tmp_path, capsys, monkeypatch, spec, size):
+    monkeypatch.setattr(complexes, "DEFAULT_SIMPLEX_CAP", 100)
+
+    def never(maximal):
+        raise AssertionError("closed the simplices before the cap")
+
+    monkeypatch.setattr(complexes, "from_maximal", never)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "euler", "--complex", str(path), "--gamma", "trivial")
+    assert (code, out) == (3, "")
+    assert f"{size} faces and points, above simplex cap 100" in err
+
+
+def test_json_complex_at_the_cap_builds(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(complexes, "DEFAULT_SIMPLEX_CAP", 100)
+    path = tmp_path / "at-cap.json"
+    # 2^6 - 1 faces of the 5-simplex and 37 listed points
+    path.write_text(json.dumps({"vertices": 37, "maximal_simplices": [list(range(6))]}))
+    code, report = run_json(capsys, "euler", "--complex", str(path), "--gamma", "trivial")
+    assert code == 0
+    assert report["sectors"][0]["fixed_f_vector"] == [37, 15, 20, 15, 6, 1]
 
 
 def test_wreath_classes_z2(capsys):
@@ -305,12 +364,15 @@ def test_point_sector_reports_unchanged(capsys, argv):
 
 
 # sha256 of stdout, recorded before classes with one fixed vertex set and
-# one centralizer shared a sector
+# one centralizer shared a sector (the `verify sectors` entry: before the
+# iterated side shared its inner decompositions)
 SHARED_SECTOR_REPORT_HASHES = {
     ("euler", "--complex", "point", "--group", "D100", "--gamma", "Z^2"):
         "8d547578c19097001fb4ffcc035a16fcd2edb498d7d849175a5987ace756e88f",
     ("euler", "--complex", "circle(12)", "--group", "D12", "--gamma", "Z^3"):
         "28c19f89e7e64a604b046536d39f9193dc124474683e5ab0e27aa7d4589079ea",
+    ("verify", "sectors", "--complex", "point", "--group", "D12", "--gamma", "Z^2,Z"):
+        "c4ed916ebb87eb4368fbb261b32e86f2a35fa968b7a6c3f9e2df89b15545fbf3",
 }
 
 

@@ -34,7 +34,7 @@ from homology_oracle import _reduce, homology_basis
 def test_from_maximal_closes_faces():
     cx = from_maximal([(0, 1, 2)])
     assert cx.f_vector() == [3, 3, 1]
-    assert (0, 2) in cx.simplex_set
+    assert (0, 2) in cx.simplices
 
 
 def test_vertex_validation():

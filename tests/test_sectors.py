@@ -186,6 +186,22 @@ def test_iterated_sectors_direct_side_never_walks(monkeypatch):
     assert walked and set(walked) == {1}
 
 
+def test_iterated_sectors_walk_each_shared_sector_once(monkeypatch):
+    # pt x D12: 86 Z^2-classes share 4 sector complexes, so the iterated
+    # side walks Z-classes 4 times, not once per class
+    walked = []
+    walk = sectors.hom_classes
+
+    def counted_walk(presentation, group):
+        walked.append(presentation.generators)
+        return walk(presentation, group)
+
+    monkeypatch.setattr(sectors, "hom_classes", counted_walk)
+    report = iterate_sectors(load_equivariant("point", "D12"), free_abelian(2), Z)
+    assert report["equal"] and report["iterated_sector_count"] == 924
+    assert sorted(walked) == [1, 1, 1, 1, 2]
+
+
 def test_product_sectors_multiplicative():
     report = product_sectors_check(point_z2(), point_s3(), Z)
     assert report["equal"], report

@@ -633,9 +633,9 @@ def test_equal_tables_share_cache_entries():
     assert a == b and hash(a) == hash(b)
     assert a != cyclic_group(6)
     first = point_wreath_chi_m(a, 4, 3)
-    sizes = (len(series._POINT_CHI_CACHE), len(series._EXTENSION_CACHE))
+    size = len(series._POINT_CHI_CACHE)
     assert point_wreath_chi_m(b, 4, 3) == first
-    assert (len(series._POINT_CHI_CACHE), len(series._EXTENSION_CACHE)) == sizes
+    assert len(series._POINT_CHI_CACHE) == size
 
 
 def test_point_chi_left_side_builds_its_coefficients_once(monkeypatch):
@@ -670,6 +670,22 @@ def test_macdonald_point_builds_its_class_counts_once(monkeypatch):
     report = macdonald_dimension_check(point_s3(), 30)
     assert report["equal"] and len(report["part2"]["lhs"]) == 31
     assert orders == [30]
+
+
+def test_point_identities_are_two_computations(monkeypatch):
+    # The left sides read the classes stored on G, the right sides' chi_(m)
+    # comes from the homomorphism walk: with the stored list one class
+    # short, every point identity must fail.
+    from orbichar import library, series as series_mod
+
+    monkeypatch.setattr(series_mod, "_POINT_CHI_CACHE", {})
+    rec = library.load_equivariant("point", "S3")
+    rec.group._classes = conjugacy_classes(rec.group)[:-1]
+    report = verify_main_formula(rec, 1, 4)
+    assert (report["lhs"][:3], report["rhs"][:3]) == (["1", "2", "5"], ["1", "3", "9"])
+    assert not report["equal"]
+    assert not verify_main_formula(rec, 2, 4)["equal"]
+    assert not macdonald_dimension_check(rec, 4)["equal"]
 
 
 def test_exp_printed_digits():
