@@ -50,7 +50,7 @@ from .errors import (
     RegularizationFailed,
     SizeCapExceeded,
 )
-from .groups import FiniteGroup, direct_product, orbit, orbits
+from .groups import FiniteGroup, direct_product, generators, orbit, orbits
 from .wreath import (
     ExplicitWreath,
     WreathProduct,
@@ -82,17 +82,23 @@ class EquivariantComplex:
         for g, row in enumerate(self.action):
             if len(row) != nv or set(row) != vset:
                 raise NotBijection(f"action of element {g} is not a vertex bijection")
-        for g in self.group.elements():
-            for h in self.group.elements():
-                gh = self.group.table[g][h]
-                for i, v in enumerate(self.cx.vertices):
-                    if self.action[gh][i] != self.apply(g, self.action[h][i]):
-                        raise InputError(
-                            f"action is not a homomorphism at (g,h)=({g},{h})"
-                        )
+        # The rows form a homomorphism once rho(gh) = rho(g) rho(h) for g the
+        # identity or a generator and every h: the g that pass are closed
+        # under products, and at the identity the check makes rho(e) = 1.
+        # Then every element is a word in the generators, so the generators
+        # alone need to map simplices into the complex.
+        gens = generators(self.group, self.group.elements())
+        table, pos = self.group.table, self._vpos
+        for g in [self.group.identity] + gens:
+            row = self.action[g]
+            for h, h_row in enumerate(self.action):
+                if self.action[table[g][h]] != tuple([row[pos[v]] for v in h_row]):
+                    raise InputError(
+                        f"action is not a homomorphism at (g,h)=({g},{h})"
+                    )
         simplices = set(self.cx.simplices)
         for s in self.cx.simplices:
-            for g in self.group.elements():
+            for g in gens:
                 if self.map_simplex(g, s) not in simplices:
                     raise InputError(
                         f"element {g} maps simplex {s} outside the complex"

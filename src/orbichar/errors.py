@@ -108,6 +108,3 @@ class NonIntegerShift(InputError):
 class NonIntegerExponentOfXY(InputError):
     """An (xy)-power in a product formula is fractional."""
 
-
-class BadExtension(InputError):
-    """Central-extension datum is inconsistent with the given action."""

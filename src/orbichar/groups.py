@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 
 from .errors import (
-    BadExtension,
     InputError,
     NoIdentity,
     NoInverse,
@@ -337,11 +336,6 @@ def centralizer(group: FiniteGroup, elements) -> tuple:
     return tuple(out)
 
 
-def is_central(group: FiniteGroup, z: int) -> bool:
-    table = group.table
-    return all(table[z][x] == table[x][z] for x in range(group.order))
-
-
 # ---------------------------------------------------------------------------
 # derived groups
 
@@ -435,39 +429,6 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> tuple[FiniteGroup, list]
     ]
     labels = [f"({g1.label(a)},{g2.label(b)})" for (a, b) in pairs]
     return FiniteGroup(table, labels=labels, _skip_validation=True), pairs
-
-
-def central_cyclic_extension(
-    group: FiniteGroup, z: int, r: int
-) -> tuple[FiniteGroup, list]:
-    """The extension K<a> with a^r = z for a central element z of K.
-
-    Elements are pairs (k, i) with 0 <= i < r, indexed k*r + i, multiplied
-    by (k1, i1)(k2, i2) = (k1 k2 z^((i1+i2) div r), (i1+i2) mod r); the new
-    generator a = (e, 1) is central, and <a> meets K exactly in <z> = <a^r>.
-    """
-    if r < 1:
-        raise BadExtension("extension degree r must be >= 1")
-    if not 0 <= z < group.order:
-        raise BadExtension(f"element index {z} out of range")
-    if not is_central(group, z):
-        raise BadExtension(f"element {z} is not central")
-    t = group.table
-    # For k = k1 k2 and s = i1 + i2, the product is low[k][s] = (k, s) when
-    # s < r and high[k][s - r] = (k z, s - r) when the exponents carry.
-    low = [[k * r + s for s in range(r)] for k in group.elements()]
-    high = [[t[k][z] * r + s for s in range(r)] for k in group.elements()]
-    table = []
-    for k1 in group.elements():
-        row_k = t[k1]
-        for i1 in range(r):
-            row = []
-            for k2 in group.elements():
-                k = row_k[k2]
-                row += low[k][i1:] + high[k][:i1]
-            table.append(row)
-    pairs = [(k, i) for k in group.elements() for i in range(r)]
-    return FiniteGroup(table, _skip_validation=True), pairs
 
 
 # ---------------------------------------------------------------------------

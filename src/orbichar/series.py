@@ -43,7 +43,7 @@ from .errors import (
     InputError,
     NonIntegerExponent,
 )
-from .groups import FiniteGroup, centralizer, conjugacy_classes, subgroup
+from .groups import FiniteGroup, conjugacy_classes
 from .homs import free_abelian
 from .sectors import chi_m_top, gamma_sectors
 from .wreath import centralizer_extension, type_counts
@@ -365,10 +365,10 @@ def _binomial_factor(r: int, k: int, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # structural chi_(m) for wreath products over a point
 
-# _POINT_CHI_CACHE maps (group, m) to the coefficients of
-# sum_n chi_(m)(pt x G ~ S_n) q^n, as far as they have been asked for.
-# Groups hash and compare by their tables, so equal groups share entries
-# no matter how they were built.
+# _POINT_CHI_CACHE maps (group, index, m) to the coefficients of
+# F^m_(group, index), the series of ``_point_chi_coefficients``, as far as
+# they have been asked for.  Groups hash and compare by their tables, so
+# equal groups share entries no matter how they were built.
 _POINT_CHI_CACHE: dict = {}
 
 
@@ -382,24 +382,23 @@ def point_wreath_chi_m(group: FiniteGroup, size: int, m: int) -> int:
 
     and the centralizer of an element of a given type is a direct product,
     over the (class c, cycle length r) pairs, of wreath products
-    E(c, r) ~ S_mult of the small extension groups attached to single
-    cycles (``centralizer_extension``).  A type is any choice of
-    multiplicities, so the sum over types factors:
+    E(c, r) ~ S_mult of the groups attached to single cycles
+    (``centralizer_extension``): C_G(c) extended by a central a with
+    a^r = c.  A type is any choice of multiplicities, so the sum over
+    types factors:
 
         sum_n chi_(m)(pt x G ~ S_n) q^n
             = prod over (c, r) of F_{E(c, r)}(q^r),
 
     where F_E(q) = sum_k chi_(m-1)(pt x E ~ S_k) q^k, and F_E = 1/(1-q) at
-    m = 1.  At m = 2 each F_E(c, r) is the product over s >= 1 of
-    (1 - q^s)^(-k(E)), and k(E) = r * k(C_G(c)): a_{r,c} is central, so
-    each class of E is a class of C_G(c) times a power of a_{r,c}.  So the
-    extension tables are built only for m >= 3.  The coefficients are
-    built as that truncated product, so the cost is polynomial in
-    ``size``, and no table of the wreath product is ever built; the
-    explicit route is compared with this one where they overlap.
+    m = 1.  ``_point_chi_coefficients`` evaluates the product through
+    pairs (subgroup of G, index) that stand for the extension groups, so
+    no extension group, and no table of a wreath product, is ever built;
+    the cost is polynomial in ``size``.  The explicit route is compared
+    with this one where they overlap.
 
     ``verify main`` on a point is two computations: this side recurses
-    through the extension groups, never calls J_{r,m} or
+    through centralizer subgroups, never calls J_{r,m} or
     ``rhs_main_formula``, and reads every class list from
     ``groups.conjugacy_classes``; the right side's chi_(m) comes from the
     homomorphism walk (``homs.hom_classes``), which reads no class list.
@@ -411,35 +410,47 @@ def point_wreath_chi_m(group: FiniteGroup, size: int, m: int) -> int:
     return _point_chi_coefficients(group, m, size)[size]
 
 
-def _point_chi_coefficients(group: FiniteGroup, m: int, order: int) -> list:
-    """Coefficients 0..order (or more) of sum_n chi_(m)(pt x G ~ S_n) q^n,
-    for m >= 1, as ints."""
-    key = (group, m)
+def _point_chi_coefficients(
+    group: FiniteGroup, m: int, order: int, index: int = 1
+) -> list:
+    """Coefficients 0..order (or more) of F^m_(H, N), for m >= 1, as ints.
+
+    (H, N) stands for a group E = H.A with A a central abelian subgroup
+    and [E : H] = N, here H = ``group`` and N = ``index``; G itself is
+    (G, 1), and F^m_(H, N) is sum_n chi_(m)(pt x E ~ S_n) q^n.  A being
+    central, E conjugates as H does, so each coset H.a holds one class
+    h.a per class of H: k(E) = N * k(H), and C_E(h.a) = C_H(h).A is
+    (C_H(h), N) again.  The r-th root extension of h.a adjoins a central
+    b with b^r = h.a, which gives (C_H(h), N * r).  So class counts and
+    every deeper centralizer depend only on (H, N), not on which element
+    of A the root was taken of, and
+
+        F^1_(H, N) = prod over r >= 1 of (1 - q^r)^(-N k(H)),
+        F^m_(H, N)(q) = prod over classes h of H, r >= 1, of
+                        F^(m-1)_(C_H(h), N r)(q^r)^N.
+
+    Only centralizer subgroups of G are built.
+    """
+    key = (group, index, m)
     cached = _POINT_CHI_CACHE.get(key)
     if cached is not None and len(cached) > order:
         return cached
     if m == 1:
         # every factor is 1/(1 - q^r): the coefficients count types
-        out = type_counts(len(conjugacy_classes(group)), order)
+        out = type_counts(index * len(conjugacy_classes(group)), order)
     else:
         out = [1] + [0] * order
         for cls in conjugacy_classes(group):
-            rep = cls.representative
-            if m == 2:
-                # k(C_G(c)), from the centralizer subgroup's own table
-                cent, _carrier = subgroup(group, centralizer(group, [rep]))
-                cent_classes = len(conjugacy_classes(cent))
             for r in range(1, order + 1):
-                if m == 2:
-                    factor = type_counts(r * cent_classes, order // r)
-                else:
-                    factor = _point_chi_coefficients(
-                        centralizer_extension(group, rep, r), m - 1, order // r
-                    )
-                # multiply by factor(q^r), top coefficient first
-                for i in range(order, r - 1, -1):
-                    terms = map(operator.mul, factor[1 : i // r + 1], out[i - r :: -r])
-                    out[i] += sum(terms)
+                cent, degree = centralizer_extension(
+                    group, cls.representative, index * r
+                )
+                factor = _point_chi_coefficients(cent, m - 1, order // r, degree)
+                # multiply by factor(q^r) N times, top coefficient first
+                for _ in range(index):
+                    for i in range(order, r - 1, -1):
+                        terms = map(operator.mul, factor[1 : i // r + 1], out[i - r :: -r])
+                        out[i] += sum(terms)
     _POINT_CHI_CACHE[key] = out
     return out
 

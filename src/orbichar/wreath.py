@@ -31,7 +31,6 @@ from .errors import InputError, InvalidType, OrderCapExceeded
 from .groups import (
     ConjugacyClass,
     FiniteGroup,
-    central_cyclic_extension,
     centralizer,
     class_index,
     conjugacy_classes,
@@ -365,15 +364,19 @@ def classify_conjugacy_by_type(base: FiniteGroup, size: int) -> dict:
 # per-cycle centralizer building blocks
 
 
-def centralizer_extension(base: FiniteGroup, c: int, r: int) -> FiniteGroup:
-    """The subgroup of G ~ S_r generated by the diagonal centralizer of c
-    and a_{r,c}: order r * |C_G(c)|, with a_{r,c}^r the diagonal of c.
+def centralizer_extension(base: FiniteGroup, c: int, r: int) -> tuple:
+    """E(c, r), as the pair (C_G(c) as a subgroup of G, r).
 
-    This is the isotropy model attached to an r-cycle with product class
-    (c); its wreath powers drive the centralizer decomposition.  a_{r,c}
-    commutes with the diagonal of C_G(c) and meets it in <diag c>, so the
-    group is the central extension of C_G(c) by a with a^r = c.
+    E(c, r) is the subgroup of G ~ S_r generated by the diagonal
+    centralizer of c and a_{r,c}, of order r * |C_G(c)|.  This is the
+    isotropy model attached to an r-cycle with product class (c); its
+    wreath powers drive the centralizer decomposition.  a_{r,c} commutes
+    with the diagonal of C_G(c) and meets it in <diag c>, so E(c, r) is
+    C_G(c) times the central cyclic group <a_{r,c}>, and C_G(c) has index
+    r in it.  Its classes and centralizers depend only on that
+    pair (``series._point_chi_coefficients`` gives the argument), so no
+    table is built.  For a group already standing as a pair (H, N), the
+    r-th root extension of a class over c is the pair of degree N * r.
     """
-    k, carrier = subgroup(base, centralizer(base, [c]))
-    ext, _pairs = central_cyclic_extension(k, carrier.index(c), r)
-    return ext
+    cent, _carrier = subgroup(base, centralizer(base, [c]))
+    return cent, r

@@ -890,6 +890,41 @@ def test_wreath_series_reports_pinned(capsys, argv):
     assert (code, digest, err) == _PINNED_SERIES[argv]
 
 
+# sha256 of stdout, recorded while point chi_(m) still recursed through
+# extension tables
+_POINT_TOWER_HASHES = {
+    "verify main --complex point --group S4 --m 4 --order 10":
+        "7f8ff31e2759eaf9951c566e6117743fa5df11b60a6e64bce22eef7b97664b52",
+    "verify main --complex point --group S4 --m 5 --order 8":
+        "ea7118ef4e4f1ac3dd1701151aeeec39da42501f3ddeffc6e4d18c07d069bd17",
+    "verify main --complex point --group S3 --m 3 --order 60":
+        "cbb4bf4971632fa06adcff0c9d9755521b55045f5e01f39258b4edb1c2c82ca7",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_POINT_TOWER_HASHES))
+def test_point_tower_reports_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest, err) == (0, _POINT_TOWER_HASHES[argv], "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify main --complex point --group D12 --m 3 --order 40",
+        "verify main --complex point-S3 --m 6 --order 20",
+    ],
+)
+def test_point_towers_past_the_extension_tables_in_time(capsys, argv):
+    # each ran past 60 s while the left side built an extension table
+    # per (class, r) and recursed into it
+    started = time.monotonic()
+    code, report = run_json(capsys, *argv.split())
+    assert code == 0 and report["equal"]
+    assert time.monotonic() - started < 5
+
+
 def test_capped_series_check_with_a_mismatch_exits_1(capsys, monkeypatch):
     # force a mismatch below the cap by tampering with the formula side
     import orbichar.series as series_mod

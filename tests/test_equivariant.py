@@ -74,6 +74,23 @@ def test_action_must_respect_group_law():
         action_from_generator_maps(circle(5), cyclic_group(5), {1: reflection})
 
 
+def test_action_law_broken_off_the_generators_is_caught():
+    # Z/4 rotating circle(4): the law is checked for the generator 1 (and
+    # the identity) against every h, which still catches a row that only
+    # breaks it at pairs such as (2, 1), whose product is 3
+    cx, g = circle(4), cyclic_group(4)
+    rows = [tuple((v + k) % 4 for v in range(4)) for k in range(4)]
+    assert EquivariantComplex(cx, g, rows).apply(3, 0) == 3
+    reflection = tuple((4 - v) % 4 for v in range(4))
+    for k in (2, 3):
+        broken = rows[:k] + [reflection] + rows[k + 1 :]
+        with pytest.raises(InputError, match="not a homomorphism"):
+            EquivariantComplex(cx, g, broken)
+    # the identity's row is checked too, with no generator to do it
+    with pytest.raises(InputError, match="not a homomorphism"):
+        EquivariantComplex(two_points(), trivial_group(), ((1, 0),))
+
+
 def test_regularity_certificate_failures():
     # an edge flipped end-for-end: both endpoints land in one vertex orbit
     ec = EquivariantComplex(edge(), cyclic_group(2), ((0, 1), (1, 0)))

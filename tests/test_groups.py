@@ -14,7 +14,6 @@ from orbichar.groups import (
     dihedral_group,
     direct_product,
     generators,
-    is_central,
     orbit,
     orbits,
     perm_compose,
@@ -25,6 +24,7 @@ from orbichar.groups import (
     trivial_group,
 )
 
+from group_oracle import is_central
 from helpers import element_order, is_abelian
 
 

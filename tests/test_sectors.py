@@ -16,9 +16,8 @@ from orbichar.equivariant import (
     regularize,
     trivial_action,
 )
-from orbichar.errors import BadExtension, InputError
+from orbichar.errors import InputError
 from orbichar.groups import (
-    central_cyclic_extension,
     centralizer,
     cyclic_group,
     dihedral_group,
@@ -56,6 +55,7 @@ from orbichar.sectors import (
     product_sectors_check,
 )
 
+from group_oracle import BadExtension, central_cyclic_extension
 from helpers import element_order
 
 Z = free_abelian(1)

@@ -44,7 +44,8 @@ from orbichar.series import (
     verify_exp_formula,
     verify_main_formula,
 )
-from orbichar.wreath import all_types, centralizer_extension
+from orbichar.wreath import all_types
+from group_oracle import extension_table, point_chi_by_extension_tables
 from series_oracle import (
     NonInvertibleSeries,
     inverse,
@@ -588,7 +589,7 @@ def _chi_m_by_types(group, size, m, memo):
                 for (c, r), k in t.entries:
                     ext_key = ("E", group, c, r)
                     if ext_key not in memo:
-                        memo[ext_key] = centralizer_extension(group, reps[c], r)
+                        memo[ext_key] = extension_table(group, reps[c], r)
                     term *= _chi_m_by_types(memo[ext_key], k, m - 1, memo)
                 total += term
             memo[key] = total
@@ -614,6 +615,29 @@ def test_point_chi_product_matches_type_sum(group):
             assert point_wreath_chi_m(group, n, m) == _chi_m_by_types(
                 group, n, m, memo
             ), (n, m)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        trivial_group(),
+        cyclic_group(2),
+        cyclic_group(3),
+        cyclic_group(4),
+        symmetric_group(3),
+        dihedral_group(4),
+        dihedral_group(5),
+        symmetric_group(4),
+    ],
+    ids=["trivial", "Z2", "Z3", "Z4", "S3", "D4", "D5", "S4"],
+)
+def test_point_chi_pairs_match_extension_tables(group):
+    # the (centralizer subgroup, index) recursion against the one that
+    # builds every extension group E(c, r) as a table and recurses into it
+    memo: dict = {}
+    for m in (1, 2, 3, 4):
+        tables = point_chi_by_extension_tables(group, m, 8, memo)
+        assert [point_wreath_chi_m(group, n, m) for n in range(9)] == tables[:9], m
 
 
 def test_point_chi_product_past_type_enumeration():

@@ -31,6 +31,7 @@ from orbichar.wreath import (
     type_of,
     type_trie,
 )
+from group_oracle import extension_table
 from helpers import element_order, is_abelian
 from series_oracle import type_entries
 
@@ -301,14 +302,17 @@ def test_cycle_standard_element():
 
 
 def test_centralizer_extension_orders():
+    # E(c, r) stands as the pair (C_G(c), r); its table has order r * |C_G(c)|
     base = symmetric_group(3)
     classes = conjugacy_classes(base)
     for ci, cls in enumerate(classes):
         cent = len(
             [x for x in base.elements() if base.mul(x, cls.representative) == base.mul(cls.representative, x)]
         )
+        expected = subgroup(base, centralizer(base, [cls.representative]))[0]
         for r in (1, 2, 3):
-            ext = centralizer_extension(base, cls.representative, r)
+            assert centralizer_extension(base, cls.representative, r) == (expected, r)
+            ext = extension_table(base, cls.representative, r)
             assert ext.order == r * cent
 
 
@@ -326,19 +330,23 @@ def test_centralizer_extension_orders():
     ids=["trivial", "Z4", "S3", "S4", "D4", "D6", "Z3~S2"],
 )
 def test_centralizer_extension_class_count(base):
-    # a_{r,c} is central, so each class of E(c, r) is a class of C_G(c)
-    # times a power of a_{r,c}: k(E) = r * k(C_G(c)), the count the
-    # point recursion reads at m = 2 instead of building E
+    # a_{r,c} is central, so each class of E(c, r) is a class of
+    # K = C_G(c) times a power of a_{r,c}: k(E) = r * k(K), and the
+    # centralizer of (k, i) is C_K(k)<a>, of order r * |C_K(k)| -- what
+    # the point recursion reads off the pair (K, r) instead of building E
     for cls in conjugacy_classes(base):
         cent, _carrier = subgroup(base, centralizer(base, [cls.representative]))
         for r in range(1, 5):
-            ext = centralizer_extension(base, cls.representative, r)
+            ext = extension_table(base, cls.representative, r)
             assert len(conjugacy_classes(ext)) == r * len(conjugacy_classes(cent))
+            for x in ext.elements():
+                k = x // r  # element (k, i) has index k * r + i
+                assert len(centralizer(ext, [x])) == r * len(centralizer(cent, [k]))
 
 
 def test_centralizer_extension_is_abelian_over_cyclic():
     base = cyclic_group(4)
-    ext = centralizer_extension(base, 1, 3)
+    ext = extension_table(base, 1, 3)
     assert ext.order == 12
     assert is_abelian(ext)
 
@@ -346,7 +354,7 @@ def test_centralizer_extension_is_abelian_over_cyclic():
 def _wreath_product_extension(base, c, r):
     """Test oracle: <diag C_G(c), a_{r,c}> built inside G ~ S_r by
     multiplying wreath elements, independently of the central-extension
-    construction used by ``centralizer_extension``."""
+    construction used by ``extension_table``."""
     wreath = WreathProduct(base, r)
     a = cycle_standard_element(wreath, c, r)
     cent = centralizer(base, [c])
@@ -375,7 +383,7 @@ def _element_orders(group):
 def test_centralizer_extension_matches_wreath_subgroup(base):
     for cls in conjugacy_classes(base):
         for r in range(1, 5):
-            ext = centralizer_extension(base, cls.representative, r)
+            ext = extension_table(base, cls.representative, r)
             oracle = _wreath_product_extension(base, cls.representative, r)
             assert ext.order == oracle.order
             assert _element_orders(ext) == _element_orders(oracle)
