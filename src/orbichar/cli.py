@@ -231,21 +231,16 @@ def _verify_jcount(args):
         raise InputError(
             f"jcount needs --n >= 1 and --m >= 1, got --n {r_max} --m {m_max}"
         )
-    # The brute force builds one m x m generator matrix and closes one
-    # residue span of r^(m-1) elements per normal form, J_{r,m} of them; the
-    # running sum of both trips the cap before any span.  Every row closes
-    # at least one residue, so the row count is checked first.
+    # J_{r,m} normal forms, each an m x m matrix and an annihilator of r
+    # residues: the running sum trips the cap before any span.  Every row
+    # closes at least one residue, so the row count is checked first.
     cap = series.JCOUNT_RESIDUE_CAP
 
     def over_cap(residues: int, where: str, entries: int = 0) -> CapExceeded:
-        filled = (
-            f" and fills {entries} matrix entries, {residues + entries} in all"
-            if entries
-            else ""
-        )
+        filled = f" and fills {entries} matrix entries, {residues + entries} in all"
         return CapExceeded(
             f"jcount brute force closes at least {residues} residues ({where})"
-            f"{filled}, above the residue cap {cap}"
+            f"{filled if entries else ''}, above the residue cap {cap}"
         )
 
     if r_max * m_max > cap:
@@ -255,7 +250,7 @@ def _verify_jcount(args):
     for m in range(1, m_max + 1):
         for r in range(1, r_max + 1):
             formula = series.subgroup_count(r, m).value
-            residues += formula * r ** (m - 1)
+            residues += formula * r
             entries += formula * m * m
             if residues + entries > cap:
                 # the entries are named where the residues alone fit

@@ -25,7 +25,10 @@ Validation happens at the boundary only: ``BigradedDims``,
 every bidegree and coefficient.  Arithmetic on polynomials that passed
 those checks (``+``, ``*``, unary ``-``, ``shift_by``, ``substitute_neg``
 and the series ring) sums into int dicts and builds its result with
-``_trusted``, without checking again.
+``_trusted``, without checking again.  The two sides of the product
+formula share no evaluator: the right side multiplies ``_binomial_power``
+factors by ``HodgeSeries.__mul__``, the left side builds ``sp_generating``
+in place and walks the type trie.
 """
 from __future__ import annotations
 
@@ -179,9 +182,6 @@ class HodgeSeries(Series):
     _coerce = staticmethod(_polynomial)
     _sum_of_products = staticmethod(_sum_of_products)
 
-    def substitute_neg(self) -> "HodgeSeries":
-        return HodgeSeries(tuple(c.substitute_neg() for c in self.coefficients))
-
     def to_json(self) -> list:
         return [c.to_json() for c in self.coefficients]
 
@@ -216,9 +216,6 @@ class BigradedDims:
 
     def polynomial(self) -> HodgePolynomial:
         return HodgePolynomial(self.entries)
-
-    def total(self) -> int:
-        return sum(dim for _, dim in self.entries)
 
 
 def shift_number(angles) -> Fraction:
@@ -336,13 +333,16 @@ def sp_generating(dims: BigradedDims, order: int) -> HodgeSeries:
     power, where even-total-degree classes contribute symmetric powers and
     odd ones exterior powers: the product of (1 - x^s y^t q)^(-dim) over
     even (s,t) and (1 + x^s y^t q)^(dim) over odd.  All coefficients are
-    nonnegative.
+    nonnegative.  Built in place for the left side, one int dict per
+    coefficient: dim passes multiply by (1 + x^s y^t q) for odd (s,t), top
+    coefficient first, or divide by (1 - x^s y^t q) for even, bottom first.
     """
-    factors = []
+    coeffs = [dict(c.terms) for c in HodgeSeries.one(order).coefficients]
     for (s, t), dim in dims.entries:
-        sign = 1 if (s + t) % 2 else -1
-        factors.append(_binomial_power(s, t, 1, sign, sign * dim, order))
-    return reduce(operator.mul, factors) if factors else HodgeSeries.one(order)
+        degrees = range(order, 0, -1) if (s + t) % 2 else range(1, order + 1)
+        for n in [*degrees] * dim:
+            _add_products(coeffs[n], coeffs[n - 1].items(), (((s, t), 1),))
+    return HodgeSeries(tuple(map(_from_sums, coeffs)))
 
 
 def _binomial_power(s: int, t: int, n: int, c: int, k: int, order: int) -> HodgeSeries:
@@ -438,7 +438,7 @@ def hodge_product_lhs(data, d: int, order: int) -> HodgeSeries:
         ]
         for datum in data
     ]
-    sums = [{} for _ in range(order + 1)]
+    sums = [{(0, 0): 1}] + [{} for _ in range(order)]
     # the product terms and the shift of the open node at each depth
     products = [(((0, 0), 1),)]
     shifts = [0]
@@ -455,21 +455,15 @@ def hodge_product_lhs(data, d: int, order: int) -> HodgeSeries:
         for (s, t), c in term:
             key = (s + shift, t + shift)
             acc[key] = get(key, 0) + c
-    coefficients = [HodgePolynomial.one()]
-    for n in range(1, order + 1):
-        coefficients.append(_from_sums(sums[n]).substitute_neg())
-    return HodgeSeries(tuple(coefficients))
+    return HodgeSeries(tuple(_from_sums(acc).substitute_neg() for acc in sums))
 
 
 def hodge_product_check(data, d: int, order: int) -> dict:
     """Both sides of the product formula, as a JSON-ready report."""
     lhs = hodge_product_lhs(data, d, order)
     rhs = hodge_product_rhs(data, d, order)
-    mismatch = None
-    for i in range(order + 1):
-        if lhs.coefficients[i] != rhs.coefficients[i]:
-            mismatch = i
-            break
+    pairs = zip(lhs.coefficients, rhs.coefficients)
+    mismatch = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
     report = {
         "identity": "hodge-product-formula",
         "d": d,

@@ -186,12 +186,8 @@ class SubgroupCount:
 
 
 # Residues the jcount brute force may close in all, counting each entry of
-# its m x m generator matrices as one: sum of J_{r,m} * (r^(m-1) + m^2).
+# its m x m generator matrices as one: sum of J_{r,m} * (r + m^2).
 JCOUNT_RESIDUE_CAP = 2 * 10**6
-
-
-def _divisors(r: int) -> list:
-    return [d for d in range(1, r + 1) if r % d == 0]
 
 
 def _ordered_factorizations(r: int, m: int):
@@ -205,8 +201,9 @@ def _ordered_factorizations(r: int, m: int):
         if rest == 1 or len(prefix) == m - 1:
             yield prefix + (rest,) + (1,) * (m - 1 - len(prefix))
             continue
-        for d in reversed(_divisors(rest)):
-            stack.append((prefix + (d,), rest // d))
+        for d in range(rest, 0, -1):  # pushed largest first, popped smallest
+            if rest % d == 0:
+                stack.append((prefix + (d,), rest // d))
 
 
 def subgroup_count(r: int, m: int) -> SubgroupCount:
@@ -231,23 +228,45 @@ def _weight(js) -> int:
 def sublattice_count_bruteforce(r: int, m: int, exhaustive: bool = False) -> int:
     """Count index-r sublattices of Z^m by explicit enumeration.
 
-    Every index-r sublattice contains r*Z^m, so the subgroup of residues it
-    spans in (Z/r)^m determines it; candidates are upper-triangular generator
-    matrices (diagonal product r), deduplicated by that residue subgroup.
-    Off-diagonal entries range over the column's diagonal -- one candidate
-    per normal form -- or, with ``exhaustive``, over all of 0..r-1, which
-    revisits each lattice many times and so also checks that no lattice is
-    reachable only outside the normal ranges.
+    Candidates are upper-triangular generator matrices B (diagonal product
+    r).  Off-diagonal entries range over the column's diagonal -- one
+    candidate per normal form -- or, with ``exhaustive``, over all of
+    0..r-1, which revisits each lattice many times and so also checks that
+    no lattice is reachable only outside the normal ranges.
+
+    The rows of B span a lattice L that contains r*Z^m.  As the dot product
+    on (Z/r)^m is perfect, L is told apart by L^perp = {y : B y = 0 mod r},
+    the span mod r of the columns of adj(B) = r B^-1: B adj(B) = r I, and
+    adj(B) Z^m contains r Z^m with index r^(m-1), so its image has order r.
     """
     if r < 1 or m < 1:
         raise InputError(f"sublattice counts need r, m >= 1, got r={r}, m={m}")
+    packing = _packing(r, m)
     seen = set()
     for rows in _generator_rows(r, m, exhaustive):
-        span = _residue_span(rows, r, m)
-        if len(span) != r ** (m - 1):
+        span = _residue_span(_adjugate_columns(rows, r), r, m, packing)
+        if len(span) != r:
             raise InputError("candidate lattice has the wrong index")
         seen.add(span)
     return len(seen)
+
+
+def _adjugate_columns(rows: list, r: int) -> list:
+    """The columns of adj(B) = r B^-1 for the upper-triangular B with these
+    rows, each cut after its diagonal entry, by back substitution in B adj(B)
+    = r I; a remainder (det B is not r) raises the wrong-index InputError."""
+    columns = []
+    for j in range(len(rows)):
+        col = [0] * j + [r]
+        for i in range(j, -1, -1):
+            row, rest = rows[i], col[i]
+            for k in range(i + 1, j + 1):
+                rest -= row[k] * col[k]
+            col[i], remainder = divmod(rest, row[i])
+            if remainder:
+                raise InputError("candidate lattice has the wrong index")
+        columns.append(col)
+    return columns
 
 
 def _generator_rows(r: int, m: int, exhaustive: bool = False):
@@ -255,49 +274,42 @@ def _generator_rows(r: int, m: int, exhaustive: bool = False):
     each as a list of m rows."""
     positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
     for diag in _ordered_factorizations(r, m):
-        ranges = [
-            range(r) if exhaustive else range(diag[j]) for (_i, j) in positions
-        ]
+        ranges = [range(r if exhaustive else diag[j]) for _i, j in positions]
         for offs in itertools.product(*ranges):
-            rows = [[0] * m for _ in range(m)]
-            for i in range(m):
-                rows[i][i] = diag[i]
+            rows = [[0] * i + [d] + [0] * (m - 1 - i) for i, d in enumerate(diag)]
             for (i, j), v in zip(positions, offs):
                 rows[i][j] = v
             yield rows
 
 
-def _residue_span(rows: list, r: int, m: int) -> frozenset:
-    """The subgroup of (Z/r)^m generated by the rows, each residue vector
-    packed into one int.
-
-    Coordinate i fills bits w*i .. w*i + w - 1, with w = r.bit_length() + 1,
-    so a field holds the sum of two residues without a carry into the next.
-    A sum mod r adds the packed ints, then adds 2^(w-1) - r to every field:
-    its top bit is set exactly where the sum reached r, and r is subtracted
-    from those fields.
-
-    The group is abelian, so the span is the sum C_1 + ... + C_m of the
-    cyclic subgroups of the rows: each C_i lists the multiples of row i
-    until they return to 0 (a row that is 0 mod r adds nothing), and each
-    sum is one packed add per pair.  The rows are added last first: in an
-    upper-triangular candidate the later rows have fewer nonzero
-    coordinates, so the partial sums meet the next subgroup less (on the
-    candidates of ``verify jcount --n 12 --m 3``, 29% fewer adds than
-    first row first).
-    """
+def _packing(r: int, m: int) -> tuple:
+    """How ``_residue_span`` packs (Z/r)^m.  Coordinate i fills bits w*i ..
+    w*i + w - 1, with w = r.bit_length() + 1, so a field holds the sum of two
+    residues without a carry into the next.  A sum mod r adds the packed
+    ints, then adds 2^(w-1) - r to every field (the offset): its top bit is
+    set exactly where the sum reached r, and r is subtracted there."""
     w = r.bit_length() + 1
     fields = range(0, w * m, w)
     offset = sum(((1 << (w - 1)) - r) << f for f in fields)
     top = sum(1 << (f + w - 1) for f in fields)
-    high = w - 1
+    return fields, offset, top, w - 1
 
+
+def _residue_span(vectors: list, r: int, m: int, packing: tuple = ()) -> frozenset:
+    """The subgroup of (Z/r)^m generated by the vectors, packed by ``packing``
+    = ``_packing(r, m)``: the sum S of their cyclic subgroups, in order.  The
+    multiples of the next vector g run until one, t g, lies in S (t = 1 for
+    g = 0 mod r); S + <g> is the union of the t disjoint cosets S + k g,
+    k < t, so each of its residues comes from exactly one packed add."""
+    fields, offset, top, high = packing or _packing(r, m)
     span = {0}
-    for row in reversed(rows):
-        g = sum((v % r) << f for v, f in zip(row, fields))
+    for vector in vectors:
+        g = 0
+        for v, f in zip(vector, fields):
+            g += (v % r) << f
         multiples = [0]
         x = g
-        while x:
+        while x not in span:
             multiples.append(x)
             x += g
             x -= (((x + offset) & top) >> high) * r
@@ -429,7 +441,7 @@ def _point_chi_coefficients(
         F^m_(H, N)(q) = prod over classes h of H, r >= 1, of
                         F^(m-1)_(C_H(h), N r)(q^r)^N.
 
-    Only centralizer subgroups of G are built.
+    Only centralizer subgroups of G are built, each once for all r.
     """
     key = (group, index, m)
     cached = _POINT_CHI_CACHE.get(key)
@@ -441,11 +453,9 @@ def _point_chi_coefficients(
     else:
         out = [1] + [0] * order
         for cls in conjugacy_classes(group):
+            cent = centralizer_extension(group, cls.representative, index)[0]
             for r in range(1, order + 1):
-                cent, degree = centralizer_extension(
-                    group, cls.representative, index * r
-                )
-                factor = _point_chi_coefficients(cent, m - 1, order // r, degree)
+                factor = _point_chi_coefficients(cent, m - 1, order // r, index * r)
                 # multiply by factor(q^r) N times, top coefficient first
                 for _ in range(index):
                     for i in range(order, r - 1, -1):

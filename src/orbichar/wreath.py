@@ -375,8 +375,8 @@ def centralizer_extension(base: FiniteGroup, c: int, r: int) -> tuple:
     C_G(c) times the central cyclic group <a_{r,c}>, and C_G(c) has index
     r in it.  Its classes and centralizers depend only on that
     pair (``series._point_chi_coefficients`` gives the argument), so no
-    table is built.  For a group already standing as a pair (H, N), the
-    r-th root extension of a class over c is the pair of degree N * r.
+    table is built.  For a pair (H, N), the r-th root extension over c is
+    (C_H(c), N * r): the point recursion calls this once per class.
     """
     cent, _carrier = subgroup(base, centralizer(base, [c]))
     return cent, r

@@ -1,20 +1,28 @@
 """Series oracles: routes the library no longer takes, kept for the tests.
 
 Test-only.  The library builds each power of a factor in closed form
-(``series.binomial_coefficients``), closes jcount residue spans as sums of
-cyclic subgroups, and walks the sector types of the Hodge left side as one
-trie (``wreath.type_trie``).  The functions here are the routes those
-replaced -- inverses and powers by repeated squaring, the generator-orbit
-span, the flat type enumeration -- plus evaluations and the wreath-series
-wrapper that only tests call.  Each computes its answer independently of
-the code it checks.
+(``series.binomial_coefficients``), deduplicates jcount candidates by
+their annihilators, closed as sums of cyclic subgroups, and walks the
+sector types of the Hodge left side as one trie (``wreath.type_trie``).
+The functions here are the routes those replaced -- inverses and powers
+by repeated squaring, the count by row spans, the generator-orbit span,
+the flat type enumeration -- plus an annihilator found by testing every
+vector, evaluations and the wreath-series wrapper that only tests call.
+Each computes its answer independently of the code it checks.
 """
+import itertools
 from fractions import Fraction
 
 from orbichar.errors import InputError, SizeCapExceeded
 from orbichar.groups import orbit
 from orbichar.hodge import HodgePolynomial, HodgeSeries
-from orbichar.series import TruncatedSeries, _integer_exponent, _wreath_terms
+from orbichar.series import (
+    TruncatedSeries,
+    _generator_rows,
+    _integer_exponent,
+    _residue_span,
+    _wreath_terms,
+)
 
 
 class NonInvertibleSeries(InputError):
@@ -115,6 +123,31 @@ def residue_span_bfs(rows: list, r: int, m: int) -> frozenset:
 
     gens = [sum((v % r) << f for v, f in zip(row, fields)) for row in rows]
     return frozenset(orbit(0, gens, add))
+
+
+def sublattice_count_by_row_spans(r: int, m: int, exhaustive: bool = False) -> int:
+    """Index-r sublattices of Z^m counted by the residue span of each
+    candidate's rows, r^(m-1) residues per candidate: the route
+    ``series.sublattice_count_bruteforce`` took before it deduplicated by
+    annihilators."""
+    seen = set()
+    for rows in _generator_rows(r, m, exhaustive):
+        span = _residue_span(rows, r, m)
+        if len(span) != r ** (m - 1):
+            raise InputError("candidate lattice has the wrong index")
+        seen.add(span)
+    return len(seen)
+
+
+def annihilator_bfs(rows: list, r: int, m: int) -> frozenset:
+    """{y in (Z/r)^m : rows . y = 0 mod r}, packed as
+    ``series._residue_span`` packs it, by testing all r^m vectors y."""
+    w = r.bit_length() + 1
+    return frozenset(
+        sum(v << (w * i) for i, v in enumerate(y))
+        for y in itertools.product(range(r), repeat=m)
+        if all(sum(a * b for a, b in zip(row, y)) % r == 0 for row in rows)
+    )
 
 
 def type_entries(k: int, size: int) -> list:

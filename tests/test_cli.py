@@ -595,8 +595,18 @@ def test_verify_jcount_needs_a_nonempty_range(capsys, bounds):
 @pytest.mark.parametrize(
     "n, m, named",
     [
-        ("30", "3", "closes at least 2245987 residues (through r=22, m=3)"),
-        ("12", "4", "closes at least 2026166 residues (through r=9, m=4)"),
+        (
+            "60",
+            "3",
+            "closes at least 1759918 residues (through r=42, m=3) and fills"
+            " 470135 matrix entries, 2230053 in all",
+        ),
+        (
+            "20",
+            "4",
+            "closes at least 1049524 residues (through r=18, m=4) and fills"
+            " 1072604 matrix entries, 2122128 in all",
+        ),
         ("3000000", "1", "closes at least 3000000 residues (one per row)"),
     ],
 )
@@ -614,12 +624,32 @@ def test_jcount_cap_trips_before_the_brute_force(capsys, monkeypatch, n, m, name
 
 
 def test_jcount_below_the_cap_unchanged(capsys):
-    # 132,415 residues; sha256 of stdout recorded before the cap existed
+    # 13,965 residues; sha256 of stdout recorded before the cap existed
     code, out, err = run(capsys, "verify", "jcount", "--n", "12", "--m", "3")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "29bfb1f66fc052e8b59da7a6e13b86c7270f2571a5ae337d75d875bd56f45746"
     )
+
+
+def test_jcount_n20_m3_unchanged(capsys):
+    # 92,663 residues; sha256 of stdout recorded while the brute force
+    # still deduplicated by row spans (1,457,591 residues)
+    code, out, err = run(capsys, "verify", "jcount", "--n", "20", "--m", "3")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "376580a91513b1f9992105171e2280d78b5017f2bb7d26684df709b83699ea52"
+    )
+
+
+@pytest.mark.parametrize("n, m", [("30", "3"), ("12", "4")])
+def test_jcount_runs_what_the_row_spans_could_not(capsys, n, m):
+    # over the cap while each candidate closed r^(m-1) residues; at r
+    # residues each they total 625,806 and 393,931 with the matrix entries
+    started = time.monotonic()
+    code, report = run_json(capsys, "verify", "jcount", "--n", n, "--m", m)
+    assert time.monotonic() - started < 10
+    assert code == 0 and report["equal"] is True
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbichar import wreath
+from orbichar import hodge, wreath
 from orbichar.errors import (
     AngleOutOfRange,
     InputError,
@@ -407,7 +407,9 @@ def test_rhs_matches_powers_oracle(name, data, d, order):
 
 
 def test_products_start_from_their_first_factor(monkeypatch):
-    # f factors take f - 1 products; only an empty product is the series one
+    # the right side's f factors take f - 1 products; only an empty product
+    # is the series one.  The symmetric powers are built in place, with no
+    # series product at all
     dims = BigradedDims.from_dict({(0, 0): 1, (1, 1): 2, (1, 0): 1})
     data, d = hodge_datasets()["two-sector-shifted"]
     terms = len(h_cr_polynomial(data).terms)
@@ -422,13 +424,41 @@ def test_products_start_from_their_first_factor(monkeypatch):
 
     monkeypatch.setattr(HodgeSeries, "__mul__", counted)
     assert sp_generating(dims, 4) == expected_sp
-    assert len(calls) == 2
-    del calls[:]
+    assert len(calls) == 0
     assert hodge_product_rhs(data, d, 4) == expected_rhs
     assert len(calls) == 4 * terms - 1
     assert hodge_product_rhs(data, d, 0) == HodgeSeries.one(0)
     with pytest.raises(InputError, match="order must be >= 0"):
         sp_generating(BigradedDims.from_dict({}), -1)
+
+
+@pytest.mark.parametrize("name, data, d, order", _LHS_CASES, ids=[c[0] for c in _LHS_CASES])
+def test_lhs_uses_neither_closed_form_factors_nor_series_products(
+    monkeypatch, name, data, d, order
+):
+    # the two sides of the product formula run on different evaluators
+    expected = hodge_product_lhs(data, d, order)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the left side reached a right-side evaluator")
+
+    monkeypatch.setattr(hodge, "_binomial_power", refused)
+    monkeypatch.setattr(HodgeSeries, "__mul__", refused)
+    assert hodge_product_lhs(data, d, order) == expected
+    with pytest.raises(AssertionError, match="right-side evaluator"):
+        hodge_product_rhs(data, d, min(order, 2))
+
+
+_SMALL_DIMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 3), max_size=5
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SMALL_DIMS, st.integers(0, 8))
+def test_sp_generating_in_place_matches_powers(mapping, order):
+    dims = BigradedDims.from_dict(mapping)
+    assert sp_generating(dims, order) == sp_generating_by_powers(dims, order)
 
 
 def test_lhs_type_cap_trips_before_enumerating(monkeypatch):

@@ -26,8 +26,10 @@ from orbichar.library import (
     torus_trivial,
 )
 from orbichar.sectors import chi_m_top
+from orbichar import series as series_module
 from orbichar.series import (
     TruncatedSeries,
+    _adjugate_columns,
     _binomial_factor,
     _generator_rows,
     _integer_exponent,
@@ -48,11 +50,13 @@ from orbichar.wreath import all_types
 from group_oracle import extension_table, point_chi_by_extension_tables
 from series_oracle import (
     NonInvertibleSeries,
+    annihilator_bfs,
     inverse,
     lhs_wreath_series,
     log,
     power,
     residue_span_bfs,
+    sublattice_count_by_row_spans,
 )
 
 
@@ -237,6 +241,57 @@ def test_residue_span_matches_orbit_walks():
                     assert span == residue_span_bfs(rows, r, m), (r, m, rows)
                     unpacked = {_unpack(x, r, m) for x in span}
                     assert unpacked == _residue_span(rows, r, m), (r, m, rows)
+
+
+def test_adjugate_spans_are_the_annihilators():
+    # the span of adj(B)'s columns mod r against every y with B y = 0 mod r,
+    # for each candidate with r <= 6 and m <= 3, exhaustive ranges included
+    for m in range(1, 4):
+        for r in range(1, 7):
+            for exhaustive in (False, True):
+                for rows in _generator_rows(r, m, exhaustive):
+                    span = _packed_residue_span(_adjugate_columns(rows, r), r, m)
+                    assert len(span) == r, (r, m, rows)
+                    assert span == annihilator_bfs(rows, r, m), (r, m, rows)
+
+
+def test_annihilator_count_matches_row_span_count():
+    for m in range(1, 4):
+        for r in range(1, 9):
+            assert sublattice_count_bruteforce(r, m) == sublattice_count_by_row_spans(
+                r, m
+            ), (r, m)
+
+
+@pytest.mark.parametrize("position", [(0, 1), (0, 2), (1, 2)])
+def test_wrong_adjugate_entry_is_caught(monkeypatch, position):
+    # one off-diagonal entry of adj(B) off by one either gives a span of the
+    # wrong order or changes the count.  (At m = 2 the one entry off by one
+    # only relabels the normal forms of each diagonal, so m = 3 is used.)
+    i, j = position
+    real = _adjugate_columns
+
+    def mutated(rows, r):
+        columns = real(rows, r)
+        columns[j][i] += 1
+        return columns
+
+    monkeypatch.setattr(series_module, "_adjugate_columns", mutated)
+    for r in range(2, 9):
+        for exhaustive in (False, True):
+            try:
+                count = sublattice_count_bruteforce(r, 3, exhaustive)
+            except InputError as exc:
+                assert str(exc) == "candidate lattice has the wrong index"
+            else:
+                assert count != subgroup_count(r, 3).value, (r, exhaustive)
+
+
+def test_adjugate_refuses_a_wrong_determinant():
+    # diagonal product 6 where r = 5: 5 / 3 leaves a remainder
+    with pytest.raises(InputError, match="wrong index"):
+        _adjugate_columns([[2, 1], [0, 3]], 5)
+    assert _adjugate_columns([[2, 1], [0, 3]], 6) == [[3], [-1, 2]]
 
 
 def _ordered_factorizations_recursive(r: int, m: int):
