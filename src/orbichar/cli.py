@@ -231,16 +231,22 @@ def _verify_jcount(args):
         raise InputError(
             f"jcount needs --n >= 1 and --m >= 1, got --n {r_max} --m {m_max}"
         )
-    # J_{r,m} normal forms, each an m x m matrix and an annihilator of r
-    # residues: the running sum trips the cap before any span.  Every row
-    # closes at least one residue, so the row count is checked first.
+    # J_{r,m} normal forms, each an m x m matrix and a span of r^(m-1)
+    # residues, or from m = 3 on of r residues after m (m+1) (m+2) / 6
+    # adjugate steps: the running sum trips the cap before any span.  Every
+    # row closes at least one residue, so the row count is checked first.
     cap = series.JCOUNT_RESIDUE_CAP
 
     def over_cap(residues: int, where: str, entries: int = 0) -> CapExceeded:
-        filled = f" and fills {entries} matrix entries, {residues + entries} in all"
+        filled = (
+            f" and takes {entries} matrix entries and adjugate steps,"
+            f" {residues + entries} in all"
+            if entries
+            else ""
+        )
         return CapExceeded(
             f"jcount brute force closes at least {residues} residues ({where})"
-            f"{filled if entries else ''}, above the residue cap {cap}"
+            f"{filled}, above the residue cap {cap}"
         )
 
     if r_max * m_max > cap:
@@ -248,10 +254,11 @@ def _verify_jcount(args):
     formulas = []
     residues = entries = 0
     for m in range(1, m_max + 1):
+        adjugate = m * (m + 1) * (m + 2) // 6 if m > 2 else 0
         for r in range(1, r_max + 1):
             formula = series.subgroup_count(r, m).value
-            residues += formula * r
-            entries += formula * m * m
+            residues += formula * (r if m > 2 else r ** (m - 1))
+            entries += formula * (m * m + adjugate)
             if residues + entries > cap:
                 # the entries are named where the residues alone fit
                 named = entries if residues <= cap else 0

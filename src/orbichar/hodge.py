@@ -334,14 +334,19 @@ def sp_generating(dims: BigradedDims, order: int) -> HodgeSeries:
     odd ones exterior powers: the product of (1 - x^s y^t q)^(-dim) over
     even (s,t) and (1 + x^s y^t q)^(dim) over odd.  All coefficients are
     nonnegative.  Built in place for the left side, one int dict per
-    coefficient: dim passes multiply by (1 + x^s y^t q) for odd (s,t), top
-    coefficient first, or divide by (1 - x^s y^t q) for even, bottom first.
+    coefficient and one pass per (s,t) with P = (1 + c x^s y^t q)^dim, c = 1
+    for odd (s,t) and -1 for even: multiply by P, top coefficient first, or
+    divide by P, bottom first; at most order^2 steps, however large dim is.
     """
     coeffs = [dict(c.terms) for c in HodgeSeries.one(order).coefficients]
     for (s, t), dim in dims.entries:
-        degrees = range(order, 0, -1) if (s + t) % 2 else range(1, order + 1)
-        for n in [*degrees] * dim:
-            _add_products(coeffs[n], coeffs[n - 1].items(), (((s, t), 1),))
+        c = 1 if (s + t) % 2 else -1
+        row = binomial_coefficients(dim, c, order + 1)
+        # c_n += c b_i (x^s y^t)^i c_(n-i) for 1 <= i <= min(n, dim)
+        terms = [(i, (((i * s, i * t), c * b),)) for i, b in enumerate(row) if i and b]
+        for n in range(order, 0, -1) if c == 1 else range(1, order + 1):
+            for i, term in terms[:n]:
+                _add_products(coeffs[n], coeffs[n - i].items(), term)
     return HodgeSeries(tuple(map(_from_sums, coeffs)))
 
 
@@ -438,7 +443,7 @@ def hodge_product_lhs(data, d: int, order: int) -> HodgeSeries:
         ]
         for datum in data
     ]
-    sums = [{(0, 0): 1}] + [{} for _ in range(order)]
+    sums = [{} for _ in range(order + 1)]
     # the product terms and the shift of the open node at each depth
     products = [(((0, 0), 1),)]
     shifts = [0]
@@ -455,15 +460,21 @@ def hodge_product_lhs(data, d: int, order: int) -> HodgeSeries:
         for (s, t), c in term:
             key = (s + shift, t + shift)
             acc[key] = get(key, 0) + c
-    return HodgeSeries(tuple(_from_sums(acc).substitute_neg() for acc in sums))
+    coefficients = [HodgePolynomial.one()]
+    for n in range(1, order + 1):
+        coefficients.append(_from_sums(sums[n]).substitute_neg())
+    return HodgeSeries(tuple(coefficients))
 
 
 def hodge_product_check(data, d: int, order: int) -> dict:
     """Both sides of the product formula, as a JSON-ready report."""
     lhs = hodge_product_lhs(data, d, order)
     rhs = hodge_product_rhs(data, d, order)
-    pairs = zip(lhs.coefficients, rhs.coefficients)
-    mismatch = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
+    mismatch = None
+    for i in range(order + 1):
+        if lhs.coefficients[i] != rhs.coefficients[i]:
+            mismatch = i
+            break
     report = {
         "identity": "hodge-product-formula",
         "d": d,

@@ -186,8 +186,14 @@ class SubgroupCount:
 
 
 # Residues the jcount brute force may close in all, counting each entry of
-# its m x m generator matrices as one: sum of J_{r,m} * (r + m^2).
+# its m x m generator matrices and each adjugate step as one: the sum of
+# J_{r,m} * (r^(m-1) + m^2), or J_{r,m} * (r + m^2 + m (m+1) (m+2) / 6) for
+# m >= 3.
 JCOUNT_RESIDUE_CAP = 2 * 10**6
+
+
+def _divisors(r: int) -> list:
+    return [d for d in range(1, r + 1) if r % d == 0]
 
 
 def _ordered_factorizations(r: int, m: int):
@@ -201,9 +207,8 @@ def _ordered_factorizations(r: int, m: int):
         if rest == 1 or len(prefix) == m - 1:
             yield prefix + (rest,) + (1,) * (m - 1 - len(prefix))
             continue
-        for d in range(rest, 0, -1):  # pushed largest first, popped smallest
-            if rest % d == 0:
-                stack.append((prefix + (d,), rest // d))
+        for d in reversed(_divisors(rest)):
+            stack.append((prefix + (d,), rest // d))
 
 
 def subgroup_count(r: int, m: int) -> SubgroupCount:
@@ -238,14 +243,17 @@ def sublattice_count_bruteforce(r: int, m: int, exhaustive: bool = False) -> int
     on (Z/r)^m is perfect, L is told apart by L^perp = {y : B y = 0 mod r},
     the span mod r of the columns of adj(B) = r B^-1: B adj(B) = r I, and
     adj(B) Z^m contains r Z^m with index r^(m-1), so its image has order r.
+    For m <= 2 the row span (r^(m-1) <= r residues, no adjugate) is used.
     """
     if r < 1 or m < 1:
         raise InputError(f"sublattice counts need r, m >= 1, got r={r}, m={m}")
     packing = _packing(r, m)
+    order = r if m > 2 else r ** (m - 1)
     seen = set()
     for rows in _generator_rows(r, m, exhaustive):
-        span = _residue_span(_adjugate_columns(rows, r), r, m, packing)
-        if len(span) != r:
+        vectors = _adjugate_columns(rows, r) if m > 2 else rows
+        span = _residue_span(vectors, r, m, packing)
+        if len(span) != order:
             raise InputError("candidate lattice has the wrong index")
         seen.add(span)
     return len(seen)
@@ -274,9 +282,13 @@ def _generator_rows(r: int, m: int, exhaustive: bool = False):
     each as a list of m rows."""
     positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
     for diag in _ordered_factorizations(r, m):
-        ranges = [range(r if exhaustive else diag[j]) for _i, j in positions]
+        ranges = [
+            range(r) if exhaustive else range(diag[j]) for (_i, j) in positions
+        ]
         for offs in itertools.product(*ranges):
-            rows = [[0] * i + [d] + [0] * (m - 1 - i) for i, d in enumerate(diag)]
+            rows = [[0] * m for _ in range(m)]
+            for i in range(m):
+                rows[i][i] = diag[i]
             for (i, j), v in zip(positions, offs):
                 rows[i][j] = v
             yield rows
@@ -295,13 +307,13 @@ def _packing(r: int, m: int) -> tuple:
     return fields, offset, top, w - 1
 
 
-def _residue_span(vectors: list, r: int, m: int, packing: tuple = ()) -> frozenset:
+def _residue_span(vectors: list, r: int, m: int, packing: tuple) -> frozenset:
     """The subgroup of (Z/r)^m generated by the vectors, packed by ``packing``
     = ``_packing(r, m)``: the sum S of their cyclic subgroups, in order.  The
     multiples of the next vector g run until one, t g, lies in S (t = 1 for
     g = 0 mod r); S + <g> is the union of the t disjoint cosets S + k g,
     k < t, so each of its residues comes from exactly one packed add."""
-    fields, offset, top, high = packing or _packing(r, m)
+    fields, offset, top, high = packing
     span = {0}
     for vector in vectors:
         g = 0
@@ -453,7 +465,8 @@ def _point_chi_coefficients(
     else:
         out = [1] + [0] * order
         for cls in conjugacy_classes(group):
-            cent = centralizer_extension(group, cls.representative, index)[0]
+            # the subgroup only: the recursion takes the degrees index * r
+            cent, _ = centralizer_extension(group, cls.representative, 1)
             for r in range(1, order + 1):
                 factor = _point_chi_coefficients(cent, m - 1, order // r, index * r)
                 # multiply by factor(q^r) N times, top coefficient first

@@ -2,8 +2,9 @@
 
 Test-only.  The library builds each power of a factor in closed form
 (``series.binomial_coefficients``), deduplicates jcount candidates by
-their annihilators, closed as sums of cyclic subgroups, and walks the
-sector types of the Hodge left side as one trie (``wreath.type_trie``).
+their annihilators from m = 3 on, closed as sums of cyclic subgroups, and
+walks the sector types of the Hodge left side as one trie
+(``wreath.type_trie``).
 The functions here are the routes those replaced -- inverses and powers
 by repeated squaring, the count by row spans, the generator-orbit span,
 the flat type enumeration -- plus an annihilator found by testing every
@@ -20,6 +21,7 @@ from orbichar.series import (
     TruncatedSeries,
     _generator_rows,
     _integer_exponent,
+    _packing,
     _residue_span,
     _wreath_terms,
 )
@@ -128,11 +130,11 @@ def residue_span_bfs(rows: list, r: int, m: int) -> frozenset:
 def sublattice_count_by_row_spans(r: int, m: int, exhaustive: bool = False) -> int:
     """Index-r sublattices of Z^m counted by the residue span of each
     candidate's rows, r^(m-1) residues per candidate: the route
-    ``series.sublattice_count_bruteforce`` took before it deduplicated by
-    annihilators."""
+    ``series.sublattice_count_bruteforce`` still takes for m <= 2 and took
+    for every m before it deduplicated by annihilators."""
     seen = set()
     for rows in _generator_rows(r, m, exhaustive):
-        span = _residue_span(rows, r, m)
+        span = _residue_span(rows, r, m, _packing(r, m))
         if len(span) != r ** (m - 1):
             raise InputError("candidate lattice has the wrong index")
         seen.add(span)

@@ -598,14 +598,14 @@ def test_verify_jcount_needs_a_nonempty_range(capsys, bounds):
         (
             "60",
             "3",
-            "closes at least 1759918 residues (through r=42, m=3) and fills"
-            " 470135 matrix entries, 2230053 in all",
+            "closes at least 1277451 residues (through r=39, m=3) and takes"
+            " 756460 matrix entries and adjugate steps, 2033911 in all",
         ),
         (
             "20",
             "4",
-            "closes at least 1049524 residues (through r=18, m=4) and fills"
-            " 1072604 matrix entries, 2122128 in all",
+            "closes at least 633894 residues (through r=16, m=4) and takes"
+            " 1563264 matrix entries and adjugate steps, 2197158 in all",
         ),
         ("3000000", "1", "closes at least 3000000 residues (one per row)"),
     ],
@@ -624,7 +624,7 @@ def test_jcount_cap_trips_before_the_brute_force(capsys, monkeypatch, n, m, name
 
 
 def test_jcount_below_the_cap_unchanged(capsys):
-    # 13,965 residues; sha256 of stdout recorded before the cap existed
+    # 13,899 residues; sha256 of stdout recorded before the cap existed
     code, out, err = run(capsys, "verify", "jcount", "--n", "12", "--m", "3")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -633,7 +633,7 @@ def test_jcount_below_the_cap_unchanged(capsys):
 
 
 def test_jcount_n20_m3_unchanged(capsys):
-    # 92,663 residues; sha256 of stdout recorded while the brute force
+    # 92,473 residues; sha256 of stdout recorded while the brute force
     # still deduplicated by row spans (1,457,591 residues)
     code, out, err = run(capsys, "verify", "jcount", "--n", "20", "--m", "3")
     assert code == 0 and err == ""
@@ -645,7 +645,8 @@ def test_jcount_n20_m3_unchanged(capsys):
 @pytest.mark.parametrize("n, m", [("30", "3"), ("12", "4")])
 def test_jcount_runs_what_the_row_spans_could_not(capsys, n, m):
     # over the cap while each candidate closed r^(m-1) residues; at r
-    # residues each they total 625,806 and 393,931 with the matrix entries
+    # residues each from m = 3 on they total 814,051 and 686,635 with the
+    # matrix entries and adjugate steps
     started = time.monotonic()
     code, report = run_json(capsys, "verify", "jcount", "--n", n, "--m", m)
     assert time.monotonic() - started < 10
@@ -654,12 +655,13 @@ def test_jcount_runs_what_the_row_spans_could_not(capsys, n, m):
 
 @pytest.mark.parametrize(
     "n, m",
-    [("1", "1500"), ("1", "200")],
+    [("1", "1500"), ("1", "200"), ("1", "80")],
 )
 def test_jcount_cap_counts_matrix_entries(capsys, monkeypatch, n, m):
-    # one residue per row, but each candidate also fills an m x m matrix:
-    # the running sum passes the cap at m = 182, before any brute force
-    # and before the factorization walk could exhaust the recursion limit
+    # one residue per row, but each candidate also fills an m x m matrix
+    # and takes m (m+1) (m+2) / 6 adjugate steps: the running sum passes
+    # the cap at m = 80, before any brute force and before the
+    # factorization walk could exhaust the recursion limit
     def no_brute_force(*args, **kwargs):
         raise AssertionError("the brute force ran before the cap")
 
@@ -669,10 +671,18 @@ def test_jcount_cap_counts_matrix_entries(capsys, monkeypatch, n, m):
     assert time.monotonic() - started < 1
     assert code == 3 and out == ""
     assert err == (
-        "error: cap exceeded: jcount brute force closes at least 182 residues"
-        " (through r=1, m=182) and fills 2026115 matrix entries, 2026297 in"
-        " all, above the residue cap 2000000\n"
+        "error: cap exceeded: jcount brute force closes at least 80 residues"
+        " (through r=1, m=80) and takes 2011495 matrix entries and adjugate"
+        " steps, 2011575 in all, above the residue cap 2000000\n"
     )
+
+
+def test_jcount_runs_just_under_the_adjugate_cap(capsys):
+    # --n 1 --m 79: 1,916,614 in all, the largest m at --n 1 under the cap
+    started = time.monotonic()
+    code, report = run_json(capsys, "verify", "jcount", "--n", "1", "--m", "79")
+    assert time.monotonic() - started < 5
+    assert code == 0 and report["equal"] is True
 
 
 # sha256 of stdout, recorded before the factors of the Hodge right side were
@@ -751,6 +761,26 @@ def test_verify_hodge_json_file(tmp_path, capsys):
         capsys, "verify", "hodge", "--complex", str(path), "--order", "4"
     )
     assert code == 0 and report["equal"]
+
+
+def test_verify_hodge_huge_dims_cost_nothing_extra(tmp_path, capsys):
+    # the symmetric and exterior powers of a 10^9-dimensional class take
+    # at most order^2 steps per bidegree, as the right side's closed form
+    dims = {"0,0": 10**9, "1,0": 10**9, "0,1": 10**9, "1,1": 10**9}
+    spec = {
+        "d": 2,
+        "sectors": [
+            {"class": "e", "component": 0, "dims": dims, "angles": [], "d": 2}
+        ],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(spec))
+    started = time.monotonic()
+    code, report = run_json(
+        capsys, "verify", "hodge", "--complex", str(path), "--order", "5"
+    )
+    assert time.monotonic() - started < 5
+    assert code == 0 and report["equal"] is True
 
 
 @pytest.mark.parametrize(

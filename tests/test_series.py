@@ -34,6 +34,7 @@ from orbichar.series import (
     _generator_rows,
     _integer_exponent,
     _ordered_factorizations,
+    _packing,
     _residue_span as _packed_residue_span,
     _weight,
     exp_printed_digits,
@@ -223,7 +224,7 @@ def test_packed_residue_span_matches_tuples():
             if m > 2:
                 forms = rng.sample(forms, min(5, len(forms)))
             for rows in forms:
-                packed = _packed_residue_span(rows, r, m)
+                packed = _packed_residue_span(rows, r, m, _packing(r, m))
                 unpacked = {_unpack(x, r, m) for x in packed}
                 assert len(unpacked) == len(packed), (r, m, rows)
                 assert unpacked == _residue_span(rows, r, m), (r, m, rows)
@@ -237,7 +238,7 @@ def test_residue_span_matches_orbit_walks():
         for r in range(1, 9):
             for exhaustive in (False, True):
                 for rows in _generator_rows(r, m, exhaustive):
-                    span = _packed_residue_span(rows, r, m)
+                    span = _packed_residue_span(rows, r, m, _packing(r, m))
                     assert span == residue_span_bfs(rows, r, m), (r, m, rows)
                     unpacked = {_unpack(x, r, m) for x in span}
                     assert unpacked == _residue_span(rows, r, m), (r, m, rows)
@@ -250,7 +251,9 @@ def test_adjugate_spans_are_the_annihilators():
         for r in range(1, 7):
             for exhaustive in (False, True):
                 for rows in _generator_rows(r, m, exhaustive):
-                    span = _packed_residue_span(_adjugate_columns(rows, r), r, m)
+                    span = _packed_residue_span(
+                        _adjugate_columns(rows, r), r, m, _packing(r, m)
+                    )
                     assert len(span) == r, (r, m, rows)
                     assert span == annihilator_bfs(rows, r, m), (r, m, rows)
 
