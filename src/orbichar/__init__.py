@@ -74,7 +74,6 @@ from .hodge import (
     hodge_product_lhs,
     hodge_product_rhs,
     shift_number,
-    wreath_cycle_shift,
 )
 from .wreath import (
     TypeFunction,

@@ -122,23 +122,18 @@ def cmd_wreath(args) -> tuple[dict, int]:
     product = WreathProduct(base, n)
 
     if args.what == "classes":
-        # One row per type; the m = 1 point series counts them first, on
-        # doubling prefixes k of n.  The count never falls as k grows, so
-        # the first prefix over the cap proves the trip, long before the
-        # series reaches a large n.
-        k = min(1, n)
-        while True:
-            count = series.point_wreath_chi_m(base, k, 1)
-            if count > wreath.TYPE_CAP:
-                at_least = "" if k == n else "at least "
-                note = "" if k == n else f" ({args.group} ~ S_{k} has {count})"
-                raise CapExceeded(
-                    f"{args.group} ~ S_{n} has {at_least}{count} conjugacy"
-                    f" classes, above the type cap {wreath.TYPE_CAP}{note}"
-                )
-            if k == n:
-                break
-            k = min(2 * k, n)
+        # One row per type; the m = 1 point series counts them first
+        def over_cap(k: int, count: int) -> str:
+            at_least = "" if k == n else "at least "
+            note = "" if k == n else f" ({args.group} ~ S_{k} has {count})"
+            return (
+                f"{args.group} ~ S_{n} has {at_least}{count} conjugacy"
+                f" classes, above the type cap {wreath.TYPE_CAP}{note}"
+            )
+
+        count = wreath.capped_type_count(
+            lambda k: series.point_wreath_chi_m(base, k, 1), n, over_cap
+        )
         report = {
             "command": "wreath-classes",
             "group": args.group,
@@ -256,7 +251,7 @@ def _verify_jcount(args):
     for m in range(1, m_max + 1):
         adjugate = m * (m + 1) * (m + 2) // 6 if m > 2 else 0
         for r in range(1, r_max + 1):
-            formula = series.subgroup_count(r, m).value
+            formula = series.subgroup_count(r, m)
             residues += formula * (r if m > 2 else r ** (m - 1))
             entries += formula * (m * m + adjugate)
             if residues + entries > cap:

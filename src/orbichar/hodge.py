@@ -20,20 +20,19 @@ Conventions, fixed once:
   off the outer product index n.
 
 Validation happens at the boundary only: ``BigradedDims``,
-``sector_data_from_json`` and the public ``HodgePolynomial`` constructors
-(``HodgePolynomial(...)``, ``from_dict``, ``monomial``, ``scale``) check
-every bidegree and coefficient.  Arithmetic on polynomials that passed
-those checks (``+``, ``*``, unary ``-``, ``shift_by``, ``substitute_neg``
-and the series ring) sums into int dicts and builds its result with
-``_trusted``, without checking again.  The two sides of the product
-formula share no evaluator: the right side multiplies ``_binomial_power``
-factors by ``HodgeSeries.__mul__``, the left side builds ``sp_generating``
-in place and walks the type trie.
+``sector_data_from_json`` and the ``HodgePolynomial(...)`` constructor
+check every bidegree and coefficient.  Arithmetic on polynomials that
+passed those checks (``+``, ``*``, unary ``-``, ``shift_by``,
+``substitute_neg`` and ``HodgeSeries.__mul__``) sums into int dicts and
+builds its result with ``_trusted``, without checking again.  The two
+sides of the product formula share no evaluator: the right side
+multiplies ``_binomial_power`` factors by ``HodgeSeries.__mul__``, the
+left side builds ``sp_generating`` in place and walks the type trie.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from fractions import Fraction
 
@@ -43,9 +42,8 @@ from .errors import (
     InputError,
     NonIntegerExponentOfXY,
     NonIntegerShift,
-    SizeCapExceeded,
 )
-from .series import Series, binomial_coefficients
+from .series import binomial_coefficients, same_order
 from .wreath import type_counts, type_trie
 
 
@@ -85,22 +83,11 @@ class HodgePolynomial:
     def one(cls) -> "HodgePolynomial":
         return cls((((0, 0), 1),))
 
-    @classmethod
-    def monomial(cls, s: int, t: int, coeff=1) -> "HodgePolynomial":
-        return cls((((s, t), coeff),))
-
-    @classmethod
-    def from_dict(cls, mapping) -> "HodgePolynomial":
-        return cls(tuple(mapping.items()))
-
     def __add__(self, other: "HodgePolynomial") -> "HodgePolynomial":
         acc = dict(self.terms)
         for key, c in other.terms:
             acc[key] = acc.get(key, 0) + c
         return _from_sums(acc)
-
-    def __sub__(self, other: "HodgePolynomial") -> "HodgePolynomial":
-        return self + -other
 
     def __neg__(self) -> "HodgePolynomial":
         return _trusted(tuple([(key, -c) for key, c in self.terms]))
@@ -109,10 +96,9 @@ class HodgePolynomial:
         return bool(self.terms)
 
     def __mul__(self, other: "HodgePolynomial") -> "HodgePolynomial":
-        return _sum_of_products(((self, other),))
-
-    def scale(self, value: int) -> "HodgePolynomial":
-        return HodgePolynomial(tuple((k, value * c) for k, c in self.terms))
+        acc: dict = {}
+        _add_products(acc, self.terms, other.terms)
+        return _from_sums(acc)
 
     def shift_by(self, k: int) -> "HodgePolynomial":
         """Multiply by (xy)^k: every bidegree (s,t) moves to (s+k, t+k)."""
@@ -130,9 +116,6 @@ class HodgePolynomial:
 
     def to_json(self) -> dict:
         return {f"{s},{t}": str(c) for (s, t), c in self.terms}
-
-    def __repr__(self):
-        return f"HodgePolynomial({self.to_json()})"
 
 
 def _trusted(terms: tuple) -> HodgePolynomial:
@@ -159,28 +142,33 @@ def _add_products(acc: dict, left, right) -> None:
             acc[key] = get(key, 0) + c1 * c2
 
 
-def _sum_of_products(pairs) -> HodgePolynomial:
-    """The sum of a * b over the (a, b) pairs, in one dict."""
-    acc: dict = {}
-    for a, b in pairs:
-        _add_products(acc, a.terms, b.terms)
-    return _from_sums(acc)
-
-
-def _polynomial(c) -> HodgePolynomial:
-    if not isinstance(c, HodgePolynomial):
-        raise InputError(f"coefficients must be HodgePolynomials, got {c!r}")
-    return c
-
-
 @dataclass(frozen=True)
-class HodgeSeries(Series):
+class HodgeSeries:
     """A q-series whose coefficients are HodgePolynomials, truncated."""
 
-    _zero = HodgePolynomial.zero()
-    _one = HodgePolynomial.one()
-    _coerce = staticmethod(_polynomial)
-    _sum_of_products = staticmethod(_sum_of_products)
+    coefficients: tuple
+
+    @property
+    def order(self) -> int:
+        return len(self.coefficients) - 1
+
+    @classmethod
+    def one(cls, order: int) -> "HodgeSeries":
+        if order < 0:
+            raise InputError("truncation order must be >= 0")
+        return cls((HodgePolynomial.one(),) + (HodgePolynomial.zero(),) * order)
+
+    def __mul__(self, other: "HodgeSeries") -> "HodgeSeries":
+        top = same_order(self, other)
+        right = [(j, b.terms) for j, b in enumerate(other.coefficients) if b]
+        sums = [{} for _ in range(top + 1)]
+        for i, a in enumerate(self.coefficients):
+            if a:
+                for j, b in right:
+                    if i + j > top:
+                        break
+                    _add_products(sums[i + j], a.terms, b)
+        return HodgeSeries(tuple(map(_from_sums, sums)))
 
     def to_json(self) -> list:
         return [c.to_json() for c in self.coefficients]
@@ -236,6 +224,7 @@ class SectorHodgeDatum:
     ``d`` is the complex dimension of the component, which bounds the
     bidegree support; the angles are those of the class representative on
     the normal directions, so the trivial sector has an empty list.
+    ``shift`` is their sum, taken once on construction.
     """
 
     class_label: str
@@ -243,22 +232,19 @@ class SectorHodgeDatum:
     dims: BigradedDims
     angles: tuple
     d: int
+    shift: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "angles", tuple(Fraction(a) for a in self.angles)
         )
-        shift_number(self.angles)  # validates the range
+        object.__setattr__(self, "shift", shift_number(self.angles))
         if not isinstance(self.d, int) or self.d < 0:
             raise InputError(f"component dimension must be >= 0, got {self.d}")
         if self.dims.max_degree() > self.d:
             raise InputError(
                 f"dims support exceeds component dimension {self.d}"
             )
-
-    @property
-    def shift(self) -> Fraction:
-        return shift_number(self.angles)
 
     def integer_shift(self) -> int:
         value = self.shift
@@ -298,16 +284,6 @@ def sector_data_from_json(items) -> tuple:
 
 # ---------------------------------------------------------------------------
 # shifts
-
-
-def wreath_cycle_shift(shift, d: int, r: int) -> Fraction:
-    """The shift of an r-cycle sector over a component with shift F:
-    F + d(r-1)/2, from the eigenvalues of the cyclic block matrix."""
-    if not isinstance(r, int) or r < 1:
-        raise InputError(f"cycle length must be a positive int, got {r}")
-    if not isinstance(d, int) or d < 0:
-        raise InputError(f"complex dimension must be >= 0, got {d}")
-    return Fraction(shift) + Fraction(d * (r - 1), 2)
 
 
 def h_cr_polynomial(data) -> HodgePolynomial:
@@ -383,8 +359,9 @@ def _validate_inputs(data, d: int, order: int) -> None:
         raise InputError("truncation order must be >= 0")
     for datum in data:
         datum.integer_shift()
-    for n in range(1, order + 1):
-        _check_xy_exponent(d, n)
+    if order >= 2:
+        # (n-1)d/2 is fractional for some n <= order exactly when it is at 2
+        _check_xy_exponent(d, 2)
 
 
 def hodge_product_rhs(data, d: int, order: int) -> HodgeSeries:
@@ -423,26 +400,31 @@ def hodge_product_lhs(data, d: int, order: int) -> HodgeSeries:
     entry's, so each type costs one polynomial product.  Every type still
     adds its own term; this is a sum over types, not the product formula.
 
-    The type count is predicted first, and a count over ``wreath.TYPE_CAP``
+    The type count is predicted first, on doubling prefixes of the order
+    (``wreath.capped_type_count``), and a count over ``wreath.TYPE_CAP``
     raises SizeCapExceeded before the trie is built.
     """
     _validate_inputs(data, d, order)
-    predicted = sum(type_counts(len(data), order)[1:])
-    if predicted > wreath.TYPE_CAP:
-        raise SizeCapExceeded(
-            f"the Hodge left side to order {order} sums {predicted} sector"
-            f" types of {len(data)} sectors, above the type cap {wreath.TYPE_CAP}"
+
+    def over_cap(k: int, count: int) -> str:
+        at_least = "" if k == order else "at least "
+        note = "" if k == order else f" ({count} to order {k})"
+        return (
+            f"the Hodge left side to order {order} sums {at_least}{count} sector"
+            f" types of {len(data)} sectors{note}, above the type cap"
+            f" {wreath.TYPE_CAP}"
         )
+
+    wreath.capped_type_count(lambda k: sum(type_counts(len(data), k)[1:]), order, over_cap)
     sp_tables = [sp_generating(datum.dims, order).coefficients for datum in data]
-    # the shift of an r-cycle over each sector: an int, since the inputs
-    # passed _validate_inputs (integer sector shifts, (r-1)d even)
-    cycle_shift = [
-        [0] + [
-            int(wreath_cycle_shift(datum.integer_shift(), d, r))
-            for r in range(1, order + 1)
-        ]
-        for datum in data
-    ]
+    # the shift F + (r-1)d/2 of an r-cycle over each sector, from the
+    # eigenvalues of the cyclic block matrix: ints, since the inputs passed
+    # _validate_inputs (integer sector shifts, (r-1)d even)
+    half = [(r - 1) * d // 2 for r in range(1, order + 1)]
+    cycle_shift = []
+    for datum in data:
+        shift = datum.integer_shift()
+        cycle_shift.append([0] + [shift + e for e in half])
     sums = [{} for _ in range(order + 1)]
     # the product terms and the shift of the open node at each depth
     products = [(((0, 0), 1),)]

@@ -50,98 +50,45 @@ from .wreath import centralizer_extension, type_counts
 
 
 # ---------------------------------------------------------------------------
-# truncated series over a coefficient ring
+# truncated series with exact rational coefficients
+
+
+def same_order(a, b) -> int:
+    """The common truncation order of two series, else InputError."""
+    if a.order != b.order:
+        raise InputError(f"series orders differ: {a.order} vs {b.order}")
+    return a.order
 
 
 @dataclass(frozen=True)
-class Series:
-    """Coefficients c_0..c_N of a power series in q, truncated at q^N.
-
-    The ring algebra lives here once.  A subclass names its coefficient
-    ring: ``_zero`` and ``_one``, and ``_coerce`` (applied to every
-    coefficient on construction).  Coefficients must support ``+``, ``-``,
-    ``*`` and truth testing (false for zero).  ``_sum_of_products``
-    computes one coefficient of a product; a ring may replace it with a
-    faster one.  Powers of a factor are built in closed form from
-    ``binomial_coefficients``, not by repeated multiplication.
-    """
+class TruncatedSeries:
+    """Coefficients c_0..c_N of a power series in q, truncated at q^N: ints
+    where the series is integral, so integer series multiply as ints, and
+    Fractions otherwise."""
 
     coefficients: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(map(self._coerce, self.coefficients))
-        if not coeffs:
-            raise InputError("a truncated series needs at least c_0")
-        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
 
     @classmethod
-    def one(cls, order: int):
+    def one(cls, order: int) -> "TruncatedSeries":
         if order < 0:
             raise InputError("truncation order must be >= 0")
-        return cls((cls._one,) + (cls._zero,) * order)
+        return cls((1,) + (0,) * order)
 
-    def _same_order(self, other) -> None:
-        if type(other) is not type(self):
-            raise InputError(f"expected a {type(self).__name__}, got {other!r}")
-        if self.order != other.order:
-            raise InputError(
-                f"series orders differ: {self.order} vs {other.order}"
-            )
-
-    def __add__(self, other):
-        self._same_order(other)
-        return type(self)(
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
-    def __sub__(self, other):
-        self._same_order(other)
-        return type(self)(
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
-    @classmethod
-    def _sum_of_products(cls, pairs):
-        """The sum of a * b over the (a, b) pairs."""
-        acc = cls._zero
-        for a, b in pairs:
-            acc = acc + a * b
-        return acc
-
-    def __mul__(self, other):
-        self._same_order(other)
-        top = self.order
-        right = [(j, bj) for j, bj in enumerate(other.coefficients) if bj]
-        pairs = [[] for _ in range(top + 1)]
-        for i, ai in enumerate(self.coefficients):
-            if ai:
-                for j, bj in right:
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        top = same_order(self, other)
+        right = [(j, b) for j, b in enumerate(other.coefficients) if b]
+        out = [0] * (top + 1)
+        for i, a in enumerate(self.coefficients):
+            if a:
+                for j, b in right:
                     if i + j > top:
                         break
-                    pairs[i + j].append((ai, bj))
-        return type(self)(tuple(map(self._sum_of_products, pairs)))
-
-
-@dataclass(frozen=True)
-class TruncatedSeries(Series):
-    """A series with exact rational coefficients.  An int coefficient stays
-    an int, so integer series multiply as ints; anything else becomes a
-    Fraction."""
-
-    _zero = 0
-    _one = 1
-
-    @staticmethod
-    def _coerce(c):
-        return c if type(c) is int else Fraction(c)
-
-    def scale(self, value) -> "TruncatedSeries":
-        v = Fraction(value)
-        return TruncatedSeries(tuple(v * c for c in self.coefficients))
+                    out[i + j] += a * b
+        return TruncatedSeries(tuple(out))
 
     def exp(self) -> "TruncatedSeries":
         a = self.coefficients
@@ -155,12 +102,6 @@ class TruncatedSeries(Series):
                 / n
             )
         return TruncatedSeries(tuple(out))
-
-    def to_fraction_strings(self) -> list:
-        return [str(c) for c in self.coefficients]
-
-    def __repr__(self):
-        return f"TruncatedSeries({self.to_fraction_strings()})"
 
 
 def _integer_exponent(value, what: str) -> int:
@@ -176,13 +117,6 @@ def _integer_exponent(value, what: str) -> int:
 
 # ---------------------------------------------------------------------------
 # sublattice counts J_{r,m}
-
-
-@dataclass(frozen=True)
-class SubgroupCount:
-    r: int
-    m: int
-    value: int
 
 
 # Residues the jcount brute force may close in all, counting each entry of
@@ -211,7 +145,7 @@ def _ordered_factorizations(r: int, m: int):
             stack.append((prefix + (d,), rest // d))
 
 
-def subgroup_count(r: int, m: int) -> SubgroupCount:
+def subgroup_count(r: int, m: int) -> int:
     """J_{r,m}: the number of index-r subgroups of Z^m.
 
     Computed as the weighted factorization sum
@@ -220,8 +154,7 @@ def subgroup_count(r: int, m: int) -> SubgroupCount:
     """
     if r < 1 or m < 1:
         raise InputError(f"subgroup counts need r, m >= 1, got r={r}, m={m}")
-    value = sum(_weight(js) for js in _ordered_factorizations(r, m))
-    return SubgroupCount(r, m, value)
+    return sum(_weight(js) for js in _ordered_factorizations(r, m))
 
 
 def _weight(js) -> int:
@@ -340,6 +273,8 @@ def _residue_span(vectors: list, r: int, m: int, packing: tuple) -> frozenset:
 
 def rhs_exp_formula(chi_es, order: int) -> TruncatedSeries:
     """exp(q * chi_ES), the Euler-Satake generating function."""
+    if order < 0:
+        raise InputError("truncation order must be >= 0")
     coeffs = [Fraction(0)] * (order + 1)
     if order >= 1:
         coeffs[1] = Fraction(chi_es)
@@ -360,7 +295,7 @@ def rhs_main_formula(m: int, chi, order: int) -> TruncatedSeries:
     if m == 0:
         return _binomial_factor(1, chi_int, order)
     for r in range(1, order + 1):
-        j = subgroup_count(r, m).value
+        j = subgroup_count(r, m)
         out = out * _binomial_factor(r, j * chi_int, order)
     return out
 
@@ -520,7 +455,7 @@ def _compare_report(lhs_values: list, rhs: TruncatedSeries, note) -> dict:
     feasible = len(lhs_values) - 1
     out = {
         "lhs": [str(v) for v in lhs_values],
-        "rhs": rhs.to_fraction_strings(),
+        "rhs": [str(c) for c in rhs.coefficients],
         "equal_up_to": feasible if mismatch is None else mismatch - 1,
         "equal": mismatch is None and feasible == rhs.order,
     }

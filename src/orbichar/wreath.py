@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from . import groups
-from .errors import InputError, InvalidType, OrderCapExceeded
+from .errors import InputError, InvalidType, OrderCapExceeded, SizeCapExceeded
 from .groups import (
     ConjugacyClass,
     FiniteGroup,
@@ -45,8 +45,9 @@ from .groups import (
 # (by generator orbits, without a table) to cross-check the type formulas.
 BRUTE_FORCE_ORDER_CAP = 20000
 
-# Most rows (types) a ``wreath classes`` report may list; the command
-# checks the predicted count before enumerating any type.
+# Most types a ``wreath classes`` report may list, or the Hodge left side
+# may sum; both check the predicted count (``capped_type_count``) before
+# enumerating any type.
 TYPE_CAP = 10**5
 
 
@@ -291,6 +292,22 @@ def type_counts(k: int, order: int) -> list:
             for i in range(r, order + 1):
                 out[i] += out[i - r]
     return out
+
+
+def capped_type_count(count, n: int, over_cap) -> int:
+    """count(n), a type count that never falls as n grows, or
+    SizeCapExceeded with the message over_cap(k, count(k)) once a count
+    passes ``TYPE_CAP``.  It is taken on doubling prefixes k = 1, 2, 4, ...
+    of n, so the first prefix over the cap proves the trip, long before a
+    count at a large n; the message should say "at least" when k < n."""
+    k = min(1, n)
+    while True:
+        value = count(k)
+        if value > TYPE_CAP:
+            raise SizeCapExceeded(over_cap(k, value))
+        if k == n:
+            return value
+        k = min(2 * k, n)
 
 
 def all_types(base: FiniteGroup, size: int) -> list[TypeFunction]:

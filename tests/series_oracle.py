@@ -47,16 +47,17 @@ def inverse(series):
     """The inverse series, one coefficient at a time."""
     a = series.coefficients
     u = _unit_inverse(a[0])
+    zero = HodgePolynomial.zero() if isinstance(u, HodgePolynomial) else 0
     left = [(k, ak) for k, ak in enumerate(a) if k and ak]
     out = [u]
     for n in range(1, series.order + 1):
-        pairs = []
+        acc = zero
         for k, ak in left:
             if k > n:
                 break
             if out[n - k]:
-                pairs.append((ak, out[n - k]))
-        out.append(-(series._sum_of_products(pairs) * u))
+                acc = acc + ak * out[n - k]
+        out.append(-(acc * u))
     return type(series)(tuple(out))
 
 

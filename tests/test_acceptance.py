@@ -176,10 +176,10 @@ def test_criterion_06_wreath_series_identities():
 def test_criterion_07_subgroup_counts():
     """J_{r,m} formula equals brute-force sublattice enumeration."""
     t0 = time.monotonic()
-    ok = subgroup_count(2, 2).value == 3 and subgroup_count(4, 2).value == 7
+    ok = subgroup_count(2, 2) == 3 and subgroup_count(4, 2) == 7
     for m in (1, 2, 3):
         for r in range(1, 13):
-            ok = ok and subgroup_count(r, m).value == sublattice_count_bruteforce(r, m)
+            ok = ok and subgroup_count(r, m) == sublattice_count_bruteforce(r, m)
     _finish(7, "index-r subgroup counts of Z^m, r <= 12, m <= 3", t0, 10, ok)
 
 

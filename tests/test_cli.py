@@ -402,15 +402,20 @@ def test_wreath_centralizer_cap(capsys):
     "argv, named",
     [
         (("verify", "hodge", "--complex", "point-Z2", "--order", "60"),
-         "sums 4836825500 sector types"),
+         "sums at least 4062064 sector types of 2 sectors (4062064 to order 32)"),
+        (("verify", "hodge", "--complex", "point-Z2", "--order", "100000"),
+         "sums at least 4062064 sector types of 2 sectors (4062064 to order 32)"),
+        (("verify", "hodge", "--complex", "point-Z2", "--order", "1000000000"),
+         "sums at least 4062064 sector types of 2 sectors (4062064 to order 32)"),
         (("wreath", "centralizers", "--group", "Z2", "--n", "400000"),
          "wreath order 2^400000 * 400000! exceeds"),
     ],
-    ids=["hodge-types", "wreath-order"],
+    ids=["hodge-types", "hodge-types-huge-order", "hodge-types-order-1e9", "wreath-order"],
 )
 def test_cap_trips_before_the_work(capsys, argv, named):
-    # the Hodge type count is predicted, and the wreath order is compared
-    # through a running product, so neither size is computed in full first
+    # the Hodge type count is predicted on doubling prefixes of the order,
+    # and the wreath order is compared through a running product, so
+    # neither size is computed in full first
     started = time.monotonic()
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - started < 1
@@ -548,6 +553,21 @@ def test_verify_main_negative_order_is_bad_input(capsys, m):
     code, out, err = run(
         capsys, "verify", "main", "--complex", "point", "--m", m, "--order", "-1"
     )
+    assert code == 2 and out == ""
+    assert err == "error: truncation order must be >= 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "exp --complex point",
+        "macdonald --complex point",
+        "hodge --complex point-Z2",
+        "hodge",
+    ],
+)
+def test_verify_negative_order_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv.split(), "--order", "-1")
     assert code == 2 and out == ""
     assert err == "error: truncation order must be >= 0\n"
 
@@ -701,6 +721,9 @@ _PINNED_STDOUT = {
         "409aeac2fe39f0db803515cf2d7c9424b30cbf487adb79272dec74d5dd3faabb",
     "verify jcount --n 8 --m 3":
         "e729051e95bb4273481e9eaeb49de9b54b98dd6661a9a2118cf267d395c47c1d",
+    # recorded before the series products lost their generic ring
+    "verify hodge --complex abelian-surface --order 8":
+        "164135eface4b72dece8af1306ee09a48d32551b7e0c2257696065d30edaf25e",
 }
 
 
@@ -845,10 +868,7 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     real = series_mod.subgroup_count
 
     def crooked(r, m):
-        res = real(r, m)
-        if (r, m) == (2, 2):
-            return type(res)(r, m, res.value + 1)
-        return res
+        return real(r, m) + 1 if (r, m) == (2, 2) else real(r, m)
 
     monkeypatch.setattr("orbichar.cli.series.subgroup_count", crooked)
     code, report = run_json(capsys, "verify", "jcount", "--n", "3", "--m", "2")
@@ -939,6 +959,16 @@ _PINNED_SERIES = {
         "88b71474bb65f7d231004176ef2e9843115f46351d6df27cc34d98289f27e0cc",
         "error: cap exceeded: wreath power n=5: wreath product order 3840"
         " exceeds cap 2000\n",
+    ),
+    # recorded before the series products lost their generic ring
+    "verify main --complex point-Z2 --m 1 --order 300": (
+        0, "9421d1ed80249f49a57f06c6cfe9f049089aab68838de9bdf954f1c5fffb2bfe", ""
+    ),
+    "verify macdonald --complex point-Z2 --order 300": (
+        0, "69f33e075f70047d86479632582a002594ba888e11f272c7233e75b8f607c02b", ""
+    ),
+    "verify exp --complex point-S3 --order 30": (
+        0, "4e64f3c6f6ff0badc9256e4e0dfbbe3b106935aab18b60b7d518041b53916274", ""
     ),
 }
 

@@ -28,7 +28,6 @@ from orbichar.hodge import (
     sector_data_from_json,
     shift_number,
     sp_generating,
-    wreath_cycle_shift,
 )
 from orbichar.library import hodge_dataset_from_json, hodge_datasets
 from orbichar.series import rhs_main_formula
@@ -51,7 +50,7 @@ def _perfbench_jobs():
 
 
 def poly(d):
-    return HodgePolynomial.from_dict({k: Fraction(v) for k, v in d.items()})
+    return HodgePolynomial(tuple((k, Fraction(v)) for k, v in d.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +96,15 @@ def _all_int(p):
 
 
 def test_polynomial_coefficients_stay_int():
-    a = HodgePolynomial.from_dict({(0, 0): Fraction(2), (1, 0): -3})
-    b = HodgePolynomial.from_dict({(1, 1): 1, (0, 0): 5})
+    a = HodgePolynomial((((0, 0), Fraction(2)), ((1, 0), -3)))
+    b = HodgePolynomial((((1, 1), 1), ((0, 0), 5)))
     assert a.terms == (((0, 0), 2), ((1, 0), -3))
-    for p in (a, a + b, a - b, a * b, a.scale(-4), a.substitute_neg(), -a):
+    for p in (a, a + b, a * b, a.substitute_neg(), -a):
         assert _all_int(p), p
     with pytest.raises(InputError):
-        HodgePolynomial.from_dict({(0, 0): Fraction(1, 2)})
+        HodgePolynomial((((0, 0), Fraction(1, 2)),))
     with pytest.raises(InputError):
-        a.scale(Fraction(1, 2))
-    with pytest.raises(InputError):
-        HodgePolynomial.monomial(0, 0, 1.5)
+        HodgePolynomial((((0, 0), 1.5),))
 
 
 def test_evaluation_commutes_with_series_ring():
@@ -117,7 +114,6 @@ def test_evaluation_commutes_with_series_ring():
     t = hodge_product_rhs(data, d, 5)
     s1, t1 = evaluate_xy(s, 1, 1), evaluate_xy(t, 1, 1)
     assert evaluate_xy(s * t, 1, 1) == s1 * t1
-    assert evaluate_xy(s - t, 1, 1) == s1 - t1
     for k in (-2, -1, 2, 3):
         assert evaluate_xy(power(s, k), 1, 1) == power(s1, k), k
     assert all(_all_int(c) for c in (s * power(t, -1)).coefficients)
@@ -128,15 +124,11 @@ def test_series_rejects_bad_coefficients():
     with pytest.raises(NonInvertibleSeries):
         inverse(two)
     with pytest.raises(InputError):
-        HodgeSeries((1, 0))
-    with pytest.raises(InputError):
         two * HodgeSeries.one(2)
 
 
 def test_series_inverse_geometric():
-    one = HodgePolynomial.one()
-    xyq = HodgeSeries((HodgePolynomial.zero(), poly({(1, 1): -1}), HodgePolynomial.zero()))
-    s = inverse(HodgeSeries.one(2) + xyq)
+    s = inverse(HodgeSeries((HodgePolynomial.one(), poly({(1, 1): -1}), HodgePolynomial.zero())))
     assert s.coefficients[2] == poly({(2, 2): 1})
 
 
@@ -144,7 +136,7 @@ def _one_plus_monomial(s: int, t: int, n: int, c: int, order: int) -> HodgeSerie
     """The series 1 + c x^s y^t q^n, truncated at q^order."""
     coeffs = [HodgePolynomial.one()] + [HodgePolynomial.zero()] * order
     if n <= order:
-        coeffs[n] = HodgePolynomial.monomial(s, t, c)
+        coeffs[n] = HodgePolynomial((((s, t), c),))
     return HodgeSeries(tuple(coeffs))
 
 
@@ -200,6 +192,16 @@ def test_sector_datum_shift():
     odd = SectorHodgeDatum("g", 0, dims, (Fraction(1, 2),), 0)
     with pytest.raises(NonIntegerShift):
         odd.integer_shift()
+
+
+def wreath_cycle_shift(shift, d: int, r: int) -> Fraction:
+    """The shift of an r-cycle sector over a component with shift F:
+    F + d(r-1)/2, from the eigenvalues of the cyclic block matrix."""
+    if not isinstance(r, int) or r < 1:
+        raise InputError(f"cycle length must be a positive int, got {r}")
+    if not isinstance(d, int) or d < 0:
+        raise InputError(f"complex dimension must be >= 0, got {d}")
+    return Fraction(shift) + Fraction(d * (r - 1), 2)
 
 
 def wreath_type_shift(rho, data, d: int, require_integer: bool = True):
@@ -486,7 +488,7 @@ def test_lhs_type_cap_trips_before_enumerating(monkeypatch):
 
 _polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=5
-).map(HodgePolynomial.from_dict)
+).map(lambda d: HodgePolynomial(tuple(d.items())))
 
 
 def _raw_products(a, b):
@@ -508,7 +510,6 @@ def _assert_normal(p):
 def test_trusted_polynomial_arithmetic(a, b, k):
     cases = [
         (a + b, a.terms + b.terms),
-        (a - b, a.terms + tuple((key, -c) for key, c in b.terms)),
         (a * b, _raw_products(a, b)),
         (-a, tuple((key, -c) for key, c in a.terms)),
         (a.substitute_neg(), tuple(((s, t), (-1) ** (s + t) * c) for (s, t), c in a.terms)),

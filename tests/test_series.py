@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbichar.equivariant import euler_satake, power_with_wreath_action, regularize
 from orbichar.errors import (
@@ -80,14 +80,6 @@ def one_minus_q_power(r: int, order: int) -> TruncatedSeries:
 # arithmetic
 
 
-def test_addition_and_scaling():
-    a = series(1, 2, 3)
-    b = series(0, 1, 1)
-    assert (a + b).coefficients == (1, 3, 4)
-    assert (a - b).coefficients == (1, 1, 2)
-    assert a.scale(2).coefficients == (2, 4, 6)
-
-
 def test_multiplication_truncates():
     a = series(1, 1, 0)
     assert (a * a).coefficients == (1, 2, 1)
@@ -96,8 +88,43 @@ def test_multiplication_truncates():
 
 
 def test_mixed_orders_rejected():
-    with pytest.raises(InputError):
-        series(1, 2) + series(1, 2, 3)
+    with pytest.raises(InputError, match="series orders differ: 1 vs 2"):
+        series(1, 2) * series(1, 2, 3)
+
+
+# mostly zeros, so the series are sparse with runs of zeros and often a
+# zero constant term
+_sparse_coefficient = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 12).flatmap(
+        lambda top: st.tuples(
+            *[st.lists(_sparse_coefficient, min_size=top + 1, max_size=top + 1)] * 2
+        )
+    ),
+    st.booleans(),
+)
+@example(([0, 0, 3, 0, 0, 0, 1], [0, 5, 0, 0, 0, 0, 0]), False)
+@example(([0, Fraction(1, 2), 0, 0], [Fraction(-2, 3), 0, 0, 4]), True)
+def test_product_matches_schoolbook_convolution(pair, as_fractions):
+    a, b = pair
+    if as_fractions:
+        a = [Fraction(c) for c in a]
+    product = TruncatedSeries(tuple(a)) * TruncatedSeries(tuple(b))
+    top = len(a) - 1
+    dense = tuple(sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(top + 1))
+    assert product.order == top
+    assert product.coefficients == dense
+    if all(type(c) is int for c in a + b):
+        assert all(type(c) is int for c in product.coefficients)
 
 
 def test_inverse():
@@ -166,7 +193,7 @@ def test_product_powers_commute(a, b, k):
 def test_exp_turns_sums_into_products(c):
     c[0] = 0
     a = series(*c)
-    doubled = a + a
+    doubled = series(*(2 * x for x in c))
     assert doubled.exp().coefficients == (a.exp() * a.exp()).coefficients
 
 
@@ -191,13 +218,13 @@ J_ORACLE = {
 @pytest.mark.parametrize("rm,expected", sorted(J_ORACLE.items()))
 def test_subgroup_count_oracle(rm, expected):
     r, m = rm
-    assert subgroup_count(r, m).value == expected
+    assert subgroup_count(r, m) == expected
 
 
 def test_subgroup_count_matches_bruteforce():
     for m in (1, 2, 3):
         for r in range(1, 13):
-            assert subgroup_count(r, m).value == sublattice_count_bruteforce(r, m)
+            assert subgroup_count(r, m) == sublattice_count_bruteforce(r, m)
 
 
 def _residue_span(rows: list, r: int, m: int) -> frozenset:
@@ -287,7 +314,7 @@ def test_wrong_adjugate_entry_is_caught(monkeypatch, position):
             except InputError as exc:
                 assert str(exc) == "candidate lattice has the wrong index"
             else:
-                assert count != subgroup_count(r, 3).value, (r, exhaustive)
+                assert count != subgroup_count(r, 3), (r, exhaustive)
 
 
 def test_adjugate_refuses_a_wrong_determinant():
@@ -314,7 +341,7 @@ def test_ordered_factorizations_without_recursion():
             assert list(_ordered_factorizations(r, m)) == expected, (r, m)
     # a coordinate count far past the interpreter's recursion limit
     assert list(_ordered_factorizations(1, 5000)) == [(1,) * 5000]
-    assert subgroup_count(2, 3000).value == 2**3000 - 1
+    assert subgroup_count(2, 3000) == 2**3000 - 1
 
 
 def test_bruteforce_exhaustive_agrees():
@@ -370,7 +397,7 @@ def test_rhs_main_formula_stays_integral():
         s = rhs_main_formula(m, chi, order)
         assert all(type(c) is int for c in s.coefficients)
         factors = [
-            _binomial_factor(r, (subgroup_count(r, m).value if m else 1) * chi, order)
+            _binomial_factor(r, (subgroup_count(r, m) if m else 1) * chi, order)
             for r in range(1, order + 1 if m else 2)
         ]
         product = series(1, *[0] * order)
@@ -445,7 +472,7 @@ def rhs_main_formula_by_powers(m: int, chi: int, order: int) -> TruncatedSeries:
         return power(one_minus_q_power(1, order), -chi)
     out = TruncatedSeries.one(order)
     for r in range(1, order + 1):
-        j = subgroup_count(r, m).value
+        j = subgroup_count(r, m)
         out = out * power(one_minus_q_power(r, order), -j * chi)
     return out
 
@@ -457,7 +484,7 @@ def test_binomial_factor_matches_powers():
                 expected = power(one_minus_q_power(r, order), -k)
                 assert _binomial_factor(r, k, order) == expected, (r, k, order)
     # the exponents J_{r,m} * chi that the right side meets, up to 600 * 7
-    ks = {subgroup_count(r, m).value * chi for r in range(1, 8) for m in (2, 3, 4)
+    ks = {subgroup_count(r, m) * chi for r in range(1, 8) for m in (2, 3, 4)
           for chi in (-3, 7)}
     for k in sorted(ks):
         for r in (1, 2, 5, 12):
