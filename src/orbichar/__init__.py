@@ -66,7 +66,6 @@ from .series import (
 )
 from .hodge import (
     BigradedDims,
-    HodgePolynomial,
     HodgeSeries,
     SectorHodgeDatum,
     h_cr_polynomial,

@@ -19,12 +19,12 @@ Conventions, fixed once:
 * in the right side's (xy)^((r-1)d/2) the index r is the cycle length, read
   off the outer product index n.
 
-Validation happens at the boundary only: ``BigradedDims``,
-``sector_data_from_json`` and the ``HodgePolynomial(...)`` constructor
-check every bidegree and coefficient.  Arithmetic on polynomials that
-passed those checks (``+``, ``*``, unary ``-``, ``shift_by``,
-``substitute_neg`` and ``HodgeSeries.__mul__``) sums into int dicts and
-builds its result with ``_trusted``, without checking again.  The two
+A Hodge polynomial is the sorted tuple of its nonzero ((s, t), c) terms.
+Validation happens at the JSON boundary only: ``sector_data_from_json``
+and ``BigradedDims`` check every field, bidegree and dimension.  The
+arithmetic after them (``h_cr_polynomial``, ``sp_generating``,
+``HodgeSeries.__mul__`` and the left side's (-x,-y) substitution) sums
+into int dicts and sorts once, without checking again.  The two
 sides of the product formula share no evaluator: the right side
 multiplies ``_binomial_power`` factors by ``HodgeSeries.__mul__``, the
 left side builds ``sp_generating`` in place and walks the type trie.
@@ -51,85 +51,13 @@ from .wreath import type_counts, type_trie
 # bigraded polynomials in x, y
 
 
-def _normalized_terms(pairs) -> tuple:
-    acc: dict = {}
-    for (s, t), coeff in pairs:
-        if not isinstance(s, int) or not isinstance(t, int) or s < 0 or t < 0:
-            raise InputError(f"bidegree ({s},{t}) must be nonnegative integers")
-        if type(coeff) is not int:
-            if not isinstance(coeff, (int, Fraction)) or coeff.denominator != 1:
-                raise InputError(f"coefficient {coeff!r} at ({s},{t}) is not an integer")
-            coeff = int(coeff)
-        acc[(s, t)] = acc.get((s, t), 0) + coeff
-    return tuple(
-        ((s, t), c) for (s, t), c in sorted(acc.items()) if c != 0
-    )
+_ONE = (((0, 0), 1),)
 
 
-@dataclass(frozen=True)
-class HodgePolynomial:
-    """A polynomial sum of c_{s,t} x^s y^t with integer coefficients."""
-
-    terms: tuple  # sorted ((s, t), int), no zero coefficients
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _normalized_terms(self.terms))
-
-    @classmethod
-    def zero(cls) -> "HodgePolynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "HodgePolynomial":
-        return cls((((0, 0), 1),))
-
-    def __add__(self, other: "HodgePolynomial") -> "HodgePolynomial":
-        acc = dict(self.terms)
-        for key, c in other.terms:
-            acc[key] = acc.get(key, 0) + c
-        return _from_sums(acc)
-
-    def __neg__(self) -> "HodgePolynomial":
-        return _trusted(tuple([(key, -c) for key, c in self.terms]))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __mul__(self, other: "HodgePolynomial") -> "HodgePolynomial":
-        acc: dict = {}
-        _add_products(acc, self.terms, other.terms)
-        return _from_sums(acc)
-
-    def shift_by(self, k: int) -> "HodgePolynomial":
-        """Multiply by (xy)^k: every bidegree (s,t) moves to (s+k, t+k)."""
-        if not isinstance(k, int):
-            raise NonIntegerShift(f"shift must be an integer, got {k!r}")
-        terms = tuple([((s + k, t + k), c) for (s, t), c in self.terms])
-        # a negative shift may leave the nonnegative quadrant
-        return HodgePolynomial(terms) if k < 0 else _trusted(terms)
-
-    def substitute_neg(self) -> "HodgePolynomial":
-        """The polynomial at (-x, -y): each term picks up (-1)^(s+t)."""
-        return _trusted(tuple([
-            ((s, t), -c if (s + t) & 1 else c) for (s, t), c in self.terms
-        ]))
-
-    def to_json(self) -> dict:
-        return {f"{s},{t}": str(c) for (s, t), c in self.terms}
-
-
-def _trusted(terms: tuple) -> HodgePolynomial:
-    """A HodgePolynomial on terms already in normal form: sorted, with
-    nonnegative int bidegrees and nonzero int coefficients."""
-    p = object.__new__(HodgePolynomial)
-    object.__setattr__(p, "terms", terms)
-    return p
-
-
-def _from_sums(acc: dict) -> HodgePolynomial:
+def _from_sums(acc: dict) -> tuple:
     """The polynomial of an int dict {(s, t): coefficient}: sorted once,
     zeros dropped."""
-    return _trusted(tuple([kc for kc in sorted(acc.items()) if kc[1]]))
+    return tuple([kc for kc in sorted(acc.items()) if kc[1]])
 
 
 def _add_products(acc: dict, left, right) -> None:
@@ -144,7 +72,7 @@ def _add_products(acc: dict, left, right) -> None:
 
 @dataclass(frozen=True)
 class HodgeSeries:
-    """A q-series whose coefficients are HodgePolynomials, truncated."""
+    """A q-series whose coefficients are Hodge polynomials, truncated."""
 
     coefficients: tuple
 
@@ -156,22 +84,22 @@ class HodgeSeries:
     def one(cls, order: int) -> "HodgeSeries":
         if order < 0:
             raise InputError("truncation order must be >= 0")
-        return cls((HodgePolynomial.one(),) + (HodgePolynomial.zero(),) * order)
+        return cls((_ONE,) + ((),) * order)
 
     def __mul__(self, other: "HodgeSeries") -> "HodgeSeries":
         top = same_order(self, other)
-        right = [(j, b.terms) for j, b in enumerate(other.coefficients) if b]
+        right = [(j, b) for j, b in enumerate(other.coefficients) if b]
         sums = [{} for _ in range(top + 1)]
         for i, a in enumerate(self.coefficients):
             if a:
                 for j, b in right:
                     if i + j > top:
                         break
-                    _add_products(sums[i + j], a.terms, b)
+                    _add_products(sums[i + j], a, b)
         return HodgeSeries(tuple(map(_from_sums, sums)))
 
     def to_json(self) -> list:
-        return [c.to_json() for c in self.coefficients]
+        return [{f"{s},{t}": str(c) for (s, t), c in p} for p in self.coefficients]
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +129,6 @@ class BigradedDims:
 
     def max_degree(self) -> int:
         return max((max(s, t) for (s, t), _ in self.entries), default=0)
-
-    def polynomial(self) -> HodgePolynomial:
-        return HodgePolynomial(self.entries)
 
 
 def shift_number(angles) -> Fraction:
@@ -256,6 +181,14 @@ class SectorHodgeDatum:
         return int(value)
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON int field as it is: a float, a bool or a string is refused,
+    not truncated."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {value!r}")
+    return value
+
+
 def sector_data_from_json(items) -> tuple:
     """Parse [{"class", "component", "dims": {"s,t": dim}, "angles", "d"}]."""
     if not isinstance(items, list):
@@ -268,13 +201,15 @@ def sector_data_from_json(items) -> tuple:
             dims = {}
             for key, dim in dict(item["dims"]).items():
                 s, t = (int(p) for p in str(key).split(","))
-                dims[(s, t)] = int(dim)
+                if (s, t) in dims:
+                    raise ValueError(f"bidegree ({s},{t}) is given twice")
+                dims[(s, t)] = _json_int(dim, f"dimension at {key!r}")
             datum = SectorHodgeDatum(
                 class_label=str(item["class"]),
-                component=int(item["component"]),
+                component=_json_int(item["component"], "'component'"),
                 dims=BigradedDims.from_dict(dims),
                 angles=tuple(Fraction(a) for a in item.get("angles", [])),
-                d=int(item["d"]),
+                d=_json_int(item["d"], "'d'"),
             )
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad sector datum {item!r}: {exc}") from exc
@@ -286,16 +221,19 @@ def sector_data_from_json(items) -> tuple:
 # shifts
 
 
-def h_cr_polynomial(data) -> HodgePolynomial:
+def h_cr_polynomial(data) -> tuple:
     """The shifted polynomial: each sector's dims moved up by (xy)^shift.
 
     All dimensions enter unsigned; signs belong to the product formula, not
     to the polynomial.
     """
-    out = HodgePolynomial.zero()
+    acc: dict = {}
     for datum in data:
-        out = out + datum.dims.polynomial().shift_by(datum.integer_shift())
-    return out
+        k = datum.integer_shift()
+        for (s, t), dim in datum.dims.entries:
+            key = (s + k, t + k)
+            acc[key] = acc.get(key, 0) + dim
+    return _from_sums(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +252,7 @@ def sp_generating(dims: BigradedDims, order: int) -> HodgeSeries:
     for odd (s,t) and -1 for even: multiply by P, top coefficient first, or
     divide by P, bottom first; at most order^2 steps, however large dim is.
     """
-    coeffs = [dict(c.terms) for c in HodgeSeries.one(order).coefficients]
+    coeffs = [dict(c) for c in HodgeSeries.one(order).coefficients]
     for (s, t), dim in dims.entries:
         c = 1 if (s + t) % 2 else -1
         row = binomial_coefficients(dim, c, order + 1)
@@ -330,11 +268,10 @@ def _binomial_power(s: int, t: int, n: int, c: int, k: int, order: int) -> Hodge
     """The series (1 + c x^s y^t q^n)^k for n >= 1 and any int k, truncated
     at q^order, in closed form: its coefficient of q^(n*i) is
     C(k, i) c^i x^(i*s) y^(i*t)."""
-    zero = HodgePolynomial.zero()
-    coeffs = [zero] * (order + 1)
+    coeffs = [()] * (order + 1)
     row = binomial_coefficients(k, c, order // n + 1)
     for i, b in enumerate(row):
-        coeffs[n * i] = _trusted((((i * s, i * t), b),)) if b else zero
+        coeffs[n * i] = (((i * s, i * t), b),) if b else ()
     return HodgeSeries(tuple(coeffs))
 
 
@@ -382,7 +319,7 @@ def hodge_product_rhs(data, d: int, order: int) -> HodgeSeries:
     factors = []
     for n in range(order, 0, -1):
         e = _check_xy_exponent(d, n)
-        for (s, t), coeff in h.terms:
+        for (s, t), coeff in h:
             exponent = -coeff if (s + t) % 2 == 0 else coeff
             factors.append(_binomial_power(s + e, t + e, n, -1, exponent, order))
     return reduce(operator.mul, factors) if factors else HodgeSeries.one(order)
@@ -427,11 +364,11 @@ def hodge_product_lhs(data, d: int, order: int) -> HodgeSeries:
         cycle_shift.append([0] + [shift + e for e in half])
     sums = [{} for _ in range(order + 1)]
     # the product terms and the shift of the open node at each depth
-    products = [(((0, 0), 1),)]
+    products = [_ONE]
     shifts = [0]
     for depth, (idx, r), m, weight in type_trie(len(data), order):
         partial: dict = {}
-        _add_products(partial, products[depth], sp_tables[idx][m].terms)
+        _add_products(partial, products[depth], sp_tables[idx][m])
         term = partial.items()
         shift = shifts[depth] + m * cycle_shift[idx][r]
         del products[depth + 1 :], shifts[depth + 1 :]
@@ -442,9 +379,12 @@ def hodge_product_lhs(data, d: int, order: int) -> HodgeSeries:
         for (s, t), c in term:
             key = (s + shift, t + shift)
             acc[key] = get(key, 0) + c
-    coefficients = [HodgePolynomial.one()]
-    for n in range(1, order + 1):
-        coefficients.append(_from_sums(sums[n]).substitute_neg())
+    # each coefficient is taken at (-x, -y): a term picks up (-1)^(s+t)
+    coefficients = [_ONE]
+    for acc in sums[1:]:
+        coefficients.append(tuple([
+            ((s, t), -c if (s + t) & 1 else c) for (s, t), c in _from_sums(acc)
+        ]))
     return HodgeSeries(tuple(coefficients))
 
 

@@ -91,12 +91,22 @@ def parse_presentation(spec) -> Presentation:
             return trivial_presentation()
         if s == "Z":
             return free_abelian(1)
-        m = re.fullmatch(r"Z\^(\d+)", s)
+        m = re.fullmatch(r"(Z\^|F_)(\d+)", s)
         if m:
-            return free_abelian(int(m.group(1)))
-        m = re.fullmatch(r"F_(\d+)", s)
-        if m:
-            return free_group(int(m.group(1)))
+            kind, digits = m.group(1), m.group(2).lstrip("0") or "0"
+            # Past k = limit every group of order >= 2 has 2^k > cap
+            # candidate tuples, so such a k is refused before a relator is
+            # built; one with more digits than the limit is not converted.
+            limit = DEFAULT_HOM_CAP.bit_length() - 1
+            if len(digits) > len(str(limit)) or int(digits) > limit:
+                count = digits if len(digits) <= 20 else f"a {len(digits)}-digit number of"
+                raise EnumerationCapExceeded(
+                    f"{kind}k with {count} generators: |G|^k exceeds enumeration"
+                    f" cap {DEFAULT_HOM_CAP} for every group of order >= 2 once"
+                    f" k > {limit}"
+                )
+            k = int(digits)
+            return free_abelian(k) if kind == "Z^" else free_group(k)
     raise InputError(f"cannot parse presentation spec {spec!r}")
 
 

@@ -22,8 +22,8 @@ from .equivariant import (
     regularize,
     trivial_action,
 )
-from . import groups
-from .errors import InputError, OrderCapExceeded
+from . import complexes, groups
+from .errors import InputError, OrderCapExceeded, SizeCapExceeded
 from .groups import (
     FiniteGroup,
     cyclic_group,
@@ -136,7 +136,20 @@ def builtin_complex(spec: str) -> SimplicialComplex:
         return _COMPLEX_BUILDERS[spec]()
     m = _CIRCLE_RE.match(spec)
     if m:
-        return circle(int(m.group(1)))
+        # k vertices and k edges; a k with more digits than the cap is past
+        # it, and is not converted
+        digits, cap = m.group(1).lstrip("0") or "0", complexes.DEFAULT_SIMPLEX_CAP
+        if len(digits) > len(str(cap)):
+            raise SizeCapExceeded(
+                f"circle(k) with a {len(digits)}-digit k has more simplices"
+                f" than the simplex cap {cap}"
+            )
+        if 2 * int(digits) > cap:
+            raise SizeCapExceeded(
+                f"circle({digits}) has {2 * int(digits)} simplices, above"
+                f" simplex cap {cap}"
+            )
+        return circle(int(digits))
     raise InputError(
         f"unknown complex spec {spec!r}; use one of {', '.join(COMPLEX_SPECS)}"
     )

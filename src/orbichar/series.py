@@ -192,6 +192,48 @@ def sublattice_count_bruteforce(r: int, m: int, exhaustive: bool = False) -> int
     return len(seen)
 
 
+def capped_jcount_formulas(r_max: int, m_max: int) -> list:
+    """The (r, m, J_{r,m}) of every r <= r_max and m <= m_max, once the
+    work of ``sublattice_count_bruteforce`` on them is predicted within
+    ``JCOUNT_RESIDUE_CAP``; else CapExceeded, before any span is closed.
+
+    Each normal form fills an m x m matrix and closes a span of r^(m-1)
+    residues, or from m = 3 on of r residues after m (m+1) (m+2) / 6
+    adjugate steps.  Every row closes at least one residue, so the row
+    count is checked first.
+    """
+    cap = JCOUNT_RESIDUE_CAP
+
+    def over_cap(residues: int, where: str, entries: int = 0) -> CapExceeded:
+        filled = (
+            f" and takes {entries} matrix entries and adjugate steps,"
+            f" {residues + entries} in all"
+            if entries
+            else ""
+        )
+        return CapExceeded(
+            f"jcount brute force closes at least {residues} residues ({where})"
+            f"{filled}, above the residue cap {cap}"
+        )
+
+    if r_max * m_max > cap:
+        raise over_cap(r_max * m_max, "one per row")
+    formulas = []
+    residues = entries = 0
+    for m in range(1, m_max + 1):
+        adjugate = m * (m + 1) * (m + 2) // 6 if m > 2 else 0
+        for r in range(1, r_max + 1):
+            formula = subgroup_count(r, m)
+            residues += formula * (r if m > 2 else r ** (m - 1))
+            entries += formula * (m * m + adjugate)
+            if residues + entries > cap:
+                # the entries are named where the residues alone fit
+                named = entries if residues <= cap else 0
+                raise over_cap(residues, f"through r={r}, m={m}", named)
+            formulas.append((r, m, formula))
+    return formulas
+
+
 def _adjugate_columns(rows: list, r: int) -> list:
     """The columns of adj(B) = r B^-1 for the upper-triangular B with these
     rows, each cut after its diagonal entry, by back substitution in B adj(B)

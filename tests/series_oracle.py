@@ -10,13 +10,20 @@ by repeated squaring, the count by row spans, the generator-orbit span,
 the flat type enumeration -- plus an annihilator found by testing every
 vector, evaluations and the wreath-series wrapper that only tests call.
 Each computes its answer independently of the code it checks.
+
+Hodge polynomials are sorted tuples of nonzero ((s, t), c) terms, as the
+library keeps them.  Their arithmetic here (sum, product, the shift by
+(xy)^k, the substitution (-x, -y) and evaluation) is the polynomial
+arithmetic the library dropped once each of its routes summed into one
+int dict.
 """
 import itertools
+import operator
 from fractions import Fraction
 
 from orbichar.errors import InputError, SizeCapExceeded
 from orbichar.groups import orbit
-from orbichar.hodge import HodgePolynomial, HodgeSeries
+from orbichar.hodge import HodgeSeries
 from orbichar.series import (
     TruncatedSeries,
     _generator_rows,
@@ -27,27 +34,53 @@ from orbichar.series import (
 )
 
 
+HODGE_ONE = (((0, 0), 1),)
+
+
+def poly_add(*polys) -> tuple:
+    """The sum of any number of term sequences, in normal form: sorted,
+    like bidegrees merged, zeros dropped."""
+    acc = {}
+    for poly in polys:
+        for key, c in poly:
+            acc[key] = acc.get(key, 0) + c
+    return tuple((key, c) for key, c in sorted(acc.items()) if c != 0)
+
+
+def poly_mul(a, b) -> tuple:
+    """The product of two Hodge polynomials."""
+    return poly_add(
+        [((s1 + s2, t1 + t2), c1 * c2) for (s1, t1), c1 in a for (s2, t2), c2 in b]
+    )
+
+
+def poly_shift(poly, k: int) -> tuple:
+    """The polynomial times (xy)^k: (s, t) moves to (s + k, t + k)."""
+    return tuple(((s + k, t + k), c) for (s, t), c in poly)
+
+
+def poly_neg_xy(poly) -> tuple:
+    """The polynomial at (-x, -y): each term picks up (-1)^(s+t)."""
+    return tuple(((s, t), (-1) ** (s + t) * c) for (s, t), c in poly)
+
+
 class NonInvertibleSeries(InputError):
     """Inverse of a series whose constant term is zero (or a non-unit)."""
 
 
-def _unit_inverse(c):
-    """The inverse of an invertible constant term: any nonzero int or
-    Fraction, or the Hodge polynomial 1."""
-    if isinstance(c, HodgePolynomial):
-        if c != HodgePolynomial.one():
-            raise NonInvertibleSeries("series inverse requires constant coefficient 1")
-        return c
-    if c == 0:
-        raise NonInvertibleSeries("constant term is zero")
-    return Fraction(1) / c
-
-
 def inverse(series):
-    """The inverse series, one coefficient at a time."""
+    """The inverse series, one coefficient at a time: of a TruncatedSeries
+    with a nonzero constant term, or of a HodgeSeries with constant term 1."""
     a = series.coefficients
-    u = _unit_inverse(a[0])
-    zero = HodgePolynomial.zero() if isinstance(u, HodgePolynomial) else 0
+    if isinstance(series, HodgeSeries):
+        if a[0] != HODGE_ONE:
+            raise NonInvertibleSeries("series inverse requires constant coefficient 1")
+        u, minus_u, zero, add, mul = HODGE_ONE, (((0, 0), -1),), (), poly_add, poly_mul
+    else:
+        if a[0] == 0:
+            raise NonInvertibleSeries("constant term is zero")
+        u = Fraction(1) / a[0]
+        minus_u, zero, add, mul = -u, 0, operator.add, operator.mul
     left = [(k, ak) for k, ak in enumerate(a) if k and ak]
     out = [u]
     for n in range(1, series.order + 1):
@@ -56,8 +89,8 @@ def inverse(series):
             if k > n:
                 break
             if out[n - k]:
-                acc = acc + ak * out[n - k]
-        out.append(-(acc * u))
+                acc = add(acc, mul(ak, out[n - k]))
+        out.append(mul(acc, minus_u))
     return type(series)(tuple(out))
 
 
@@ -88,10 +121,10 @@ def log(series: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def evaluate(poly: HodgePolynomial, x, y) -> Fraction:
-    """The polynomial's value at (x, y)."""
+def evaluate(poly, x, y) -> Fraction:
+    """The Hodge polynomial's value at (x, y)."""
     xv, yv = Fraction(x), Fraction(y)
-    return sum((c * xv**s * yv**t for (s, t), c in poly.terms), Fraction(0))
+    return sum((c * xv**s * yv**t for (s, t), c in poly), Fraction(0))
 
 
 def evaluate_xy(series: HodgeSeries, x, y) -> TruncatedSeries:

@@ -409,13 +409,38 @@ def test_wreath_centralizer_cap(capsys):
          "sums at least 4062064 sector types of 2 sectors (4062064 to order 32)"),
         (("wreath", "centralizers", "--group", "Z2", "--n", "400000"),
          "wreath order 2^400000 * 400000! exceeds"),
+        (("euler", "--complex", "point", "--gamma", "F_5000"),
+         "F_k with 5000 generators: |G|^k exceeds enumeration cap 100000000"),
+        (("verify", "sectors", "--complex", "point", "--gamma", "F_3000,Z"),
+         "F_k with 3000 generators"),
+        (("euler", "--complex", "point", "--gamma", "Z^2000"),
+         "Z^k with 2000 generators"),
+        (("euler", "--complex", "point", "--gamma", "F_30"),
+         "F_k with 30 generators: |G|^k exceeds enumeration cap 100000000 for"
+         " every group of order >= 2 once k > 26"),
+        (("euler", "--complex", "point", "--gamma", "Z^" + "9" * 5000),
+         "Z^k with a 5000-digit number of generators"),
+        (("euler", "--complex", "point", "--gamma", "F_" + "9" * 5000),
+         "F_k with a 5000-digit number of generators"),
+        (("euler", "--complex", f"circle({'9' * 5000})", "--gamma", "Z"),
+         "circle(k) with a 5000-digit k has more simplices than the simplex cap 1000000"),
+        (("euler", "--complex", "circle(600000)", "--gamma", "Z"),
+         "circle(600000) has 1200000 simplices, above simplex cap 1000000"),
     ],
-    ids=["hodge-types", "hodge-types-huge-order", "hodge-types-order-1e9", "wreath-order"],
+    ids=[
+        "hodge-types", "hodge-types-huge-order", "hodge-types-order-1e9", "wreath-order",
+        "gamma-F5000", "gamma-F3000-sectors", "gamma-Z2000", "gamma-F30",
+        "gamma-Z-5000-digits", "gamma-F-5000-digits", "circle-5000-digits",
+        "circle-600000",
+    ],
 )
 def test_cap_trips_before_the_work(capsys, argv, named):
     # the Hodge type count is predicted on doubling prefixes of the order,
     # and the wreath order is compared through a running product, so
-    # neither size is computed in full first
+    # neither size is computed in full first.  A free or free abelian Γ
+    # of k > 26 generators is past the candidate cap on every group of
+    # order >= 2 and is refused before its relators or the one-element
+    # group's walk; circle(k) counts its 2k simplices before building them
     started = time.monotonic()
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - started < 1
@@ -724,6 +749,11 @@ _PINNED_STDOUT = {
     # recorded before the series products lost their generic ring
     "verify hodge --complex abelian-surface --order 8":
         "164135eface4b72dece8af1306ee09a48d32551b7e0c2257696065d30edaf25e",
+    # recorded while every Hodge polynomial was still a HodgePolynomial
+    "verify hodge --complex two-sector-shifted --order 12":
+        "55938907059447fa2214c9281e006d809adb4fcdb895375cb3ab135d6b8901a4",
+    "verify hodge --order 8":
+        "37498d5a9cf6cd32d0d8ccfe177d5b8dbfc035e13c7984a2d6fb07210a22ea1b",
 }
 
 
@@ -806,29 +836,34 @@ def test_verify_hodge_huge_dims_cost_nothing_extra(tmp_path, capsys):
     assert code == 0 and report["equal"] is True
 
 
+def _one_sector(**fields) -> dict:
+    """A dataset of one valid point sector, with ``fields`` replaced."""
+    sector = {"class": "g", "component": 0, "dims": {"0,0": 1}, "angles": [], "d": 0}
+    return {"d": 0, "sectors": [dict(sector, **fields)]}
+
+
 @pytest.mark.parametrize(
-    "spec",
+    "spec, named",
     [
-        {"d": "two", "sectors": []},
-        {"d": 2, "sectors": [5]},
-        {
-            "d": 0,
-            "sectors": [
-                {"class": "g", "component": 0, "dims": {"0,0": 1},
-                 "angles": ["1/0"], "d": 0}
-            ],
-        },
-        {
-            "d": 0,
-            "sectors": [
-                {"class": "e", "component": 0, "dims": {"-1,1": 1},
-                 "angles": [], "d": 0}
-            ],
-        },
+        ({"d": "two", "sectors": []}, "'d' must be an int"),
+        ({"d": 2, "sectors": [5]}, "not a JSON object"),
+        (_one_sector(angles=["1/0"]), "Fraction(1, 0)"),
+        (_one_sector(dims={"-1,1": 1}), "bidegree (-1,1)"),
+        # an int field is taken as it is, never truncated or read from a bool
+        (_one_sector(component=0.9), "'component' must be an int, got 0.9"),
+        (_one_sector(d=0.7), "'d' must be an int, got 0.7"),
+        (_one_sector(dims={"0,0": 1.5}), "dimension at '0,0' must be an int, got 1.5"),
+        (_one_sector(component=True), "'component' must be an int, got True"),
+        (_one_sector(dims={"0,0": True}), "dimension at '0,0' must be an int, got True"),
+        (_one_sector(dims={"0,0": 1, " 0 , 0 ": 1}), "bidegree (0,0) is given twice"),
     ],
-    ids=["d-string", "sector-int", "angle-over-zero", "negative-bidegree"],
+    ids=[
+        "d-string", "sector-int", "angle-over-zero", "negative-bidegree",
+        "component-float", "sector-d-float", "dim-float", "component-bool",
+        "dim-bool", "repeated-bidegree",
+    ],
 )
-def test_verify_hodge_json_file_rejects_malformed(tmp_path, capsys, spec):
+def test_verify_hodge_json_file_rejects_malformed(tmp_path, capsys, spec, named):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
     code, out, err = run(
@@ -839,6 +874,7 @@ def test_verify_hodge_json_file_rejects_malformed(tmp_path, capsys, spec):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
+    assert named in err
 
 
 def test_verify_sectors(capsys):

@@ -35,6 +35,17 @@ def test_parse_presentation():
     assert p.relators == ((1, 1),)
 
 
+@pytest.mark.parametrize("spec", ["Z^", "F_"])
+def test_parse_presentation_generator_limit(spec):
+    # 2^26 <= 10^8 < 2^27: past 26 generators every group of order >= 2
+    # overflows the candidate cap, so the spec itself is refused
+    assert parse_presentation(f"{spec}26").generators == 26
+    assert parse_presentation(f"{spec}0026").generators == 26
+    for k in ("27", "1" + "0" * 5000):
+        with pytest.raises(EnumerationCapExceeded, match="enumeration cap 100000000"):
+            parse_presentation(spec + k)
+
+
 def test_free_abelian_relators():
     z2 = free_abelian(2)
     assert z2.generators == 2
