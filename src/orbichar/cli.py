@@ -7,6 +7,7 @@ byte-identical output.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -465,16 +466,18 @@ def _text(obj, indent: str, out: list) -> None:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit(report: dict, out: str | None):
-    """Write the report's text and a newline to stdout, and to ``out`` if
-    given, piece by piece: no string of the whole report is built."""
+def _emit(report: dict, out):
+    """Write the report's text and a newline to stdout, and to the open
+    file ``out`` if given (replacing what it held), piece by piece: no
+    string of the whole report is built."""
     pieces = []
     _text(report, "\n", pieces)
     pieces.append("\n")
     sys.stdout.writelines(pieces)
     if out:
-        with open(out, "w") as fh:
-            fh.writelines(pieces)
+        out.seek(0)
+        out.truncate()
+        out.writelines(pieces)
 
 
 def main(argv=None) -> int:
@@ -486,17 +489,25 @@ def main(argv=None) -> int:
         print("error: wreath needs --group", file=sys.stderr)
         return EXIT_INPUT
     try:
-        report, code = args.func(args)
-    except CapExceeded as exc:
-        print(f"error: cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except InputError as exc:
+        # opened before any work, so a path that cannot be written is bad
+        # input; appending keeps what the file holds until a report lands
+        out = open(args.out, "a") if args.out else None
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    _emit(report, args.out)
+    with out or contextlib.nullcontext():
+        try:
+            report, code = args.func(args)
+        except CapExceeded as exc:
+            print(f"error: cap exceeded: {exc}", file=sys.stderr)
+            return EXIT_CAP
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        _emit(report, out)
     return code
 
 

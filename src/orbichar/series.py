@@ -15,17 +15,19 @@ right side:
 * Macdonald dimension formulas: homology dimensions of quotients (and of
   their Z-sector decompositions) have geometric-series generating functions.
 
-Left sides are computed by one of two routes chosen automatically: explicit
-wreath powers of the complex (small n, any complex), or, for one-point
-complexes, a structural recursion through the centralizer decomposition of
-wreath conjugacy classes that reaches sizes far past any multiplication
-table.  The two routes overlap at small n, which the tests exploit.
+Left sides on a one-point complex come from a structural recursion through
+the centralizer decomposition of wreath conjugacy classes, which reaches
+sizes far past any multiplication table.  On any other complex, the exp and
+main left sides are fixed-point counts over the product cells of M^n, and
+Macdonald's are read off the explicit, triangulated wreath powers.  The
+routes overlap at small n, which the tests exploit.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,10 +45,11 @@ from .errors import (
     InputError,
     NonIntegerExponent,
 )
-from .groups import FiniteGroup, conjugacy_classes
-from .homs import free_abelian
+from .groups import FiniteGroup, conjugacy_classes, generators, orbit, orbits
+from .groups import perm_compose, subgroup
+from .homs import _check_hom_cap, free_abelian
 from .sectors import chi_m_top, gamma_sectors
-from .wreath import centralizer_extension, type_counts
+from .wreath import WreathProduct, centralizer_extension, type_counts
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +465,8 @@ def _point_chi_coefficients(
 def _wreath_terms(
     rec: RegularEquivariantComplex, order: int, on_point, on_power, built: dict
 ) -> tuple:
-    """Coefficients 0..order of a wreath series, as (values, note).
+    """Coefficients 0..order of a wreath series, as (values, note), from the
+    triangulated wreath powers (Macdonald's route).
 
     On a one-point complex they are ``on_point()``, a list through at least
     ``order``, read once.  Otherwise coefficient 0 is 1 and coefficient n
@@ -482,6 +486,130 @@ def _wreath_terms(
         except CapExceeded as exc:
             return values, f"wreath power n={n}: {exc}"
     return values, None
+
+
+def _cell_terms(rec: RegularEquivariantComplex, order: int, m) -> tuple:
+    """Coefficients 0..order of sum_n chi(M^n x| G~S_n) q^n, as (values,
+    note) like ``_wreath_terms``: chi_ES when m is None, else chi_(m),
+    summed over product cells with no power built.
+
+    W = G~S_n permutes the open cells e = s_1 x ... x s_n of M^n.  By
+    Tamanoi's fixed-point form (Algebr. Geom. Topol. 1, 2001), chi_(m) is
+    (1/|W|) times the sum over phi in Hom(Z^(m+1), W) of chi(Fix <phi>).
+    A point fixed by <phi> lies in a cell that <phi> preserves, and there
+    the fixed set is an open ball, so chi_(m)(M^n x| W) is the sum over
+    W-orbits of cells e of (1/|W_e|) sum_(phi in Hom(Z^(m+1), W_e))
+    (-1)^dim Fix_phi(e).  An orbit of cells takes k_t factors from each
+    simplex orbit t of M (sum k_t = n); let the cell repeat t's least
+    simplex.  The base is regular, so the stabilizer G_t fixes t
+    vertexwise: W_e is the product of the G_t~S_(k_t), whose tuple parts
+    act trivially on the cell.  Fix_phi(e) is then the points constant
+    along each <phi>-orbit of factors, of dimension the sum over those
+    orbits of dim t, with sign the product of e_t^(orbits), e_t =
+    (-1)^dim t.  So the series is the product over simplex orbits t of
+    sum_k a_t(k) q^k, a_t(k) the average of e_t^(orbits of <phi> on the k
+    factors) over Hom(Z^(m+1), G_t~S_k) (``_sign_averages``); chi_ES takes
+    the trivial phi alone, a_t(k) = e_t^k / |G_t~S_k|.  Each factor is
+    computed once per (stabilizer, sign) and raised to the number of its
+    orbits.
+
+    The terms stop at the first n whose W passes the table cap or, for
+    m >= 1, whose |W|^m passes the hom cap, with the note the
+    triangulated route gives there.  Nothing here reads a sector, the
+    Euler-Satake sum or a J_{r,m}.
+    """
+    group, ec = rec.group, rec.ec
+    top, note = order, None
+    for n in range(1, order + 1):
+        wreath = WreathProduct(group, n)
+        try:
+            wreath.check_table_order()
+            if m:
+                _check_hom_cap(free_abelian(m), wreath)
+        except CapExceeded as exc:
+            top, note = n - 1, f"wreath power n={n}: {exc}"
+            break
+    blocks = Counter()
+    for members in orbits(
+        ec.cx.simplices, lambda s: {ec.map_simplex(g, s) for g in group.elements()}
+    ):
+        t = members[0]
+        stab = tuple(g for g in group.elements() if ec.map_simplex(g, t) == t)
+        blocks[stab, len(t) % 2 == 0] += 1  # True for odd dimension
+    levels = 0 if m is None else m + 1
+    averages = {}
+    values = [Fraction(1)] + [Fraction(0)] * top
+    for (stab, odd), count in blocks.items():
+        if stab not in averages:
+            base, _ = subgroup(group, stab)
+            averages[stab] = [
+                _sign_averages(WreathProduct(base, k), levels) for k in range(top + 1)
+            ]
+        a = [pair[odd] for pair in averages[stab]]
+        # p = a^count by Miller's power recurrence (a_0 = 1), whatever the
+        # count: n p_n = sum over i >= 1 of ((count + 1) i - n) a_i p_(n-i)
+        p = [Fraction(1)] * (top + 1)
+        for n in range(1, top + 1):
+            terms = (((count + 1) * i - n) * a[i] * p[n - i] for i in range(1, n + 1))
+            p[n] = sum(terms) / n
+        values = [
+            sum(values[i] * p[n - i] for i in range(n + 1)) for n in range(top + 1)
+        ]
+    return values, note
+
+
+def _sign_averages(wreath: WreathProduct, levels: int) -> tuple:
+    """The averages of 1 and of (-1)^(orbits of <phi> on the factors) over
+    phi in Hom(Z^levels, W), W = ``wreath``.
+
+    Bryan and Fulman's class-first walk (Ann. Comb. 2, 1998): the average
+    over Hom(Z^j, H) of a conjugation-invariant f is the sum over classes
+    (x) of H of the average over Hom(Z^(j-1), C_H(x)) of f(x, .).  Classes
+    are generator orbits under conjugation, centralizers are filtered from
+    the members, and the last image runs over the members as they are.
+    A node's value depends only on its members, the orbits of the images
+    chosen so far and the images left, so each such node is walked once.
+    """
+    size = wreath.size
+    identity = tuple(range(size))  # the permutation of the empty tuple
+    conj = lambda y, g: wreath.conj(g, y)
+    commute = lambda g, x: wreath.mul(g, x) == wreath.mul(x, g)
+    walked = {}
+
+    def walk(members: list, gens, perms: list, left: int) -> tuple:
+        if left <= 1:
+            lasts = Counter(x.perm for x in members) if left else {identity: 1}
+            tally = [0, 0]
+            for perm, count in lasts.items():
+                tally[len(_factor_orbits(perms + [perm], size)) % 2] += count
+            return (
+                Fraction(tally[0] + tally[1], len(members)),
+                Fraction(tally[0] - tally[1], len(members)),
+            )
+        key = (tuple(members), _factor_orbits(perms, size), left)
+        if key not in walked:
+            gens = gens or generators(wreath, members)
+            plus = minus = 0
+            for cls in orbits(members, lambda x: orbit(x, gens, conj)):
+                x, cent = cls[0], members  # members, when x is central
+                if not all(commute(g, x) for g in gens):
+                    s = x.perm  # only members whose permutations commute with s
+                    fits = {p for p in {g.perm for g in members}
+                            if perm_compose(p, s) == perm_compose(s, p)}
+                    cent = [g for g in members if g.perm in fits and commute(g, x)]
+                a, b = walk(cent, None, perms + [x.perm], left - 1)
+                plus, minus = plus + a, minus + b
+            walked[key] = plus, minus
+        return walked[key]
+
+    averages = walk(list(wreath.elements()), wreath.generators(), [], levels)
+    del walk  # walk refers to itself through its cell; unbinding frees the nodes
+    return averages
+
+
+def _factor_orbits(perms: list, size: int) -> tuple:
+    """The orbits of the permutations' group on the factors 0..size-1."""
+    return tuple(orbits(range(size), lambda i: orbit(i, perms, lambda j, p: p[j])))
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +677,12 @@ def verify_exp_formula(rec: RegularEquivariantComplex, order: int) -> dict:
                 f" above the printed-digit cap {PRINTED_DIGITS_CAP}"
             )
     rhs = rhs_exp_formula(chi, order)
-    size = rec.group.order
-    values, note = _wreath_terms(
-        rec,
-        order,
-        lambda: [Fraction(1, size**n * math.factorial(n)) for n in range(order + 1)],
-        euler_satake,
-        {},
-    )
+    if len(rec.cx.vertices) > 1:
+        values, note = _cell_terms(rec, order, None)
+    else:
+        size = rec.group.order
+        values = [Fraction(1, size**n * math.factorial(n)) for n in range(order + 1)]
+        note = None
     report = {"identity": "exp-formula", "chi_es": str(chi), "order": order}
     report.update(_compare_report(values, rhs, note))
     return report
@@ -566,13 +692,12 @@ def verify_main_formula(rec: RegularEquivariantComplex, m: int, order: int) -> d
     """Check the chi_(m) wreath series against the J_{r,m} product formula."""
     chi = chi_m_top(rec, m)
     rhs = rhs_main_formula(m, chi, order)
-    values, note = _wreath_terms(
-        rec,
-        order,
-        lambda: _point_chi_coefficients(rec.group, m, order) if m else [1] * (order + 1),
-        lambda rec_n: chi_m_top(rec_n, m),
-        {},
-    )
+    if len(rec.cx.vertices) > 1:
+        values, note = _cell_terms(rec, order, m)
+    elif m:
+        values, note = _point_chi_coefficients(rec.group, m, order)[: order + 1], None
+    else:
+        values, note = [1] * (order + 1), None
     report = {
         "identity": "main-product-formula",
         "m": m,

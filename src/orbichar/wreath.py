@@ -95,19 +95,31 @@ class WreathProduct:
             return str(self.order)
         return f"{self.base.order}^{self.size} * {self.size}!"
 
+    def check_table_order(self) -> None:
+        """OrderCapExceeded when the order is past ``groups.TABLE_ORDER_CAP``."""
+        cap = groups.TABLE_ORDER_CAP
+        if self.order_exceeds(cap):
+            raise OrderCapExceeded(
+                f"wreath product order {self.order_text()} exceeds cap {cap}"
+            )
+
+    @functools.cached_property
+    def identity(self) -> WreathElement:
+        return WreathElement((self.base.identity,) * self.size, tuple(range(self.size)))
+
     def mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
-        t = self.base.table
-        sinv = perm_inverse(a.perm)
-        comps = tuple(
-            t[a.components[i]][b.components[sinv[i]]] for i in range(self.size)
-        )
-        return WreathElement(comps, perm_compose(a.perm, b.perm))
+        # position j of b lands at s[j]
+        t, g, h, s = self.base.table, a.components, b.components, a.perm
+        comps = list(g)
+        for j, i in enumerate(s):
+            comps[i] = t[g[i]][h[j]]
+        return WreathElement(tuple(comps), perm_compose(s, b.perm))
 
     def inv(self, a: WreathElement) -> WreathElement:
+        # (h, s^-1) with g . s(h) = 1: h[j] = g[s(j)]^-1
         binv = self.base.inverse
-        sinv = perm_inverse(a.perm)
-        comps = tuple(binv[a.components[sinv[i]]] for i in range(self.size))
-        return WreathElement(comps, sinv)
+        comps = tuple(binv[a.components[j]] for j in a.perm)
+        return WreathElement(comps, perm_inverse(a.perm))
 
     def conj(self, g: WreathElement, x: WreathElement) -> WreathElement:
         return self.mul(self.mul(g, x), self.inv(g))
@@ -155,11 +167,7 @@ class ExplicitWreath:
     """
 
     def __init__(self, wreath: WreathProduct):
-        cap = groups.TABLE_ORDER_CAP
-        if wreath.order_exceeds(cap):
-            raise OrderCapExceeded(
-                f"wreath product order {wreath.order_text()} exceeds cap {cap}"
-            )
+        wreath.check_table_order()
         self.elements = list(wreath.elements())
         base, n = wreath.base, wreath.size
         perms = sorted(itertools.permutations(range(n)))

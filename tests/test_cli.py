@@ -933,6 +933,34 @@ def test_capped_series_check_exits_3(capsys, argv):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the triangulated squares pass the simplex cap; product cells need
+        # no triangulation
+        ("main", "--complex", "octahedron-antipodal", "--m", "1", "--order", "4"),
+        ("exp", "--complex", "torus-trivial", "--order", "6"),
+    ],
+)
+def test_product_cell_left_sides_reach_past_the_triangulation(capsys, argv):
+    start = time.perf_counter()
+    code, report = run_json(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 0 and report["equal"] and "cap" not in report
+
+
+def test_hom_cap_note_on_a_wreath_power(capsys):
+    # |Z2 wr S2|^9 = 8^9 passes the homomorphism cap at n = 2
+    code, out, err = run(
+        capsys, "verify", "main", "--complex", "S0-swap", "--m", "9", "--order", "3"
+    )
+    assert code == 3 and json.loads(out)["lhs"] == ["1", "1"]
+    assert err == (
+        "error: cap exceeded: wreath power n=2: |G|^k = 8^9 exceeds enumeration"
+        " cap 100000000\n"
+    )
+
+
 def test_macdonald_parts_share_their_wreath_powers(capsys, monkeypatch):
     sizes = []
     real = series.power_with_wreath_action
@@ -1102,6 +1130,16 @@ def test_report_written_to_file(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_text() == stdout
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_unwritable_out_is_bad_input(tmp_path, capsys, where):
+    # a missing directory or a directory: refused before any work
+    code, out, err = run(
+        capsys, "verify", "jcount", "--n", "3", "--m", "1", "--out", str(tmp_path / where)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
 
 def test_reports_deterministic_across_workers(capsys):

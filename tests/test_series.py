@@ -1,5 +1,6 @@
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from orbichar.groups import (
 )
 from orbichar.groups import conjugacy_classes, orbit
 from orbichar.library import (
+    builtin_equivariant,
     point_s3,
     point_z2,
     s0_swap,
@@ -31,12 +33,14 @@ from orbichar.series import (
     TruncatedSeries,
     _adjugate_columns,
     _binomial_factor,
+    _cell_terms,
     _generator_rows,
     _integer_exponent,
     _ordered_factorizations,
     _packing,
     _residue_span as _packed_residue_span,
     _weight,
+    _wreath_terms,
     exp_printed_digits,
     macdonald_dimension_check,
     point_wreath_chi_m,
@@ -573,6 +577,99 @@ def test_lhs_order_cap_reports_largest_feasible():
     rec = s0_swap()
     with pytest.raises(SizeCapExceeded, match="n=5"):
         lhs_wreath_series(rec, 6, None, euler_satake)
+
+
+# ---------------------------------------------------------------------------
+# left sides over product cells
+
+
+# the largest n each non-point preset's triangulated wreath power reaches
+# before a cap trips (circle4-rotation's chain enumeration at n = 4, the
+# octahedra's and the torus's at n = 2, S0-swap's and edge-swap's
+# wreath table at n = 5)
+CELL_ORACLE_REACH = {
+    "S0-swap": 4,
+    "edge-swap": 4,
+    "circle4-rotation": 3,
+    "octahedron-antipodal": 1,
+    "octahedron-reflection": 1,
+    "torus-trivial": 1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CELL_ORACLE_REACH))
+def test_cell_terms_equal_the_triangulated_powers(name):
+    rec = builtin_equivariant(name)
+    reach = CELL_ORACLE_REACH[name]
+    built: dict = {}  # each power is built once for every m
+    explicit, note = _wreath_terms(rec, reach, None, euler_satake, built)
+    assert note is None
+    assert _cell_terms(rec, reach, None) == (explicit, None)
+    for m in range(4):
+        explicit, note = _wreath_terms(
+            rec, reach, None, lambda rec_n: chi_m_top(rec_n, m), built
+        )
+        assert note is None
+        assert _cell_terms(rec, reach, m) == (explicit, None), m
+
+
+@pytest.mark.parametrize("rec", [point_z2(), point_s3()], ids=["Z2", "S3"])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_cell_terms_on_a_point_equal_the_point_recursion(rec, m):
+    # the stabilizer is the whole group, so the walk runs on G ~ S_k
+    values, note = _cell_terms(rec, 3, m)
+    assert note is None
+    assert values == [point_wreath_chi_m(rec.group, n, m) for n in range(4)]
+    size = rec.group.order
+    closed = [Fraction(1, size**n * math.factorial(n)) for n in range(4)]
+    assert _cell_terms(rec, 3, None) == (closed, None)
+
+
+def test_cell_terms_read_no_sector_or_right_side(monkeypatch):
+    import orbichar
+
+    cases = [("edge-swap", 3, m) for m in (None, 0, 1, 2)]
+    cases += [("circle4-rotation", 3, 1), ("octahedron-reflection", 2, 1)]
+    expected = [_cell_terms(builtin_equivariant(n), o, m) for n, o, m in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the left side read the right side's routines")
+
+    names = ("euler_satake", "chi_m_top", "gamma_sectors", "hom_classes",
+             "subgroup_count", "rhs_main_formula")
+    modules = [m for m in vars(orbichar).values() if isinstance(m, types.ModuleType)]
+    for module in modules:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    recs = {n: builtin_equivariant(n) for n, _o, _m in cases}
+    got = [_cell_terms(recs[n], o, m) for n, o, m in cases]
+    assert got == expected
+    with pytest.raises(AssertionError):  # the right sides do read them
+        verify_main_formula(recs["edge-swap"], 1, 2)
+
+
+@pytest.mark.parametrize("name", ["edge-swap", "circle4-rotation"])
+def test_cell_sign_reads_the_fixed_dimension(monkeypatch, name):
+    # a mutant signing each cell by its own dimension, not by that of its
+    # fixed set, must break the main identity
+    assert verify_main_formula(builtin_equivariant(name), 1, 3)["equal"]
+
+    def singletons(perms, size):
+        return tuple((i,) for i in range(size))
+
+    monkeypatch.setattr(series_module, "_factor_orbits", singletons)
+    assert not verify_main_formula(builtin_equivariant(name), 1, 3)["equal"]
+
+
+def test_exp_left_side_does_not_read_euler_satake(monkeypatch):
+    rec = builtin_equivariant("edge-swap")
+    before = verify_exp_formula(rec, 3)
+    assert before["equal"]
+    real = series_module.euler_satake
+    monkeypatch.setattr(series_module, "euler_satake", lambda r: 2 * real(r))
+    after = verify_exp_formula(rec, 3)
+    assert not after["equal"] and after["lhs"] == before["lhs"]
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,15 @@ def test_all_types_reads_the_trie():
             assert [t.entries for t in types] == sorted(type_entries(k, n)), n
 
 
+@pytest.mark.parametrize("base, n", [("Z3", 3), ("S3", 3), ("Z2", 4)])
+def test_wreath_inverse(base, n):
+    # tuple parts and permutations that are not involutions included
+    wreath = WreathProduct(builtin_group(base), n)
+    for w in wreath.elements():
+        assert wreath.mul(w, wreath.inv(w)) == wreath.identity
+        assert wreath.mul(wreath.inv(w), w) == wreath.identity
+
+
 def test_types_are_complete_conjugacy_invariant():
     for base, n in [
         (cyclic_group(2), 2),
