@@ -12,6 +12,7 @@ Betti numbers come from one sparse Gaussian elimination over Q
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import InputError, SizeCapExceeded
@@ -20,12 +21,22 @@ DEFAULT_SIMPLEX_CAP = 10**6
 
 
 class SimplicialComplex:
-    """Immutable abstract simplicial complex."""
+    """Immutable abstract simplicial complex.
+
+    Validated input may list a simplex in any vertex order and more than
+    once.  With ``_skip_validation`` the caller vouches for distinct,
+    nonempty, vertex-sorted tuples closed under faces: they are only put
+    in complex order, and no simplex is sorted or checked.
+    """
 
     __slots__ = ("vertices", "simplices", "_by_least")
 
     def __init__(self, simplices, _skip_validation=False):
-        simps = sorted({tuple(sorted(s)) for s in simplices}, key=_simplex_key)
+        if not _skip_validation:
+            simplices = {tuple(sorted(s)) for s in simplices}
+        # complex order: by dimension, then lexicographic (a stable sort)
+        simps = sorted(simplices)
+        simps.sort(key=len)
         if not _skip_validation:
             for s in simps:
                 if len(set(s)) != len(s):
@@ -42,7 +53,8 @@ class SimplicialComplex:
                                 f"family is not downward closed: {s} lacks {face}"
                             )
         self.simplices = tuple(simps)
-        self.vertices = tuple(sorted({v for s in simps for v in s}))
+        # A closed family lists its vertices first, as sorted 1-tuples.
+        self.vertices = tuple([s[0] for s in simps[: bisect_left(simps, 2, key=len)]])
         self._by_least = None
 
     # -- basic queries ----------------------------------------------------
@@ -84,10 +96,6 @@ class SimplicialComplex:
 
     def __repr__(self):
         return f"SimplicialComplex(f={self.f_vector()})"
-
-
-def _simplex_key(s):
-    return (len(s), s)
 
 
 def from_maximal(maximal) -> SimplicialComplex:

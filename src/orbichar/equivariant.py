@@ -34,7 +34,9 @@ many rounds were used.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from operator import itemgetter
 
 from . import complexes
 from .complexes import (
@@ -113,10 +115,10 @@ class EquivariantComplex:
         return tuple(sorted(row[pos[v]] for v in s))
 
     def vertex_orbits(self) -> list[tuple]:
-        return orbits(
-            self.cx.vertices,
-            lambda v: {self.apply(g, v) for g in self.group.elements()},
-        )
+        """The vertex orbits in order of least vertex, each read from the
+        vertex's column of the action rows."""
+        action, pos = self.action, self._vpos
+        return orbits(self.cx.vertices, lambda v: set(map(itemgetter(pos[v]), action)))
 
     def __repr__(self):
         return f"EquivariantComplex(f={self.cx.f_vector()}, |G|={self.group.order})"
@@ -176,13 +178,16 @@ def action_from_generator_maps(cx, group, maps: dict) -> EquivariantComplex:
 
 
 class RegularEquivariantComplex:
-    """An EquivariantComplex whose action passed the regularity certificate."""
+    """An EquivariantComplex whose action passed the regularity certificate,
+    with its image classes: per simplex orbit, in complex order of first
+    simplex, the sorted least vertices of the vertex orbits it lies over."""
 
-    __slots__ = ("ec", "subdivision_rounds")
+    __slots__ = ("ec", "subdivision_rounds", "images")
 
-    def __init__(self, ec: EquivariantComplex, subdivision_rounds: int):
+    def __init__(self, ec: EquivariantComplex, subdivision_rounds: int, images):
         self.ec = ec
         self.subdivision_rounds = subdivision_rounds
+        self.images = images
 
     @property
     def cx(self) -> SimplicialComplex:
@@ -199,18 +204,23 @@ class RegularEquivariantComplex:
         )
 
 
-def regularity_failure(ec: EquivariantComplex) -> str | None:
-    """None if the certificate holds, else a short reason."""
+def regularity_certificate(ec: EquivariantComplex) -> tuple:
+    """(None, image classes) if the certificate holds, else (a short
+    reason, None).  Under condition (3) the image classes are the simplex
+    orbits."""
     orbit_of = {}
     for orbit in ec.vertex_orbits():
         for v in orbit:
             orbit_of[v] = orbit[0]
+    # Condition (2) fails first on an edge: a simplex with two vertices of
+    # one orbit holds the edge between them, and edges come first.
+    label = orbit_of.__getitem__
     by_image: dict[tuple, list] = {}
     for s in ec.cx.simplices:
-        labels = [orbit_of[v] for v in s]
-        if len(set(labels)) != len(labels):
-            return f"simplex {s} meets a vertex orbit twice"
-        by_image.setdefault(tuple(sorted(labels)), []).append(s)
+        image = tuple(sorted(map(label, s)))
+        if len(s) == 2 and image[0] == image[1]:
+            return f"simplex {s} meets a vertex orbit twice", None
+        by_image.setdefault(image, []).append(s)
     # Condition (3) by orbit-stabilizer counts (see the module docstring).
     order = ec.group.order
     stabilizer: dict[int, int] = {}  # vertex -> bit g set iff g fixes it
@@ -230,8 +240,8 @@ def regularity_failure(ec: EquivariantComplex) -> str | None:
         for v in group_of[0]:
             mask &= vertex_stabilizer(v)
         if len(group_of) * mask.bit_count() != order:
-            return f"simplices over {image} fall into several orbits"
-    return None
+            return f"simplices over {image} fall into several orbits", None
+    return None, tuple(by_image)
 
 
 def subdivide_equivariant(ec: EquivariantComplex) -> EquivariantComplex:
@@ -249,13 +259,13 @@ def regularize(
 ) -> RegularEquivariantComplex:
     current = ec
     for rounds in range(max_rounds + 1):
-        if regularity_failure(current) is None:
-            return RegularEquivariantComplex(current, rounds)
+        reason, images = regularity_certificate(current)
+        if reason is None:
+            return RegularEquivariantComplex(current, rounds, images)
         if rounds < max_rounds:
             current = subdivide_equivariant(current)
     raise RegularizationFailed(
-        f"not regular after {max_rounds} subdivisions: "
-        f"{regularity_failure(current)}"
+        f"not regular after {max_rounds} subdivisions: {reason}"
     )
 
 
@@ -270,15 +280,24 @@ def _require_regular(rec) -> EquivariantComplex:
 
 
 def euler_satake(rec: RegularEquivariantComplex) -> Fraction:
-    """Sum over simplex orbits of (-1)^dim / |isotropy|."""
+    """Sum over simplex orbits of (-1)^dim / |isotropy|.
+
+    An orbit's term is (-1)^dim |orbit| / |G|, so the signed orbit sizes
+    are summed as ints and divided once.  The orbits come from this walk
+    through the action rows, never from the certificate's image classes,
+    so the identities that check this sum stay two computations.
+    """
     ec = _require_regular(rec)
-    order = ec.group.order
-    total = Fraction(0)
-    for members in orbits(
-        ec.cx.simplices, lambda s: {ec.map_simplex(g, s) for g in range(order)}
-    ):
-        total += Fraction((-1) ** (len(members[0]) - 1), order // len(members))
-    return total
+    action, pos = ec.action, ec._vpos
+    seen = set()
+    total = 0
+    for s in ec.cx.simplices:
+        if s not in seen:
+            at = [pos[v] for v in s]
+            members = {tuple(sorted([row[i] for i in at])) for row in action}
+            seen |= members
+            total += len(members) if len(s) % 2 else -len(members)
+    return Fraction(total, ec.group.order)
 
 
 def fixed_vertices(rec: RegularEquivariantComplex, elements) -> tuple:
@@ -314,15 +333,13 @@ def fixed_subcomplex(rec: RegularEquivariantComplex, elements) -> SimplicialComp
 
 
 def orbit_complex(rec: RegularEquivariantComplex) -> SimplicialComplex:
-    """The quotient complex: vertices are vertex orbits, simplices are
-    simplex orbits.  Needs the full certificate."""
-    ec = _require_regular(rec)
-    orbits = ec.vertex_orbits()
-    label = {}
-    for i, orbit in enumerate(orbits):
-        for v in orbit:
-            label[v] = i
-    simps = {tuple(sorted(label[v] for v in s)) for s in ec.cx.simplices}
+    """The quotient complex: vertices are vertex orbits, numbered in order
+    of least vertex, and simplices are simplex orbits, read from the
+    certificate's image classes.  Those name each vertex orbit by its least
+    vertex, so numbering keeps every image sorted."""
+    _require_regular(rec)
+    label = {image[0]: i for i, image in enumerate(rec.images) if len(image) == 1}
+    simps = [tuple([label[v] for v in image]) for image in rec.images]
     return SimplicialComplex(simps, _skip_validation=True)
 
 
@@ -331,18 +348,46 @@ def orbit_complex(rec: RegularEquivariantComplex) -> SimplicialComplex:
 
 
 def _poset_elements(cxs: list[SimplicialComplex]):
-    """Elements of the product face poset, topologically sorted, with ids."""
+    """Elements of the product face poset, topologically sorted, with ids.
+    Raises SizeCapExceeded before building any when the poset or its
+    chains outnumber the simplex cap."""
     total = 1
     for cx in cxs:
         total *= len(cx.simplices)
     cap = complexes.DEFAULT_SIMPLEX_CAP
     if total > cap:
         raise SizeCapExceeded(f"product poset has {total} cells, cap {cap}")
+    if _chain_count(cxs) > cap:
+        raise SizeCapExceeded(f"chain enumeration exceeds simplex cap {cap}")
     tuples = sorted(
         itertools.product(*[cx.simplices for cx in cxs]),
         key=lambda t: (sum(len(s) for s in t), t),
     )
     return tuples, {t: i for i, t in enumerate(tuples)}
+
+
+def _chain_count(cxs: list[SimplicialComplex]) -> int:
+    """The number of chains of the product face poset, from f-vectors.
+
+    A multichain a_0 <= ... <= a_j of the product is one in each factor,
+    where (j+1)^|s| - j^|s| end at a face s (each vertex of s enters at
+    some a_i, and a_0 is nonempty).  A multichain of j+1 elements runs
+    through a chain of k+1 in C(j, k) ways; binomial inversion undoes it.
+    """
+    fs = [cx.f_vector() for cx in cxs]
+    top = sum(len(f) - 1 for f in fs)  # dimension of the product
+    multi = [
+        math.prod(
+            sum(c * ((j + 1) ** (d + 1) - j ** (d + 1)) for d, c in enumerate(f))
+            for f in fs
+        )
+        for j in range(top + 1)
+    ]
+    return sum(
+        math.comb(k, j) * (-1) ** (k - j) * multi[j]
+        for k in range(top + 1)
+        for j in range(k + 1)
+    )
 
 
 def _tuple_predecessors(t: tuple, ids: dict):

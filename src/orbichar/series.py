@@ -45,8 +45,7 @@ from .errors import (
     InputError,
     NonIntegerExponent,
 )
-from .groups import FiniteGroup, conjugacy_classes, generators, orbit, orbits
-from .groups import perm_compose, subgroup
+from .groups import FiniteGroup, conjugacy_classes, generators, orbit, orbits, subgroup
 from .homs import _check_hom_cap, free_abelian
 from .sectors import chi_m_top, gamma_sectors
 from .wreath import WreathProduct, centralizer_extension, type_counts
@@ -572,8 +571,7 @@ def _sign_averages(wreath: WreathProduct, levels: int) -> tuple:
     """
     size = wreath.size
     identity = tuple(range(size))  # the permutation of the empty tuple
-    conj = lambda y, g: wreath.conj(g, y)
-    commute = lambda g, x: wreath.mul(g, x) == wreath.mul(x, g)
+    commute = wreath.commute
     walked = {}
 
     def walk(members: list, gens, perms: list, left: int) -> tuple:
@@ -589,14 +587,12 @@ def _sign_averages(wreath: WreathProduct, levels: int) -> tuple:
         key = (tuple(members), _factor_orbits(perms, size), left)
         if key not in walked:
             gens = gens or generators(wreath, members)
+            conjs = [wreath.conjugator(g) for g in gens]
             plus = minus = 0
-            for cls in orbits(members, lambda x: orbit(x, gens, conj)):
+            for cls in orbits(members, lambda x: orbit(x, conjs, lambda y, c: c(y))):
                 x, cent = cls[0], members  # members, when x is central
                 if not all(commute(g, x) for g in gens):
-                    s = x.perm  # only members whose permutations commute with s
-                    fits = {p for p in {g.perm for g in members}
-                            if perm_compose(p, s) == perm_compose(s, p)}
-                    cent = [g for g in members if g.perm in fits and commute(g, x)]
+                    cent = [g for g in members if commute(g, x)]
                 a, b = walk(cent, None, perms + [x.perm], left - 1)
                 plus, minus = plus + a, minus + b
             walked[key] = plus, minus

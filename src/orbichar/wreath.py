@@ -25,6 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import groups
 from .errors import InputError, InvalidType, OrderCapExceeded, SizeCapExceeded
@@ -37,7 +38,6 @@ from .groups import (
     orbit,
     orbits,
     perm_compose,
-    perm_inverse,
     subgroup,
 )
 
@@ -51,8 +51,7 @@ BRUTE_FORCE_ORDER_CAP = 20000
 TYPE_CAP = 10**5
 
 
-@dataclass(frozen=True, order=True)
-class WreathElement:
+class WreathElement(NamedTuple):
     components: tuple  # base-group element per position
     perm: tuple        # one-line permutation of positions
 
@@ -115,14 +114,36 @@ class WreathProduct:
             comps[i] = t[g[i]][h[j]]
         return WreathElement(tuple(comps), perm_compose(s, b.perm))
 
-    def inv(self, a: WreathElement) -> WreathElement:
-        # (h, s^-1) with g . s(h) = 1: h[j] = g[s(j)]^-1
-        binv = self.base.inverse
-        comps = tuple(binv[a.components[j]] for j in a.perm)
-        return WreathElement(comps, perm_inverse(a.perm))
+    def conjugator(self, a: WreathElement):
+        """The map x -> a x a^-1, with a's inverse taken once: for a = (g, s)
+        and x = (h, p) it puts g[s p j] h[p j] g[s j]^-1 at position s p j,
+        and its permutation takes s j to s p j."""
+        t, g, s = self.base.table, a.components, a.perm
+        left = [t[g[i]] for i in s]  # left[k]: row of g at position s[k]
+        right = [self.base.inverse[g[i]] for i in s]
+        n = self.size
 
-    def conj(self, g: WreathElement, x: WreathElement) -> WreathElement:
-        return self.mul(self.mul(g, x), self.inv(g))
+        def conj(x: WreathElement) -> WreathElement:
+            h, p = x
+            comps, perm = [0] * n, [0] * n
+            for j, k in enumerate(p):
+                i = s[k]
+                comps[i] = t[left[k][h[k]]][right[j]]
+                perm[s[j]] = i
+            return WreathElement(tuple(comps), tuple(perm))
+
+        return conj
+
+    def commute(self, a: WreathElement, b: WreathElement) -> bool:
+        """Whether a b = b a, with no product built: for a = (g, s) and
+        b = (h, p), a b puts g[s p j] h[p j] at s p j and b a puts
+        h[p s j] g[s j] at p s j, so both must agree for every j."""
+        t, g, s, h, p = self.base.table, a.components, a.perm, b.components, b.perm
+        for j, k in enumerate(p):
+            i = s[k]
+            if i != p[s[j]] or t[g[i]][h[k]] != t[h[i]][g[s[j]]]:
+                return False
+        return True
 
     def elements(self):
         """All elements, tuple part outer, permutation part inner (sorted)."""
@@ -370,10 +391,10 @@ def classify_conjugacy_by_type(base: FiniteGroup, size: int) -> dict:
             f"wreath order {wreath.order_text()} exceeds the brute-force"
             f" cross-check cap {BRUTE_FORCE_ORDER_CAP}"
         )
-    gens = wreath.generators()
+    conjs = [wreath.conjugator(g) for g in wreath.generators()]
     out = {}
     for members in orbits(
-        wreath.elements(), lambda w: orbit(w, gens, lambda x, g: wreath.conj(g, x))
+        wreath.elements(), lambda w: orbit(w, conjs, lambda x, c: c(x))
     ):
         types = {type_of(wreath, x) for x in members}
         if len(types) != 1:

@@ -3,13 +3,18 @@
 ``element_order`` and ``is_abelian`` read a group's table; the library
 never asks for either.  ``euler_satake_subcomplex`` restricts the
 Euler-Satake orbit sum to an invariant subcomplex, which the tests use to
-check additivity over unions.
+check additivity over unions.  ``orbit_complex_by_relabel``,
+``euler_satake_by_fractions``, ``wreath_inv`` and ``wreath_conj`` are
+the plain routes that the library's orbit complex, Euler-Satake sum and
+wreath conjugation are checked against.
 """
 from fractions import Fraction
 
+from orbichar.complexes import SimplicialComplex
 from orbichar.equivariant import RegularEquivariantComplex, _require_regular
 from orbichar.errors import InputError
-from orbichar.groups import FiniteGroup, orbits
+from orbichar.groups import FiniteGroup, orbits, perm_inverse
+from orbichar.wreath import WreathElement, WreathProduct
 
 
 def element_order(group: FiniteGroup, a: int) -> int:
@@ -50,3 +55,42 @@ def euler_satake_subcomplex(rec: RegularEquivariantComplex, simplices) -> Fracti
     for members in orbits(sorted(subset), images):
         total += Fraction((-1) ** (len(members[0]) - 1), order // len(members))
     return total
+
+
+def orbit_complex_by_relabel(rec: RegularEquivariantComplex) -> SimplicialComplex:
+    """The quotient complex by relabelling every simplex with the indices
+    of its vertices' orbits and sorting it."""
+    ec = _require_regular(rec)
+    label = {}
+    for i, orbit in enumerate(ec.vertex_orbits()):
+        for v in orbit:
+            label[v] = i
+    return SimplicialComplex(
+        {tuple(sorted(label[v] for v in s)) for s in ec.cx.simplices},
+        _skip_validation=True,
+    )
+
+
+def euler_satake_by_fractions(rec: RegularEquivariantComplex) -> Fraction:
+    """(-1)^dim / |isotropy| summed as Fractions over simplex orbits, each
+    orbit the images of its first simplex under every element."""
+    ec = _require_regular(rec)
+    order = ec.group.order
+    total = Fraction(0)
+    for members in orbits(
+        ec.cx.simplices, lambda s: {ec.map_simplex(g, s) for g in range(order)}
+    ):
+        total += Fraction((-1) ** (len(members[0]) - 1), order // len(members))
+    return total
+
+
+def wreath_inv(wreath: WreathProduct, a: WreathElement) -> WreathElement:
+    """(h, s^-1) with g . s(h) = 1 for a = (g, s): h[j] = g[s(j)]^-1."""
+    binv = wreath.base.inverse
+    comps = tuple(binv[a.components[j]] for j in a.perm)
+    return WreathElement(comps, perm_inverse(a.perm))
+
+
+def wreath_conj(wreath: WreathProduct, g: WreathElement, x: WreathElement):
+    """g x g^-1 from two products and an inverse."""
+    return wreath.mul(wreath.mul(g, x), wreath_inv(wreath, g))

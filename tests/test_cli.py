@@ -449,6 +449,26 @@ def test_cap_trips_before_the_work(capsys, argv, named):
     assert named in err
 
 
+def test_macdonald_product_chain_cap_trips_before_the_work(capsys):
+    # the square of the octahedron has 3,113,860 chains; they are counted
+    # from the factors' f-vectors, so both parts stop at n = 2 at once with
+    # the report the enumeration gave when it tripped
+    started = time.monotonic()
+    code, out, err = run(
+        capsys,
+        *"verify macdonald --complex octahedron-antipodal --order 3".split(),
+    )
+    assert time.monotonic() - started < 0.25
+    assert code == 3
+    assert err == (
+        "error: cap exceeded: wreath power n=2:"
+        " chain enumeration exceeds simplex cap 1000000\n"
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "238f04cb9d0141e77cfc4eca41cc041aa4200a0741eb7dd240a0317244236a2c"
+    )
+
+
 @pytest.mark.parametrize("group, n", [("Z5", "4"), ("D4", "3")])
 def test_wreath_centralizers_need_no_table(capsys, group, n):
     # |W| = 15000 and 3072: within the cross-check cap, but far past any

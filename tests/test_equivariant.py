@@ -1,12 +1,20 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbichar.complexes import betti_numbers, euler_characteristic, from_maximal
+from orbichar.complexes import (
+    barycentric_subdivision,
+    betti_numbers,
+    euler_characteristic,
+    from_maximal,
+    staircase_product,
+)
 from orbichar.equivariant import (
     EquivariantComplex,
+    _chain_count,
     action_from_generator_maps,
     equivariant_product,
     euler_satake,
@@ -14,13 +22,18 @@ from orbichar.equivariant import (
     orbit_complex,
     power_with_wreath_action,
     product_complex,
-    regularity_failure,
+    regularity_certificate,
     regularize,
     subdivide_equivariant,
     trivial_action,
 )
 from orbichar.complexes import SimplicialComplex
-from orbichar.errors import InputError, NotRegular, RegularizationFailed
+from orbichar.errors import (
+    InputError,
+    NotRegular,
+    RegularizationFailed,
+    SizeCapExceeded,
+)
 from orbichar.groups import (
     build_group_from_permutations,
     cyclic_group,
@@ -32,10 +45,12 @@ from orbichar.groups import (
 from orbichar.homs import free_abelian, hom_classes
 from orbichar.library import (
     EQUIVARIANT_PRESETS,
+    PRODUCT_PAIRS,
     circle,
     circle4_rotation,
     edge,
     edge_swap,
+    load_equivariant,
     octahedron,
     octahedron_antipodal,
     octahedron_reflection,
@@ -44,8 +59,13 @@ from orbichar.library import (
     suite,
     two_points,
 )
+from orbichar.sectors import gamma_sectors
 
-from helpers import euler_satake_subcomplex
+from helpers import (
+    euler_satake_by_fractions,
+    euler_satake_subcomplex,
+    orbit_complex_by_relabel,
+)
 from homology_oracle import homology_traces
 
 
@@ -94,14 +114,14 @@ def test_action_law_broken_off_the_generators_is_caught():
 def test_regularity_certificate_failures():
     # an edge flipped end-for-end: both endpoints land in one vertex orbit
     ec = EquivariantComplex(edge(), cyclic_group(2), ((0, 1), (1, 0)))
-    reason = regularity_failure(ec)
+    reason = regularity_certificate(ec)[0]
     assert reason is not None and "vertex orbit twice" in reason
     # a free rotation of the square: antipodal edges map to the same orbit
     # image without being in the same orbit
     rot = EquivariantComplex(
         circle(4), cyclic_group(2), ((0, 1, 2, 3), (2, 3, 0, 1))
     )
-    reason = regularity_failure(rot)
+    reason = regularity_certificate(rot)[0]
     assert reason is not None and "several orbits" in reason
 
 
@@ -157,17 +177,24 @@ def _invariant_complexes(draw, max_vertices=6):
 @settings(max_examples=60, deadline=None)
 @given(_invariant_complexes())
 def test_certificate_matches_three_conditions(ec):
-    assert regularity_failure(ec) == _three_condition_failure(ec)
+    assert regularity_certificate(ec)[0] == _three_condition_failure(ec)
     sd = subdivide_equivariant(ec)
-    assert regularity_failure(sd) == _three_condition_failure(sd)
+    assert regularity_certificate(sd)[0] == _three_condition_failure(sd)
+    # where it holds, its image classes give the orbit complex
+    for action in (ec, sd):
+        if regularity_certificate(action)[0] is None:
+            rec = regularize(action, max_rounds=0)
+            assert orbit_complex(rec) == orbit_complex_by_relabel(rec)
+            assert euler_satake(rec) == euler_satake_by_fractions(rec)
 
 
 def test_certificate_matches_three_conditions_on_presets():
     for name, rec in suite():
-        assert regularity_failure(rec.ec) == _three_condition_failure(rec.ec), name
+        reason = regularity_certificate(rec.ec)[0]
+        assert reason == _three_condition_failure(rec.ec), name
     for rec, n in [(s0_swap(), 2), (edge_swap(), 2), (circle4_rotation(), 2)]:
         power, _ew = power_with_wreath_action(rec, n)
-        assert regularity_failure(power) == _three_condition_failure(power)
+        assert regularity_certificate(power)[0] == _three_condition_failure(power)
 
 
 def test_subdivision_rounds():
@@ -340,6 +367,73 @@ def test_orbit_complex_reflection():
     oc = orbit_complex(octahedron_reflection())
     # collapsing the two hemispheres onto one: a disk over the square
     assert euler_characteristic(oc) == 1
+
+
+def _power_recs():
+    for name in ("S0-swap", "edge-swap", "circle4-rotation"):
+        rec = EQUIVARIANT_PRESETS[name]()
+        for n in (1, 2, 3):
+            yield f"{name}^{n}", regularize(power_with_wreath_action(rec, n)[0])
+
+
+def _circle3_s4_sectors():
+    rec = load_equivariant("circle(3)", "S4")
+    for i, sector in enumerate(gamma_sectors(rec, free_abelian(3)).sectors):
+        yield f"circle(3)/S4 Z^3 sector {i}", sector.fixed
+
+
+def test_orbit_complex_and_euler_satake_match_oracles():
+    # the orbit complex relabels the certificate's image classes, and the
+    # Euler-Satake sum adds signed orbit sizes as ints; both against the
+    # relabel-and-sort and all-|G| Fraction routes
+    recs = itertools.chain(suite(), _power_recs(), _circle3_s4_sectors())
+    for name, rec in recs:
+        assert orbit_complex(rec) == orbit_complex_by_relabel(rec), name
+        assert euler_satake(rec) == euler_satake_by_fractions(rec), name
+
+
+def test_trusted_constructions_hold_sorted_distinct_simplices():
+    # every caller that skips validation passes sorted, distinct simplices,
+    # so validating them again changes nothing
+    built = []
+    for name, rec in suite():
+        built += [rec.cx, barycentric_subdivision(rec.cx)[0], orbit_complex(rec)]
+        built += [fixed_subcomplex(rec, [g]) for g in rec.group.elements()]
+    for a, b in PRODUCT_PAIRS:
+        x, y = EQUIVARIANT_PRESETS[a]().cx, EQUIVARIANT_PRESETS[b]().cx
+        built += [product_complex([x, y])[0], staircase_product(x, y)]
+    built += [rec.cx for _name, rec in _power_recs()]
+    for cx in built:
+        assert SimplicialComplex(cx.simplices) == cx
+
+
+@pytest.mark.parametrize(
+    "names, chains",
+    [
+        (("edge-swap",) * 2, 113),
+        (("edge-swap",) * 3, 1977),
+        (("circle4-rotation",) * 2, 1536),
+        (("S0-swap",) * 3, 8),
+        (("S0-swap", "torus-trivial"), None),
+        (("edge-swap", "circle4-rotation", "S0-swap"), None),
+    ],
+)
+def test_chain_count_predicts_product_complex(names, chains):
+    cxs = [EQUIVARIANT_PRESETS[name]().cx for name in names]
+    built = len(product_complex(cxs)[0].simplices)
+    assert _chain_count(cxs) == built
+    assert chains in (None, built)
+
+
+def test_product_chain_cap_trips_before_the_work():
+    cx = octahedron_antipodal().cx
+    assert _chain_count([cx, cx]) == 3113860
+    started = time.monotonic()
+    with pytest.raises(
+        SizeCapExceeded, match="^chain enumeration exceeds simplex cap 1000000$"
+    ):
+        product_complex([cx, cx])
+    assert time.monotonic() - started < 0.25
 
 
 def test_homology_traces_average_to_orbit_betti():

@@ -32,7 +32,7 @@ from orbichar.wreath import (
     type_trie,
 )
 from group_oracle import extension_table
-from helpers import element_order, is_abelian
+from helpers import element_order, is_abelian, wreath_conj, wreath_inv
 from series_oracle import type_entries
 
 
@@ -162,7 +162,7 @@ def test_cycle_products_traverse_in_order():
     # the cycle-product class must be conjugation invariant
     t = type_of(w, el)
     for g in [WreathElement((3, 0, 5), (0, 2, 1)), WreathElement((2, 2, 2), (1, 0, 2))]:
-        assert type_of(w, w.mul(w.mul(g, el), w.inv(g))) == t
+        assert type_of(w, wreath_conj(w, g, el)) == t
 
 
 def test_type_counts_z2():
@@ -209,8 +209,39 @@ def test_wreath_inverse(base, n):
     # tuple parts and permutations that are not involutions included
     wreath = WreathProduct(builtin_group(base), n)
     for w in wreath.elements():
-        assert wreath.mul(w, wreath.inv(w)) == wreath.identity
-        assert wreath.mul(wreath.inv(w), w) == wreath.identity
+        assert wreath.mul(w, wreath_inv(wreath, w)) == wreath.identity
+        assert wreath.mul(wreath_inv(wreath, w), w) == wreath.identity
+
+
+@pytest.mark.parametrize("base, n", [("Z3", 3), ("S3", 2)])
+def test_conjugator_and_commute_match_products(base, n):
+    # the fused conjugation and the element-free commutation test against
+    # products and the inverse, on every pair of elements
+    wreath = WreathProduct(builtin_group(base), n)
+    elements = list(wreath.elements())
+    for a in elements:
+        conj = wreath.conjugator(a)
+        for x in elements:
+            assert conj(x) == wreath_conj(wreath, a, x)
+            assert wreath.commute(a, x) == (wreath.mul(a, x) == wreath.mul(x, a))
+
+
+def test_wreath_element_sorts_and_compares_by_fields():
+    a = WreathElement((1, 0), (1, 0))
+    assert a == WreathElement(components=(1, 0), perm=(1, 0))
+    assert (a.components, a.perm) == ((1, 0), (1, 0))
+    assert hash(a) == hash(WreathElement((1, 0), (1, 0)))
+    assert repr(a) == "WreathElement(g=(1, 0), s=(1, 0))"
+    # components first, then the permutation
+    b, c = WreathElement((0, 1), (1, 0)), WreathElement((1, 0), (0, 1))
+    assert sorted([a, b, c]) == [b, c, a]
+    assert b < c < a and a > c
+    assert list(WreathProduct(cyclic_group(2), 2).elements()) == sorted(
+        WreathElement(g, p) for g in [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for p in [(0, 1), (1, 0)]
+    )
+    with pytest.raises(AttributeError):
+        a.perm = (0, 1)
 
 
 def test_types_are_complete_conjugacy_invariant():
@@ -284,7 +315,7 @@ def test_standard_form_conjugates_back():
         WreathElement((1, 2, 3), (0, 1, 2)),
     ]:
         d, std = standard_form(w, el)
-        assert w.mul(w.mul(d, std), w.inv(d)) == el
+        assert wreath_conj(w, d, std) == el
         # the standard element carries each cycle product at the least
         # position of its cycle and identity elsewhere
         assert type_of(w, std) == type_of(w, el)
