@@ -40,12 +40,13 @@ class FiniteGroup:
     """An immutable finite group with explicit multiplication table."""
 
     # ``_classes`` and ``_class_of`` hold the conjugacy data, filled on the
-    # first call to ``conjugacy_classes``, and ``_hash`` the table's hash,
+    # first call to ``conjugacy_classes`` (``_centralizers`` by
+    # ``wreath.class_centralizers``), and ``_hash`` the table's hash,
     # filled on the first ``hash``; the table never changes, so neither do
     # they.  Groups are equal when their tables are, whatever their labels.
     # ``_labels`` is None, a tuple of str, or a ``_LazyLabels``.
     __slots__ = ("table", "inverse", "identity", "_labels", "order",
-                 "_classes", "_class_of", "_hash")
+                 "_classes", "_class_of", "_centralizers", "_hash")
 
     def __init__(self, table, labels=None, _skip_validation=False):
         table = tuple(tuple(row) for row in table)
@@ -64,6 +65,7 @@ class FiniteGroup:
         self._labels = labels
         self._classes = None
         self._class_of = None
+        self._centralizers = None
         self._hash = None
 
     def __eq__(self, other):
@@ -377,6 +379,7 @@ class _Subgroup(FiniteGroup):
         self._labels = None if labels is None else _LazyLabels(parent.label, carrier)
         self._classes = None
         self._class_of = None
+        self._centralizers = None
         self._hash = None
 
     def __getattr__(self, name):

@@ -134,10 +134,8 @@ def _decomposition(
             # if something reads it.
             cx = fixed_subcomplex(rec, images)
             sub, carrier = subgroup(ec.group, cent)
-            rows = tuple(
-                tuple(ec.apply(carrier[i], v) for v in cx.vertices)
-                for i in range(sub.order)
-            )
+            at = [ec._vpos[v] for v in cx.vertices]  # the fixed columns
+            rows = tuple(tuple([ec.action[g][i] for i in at]) for g in carrier)
             sector_ec = EquivariantComplex(cx, sub, rows, _skip_validation=True)
             shared = built[fixed, cent] = regularize(sector_ec)
         sectors.append(Sector(cls, shared))

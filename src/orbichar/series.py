@@ -15,12 +15,12 @@ right side:
 * Macdonald dimension formulas: homology dimensions of quotients (and of
   their Z-sector decompositions) have geometric-series generating functions.
 
-Left sides on a one-point complex come from a structural recursion through
-the centralizer decomposition of wreath conjugacy classes, which reaches
-sizes far past any multiplication table.  On any other complex, the exp and
-main left sides are fixed-point counts over the product cells of M^n, and
-Macdonald's are read off the explicit, triangulated wreath powers.  The
-routes overlap at small n, which the tests exploit.
+The exp and main left sides, on every complex, are fixed-point counts over
+the product cells of M^n: one factor per orbit of simplices (a point is
+one), each a recursion through the centralizer decomposition of wreath
+conjugacy classes that builds no wreath product, so it reaches sizes far
+past any multiplication table.  Macdonald's left sides are read off the
+explicit, triangulated wreath powers; the routes overlap at small n.
 """
 from __future__ import annotations
 
@@ -45,10 +45,10 @@ from .errors import (
     InputError,
     NonIntegerExponent,
 )
-from .groups import FiniteGroup, conjugacy_classes, generators, orbit, orbits, subgroup
-from .homs import _check_hom_cap, free_abelian
+from .groups import FiniteGroup, conjugacy_classes, subgroup
+from .homs import free_abelian
 from .sectors import chi_m_top, gamma_sectors
-from .wreath import WreathProduct, centralizer_extension, type_counts
+from .wreath import class_centralizers, type_counts
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +368,10 @@ def _binomial_factor(r: int, k: int, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # structural chi_(m) for wreath products over a point
 
-# _POINT_CHI_CACHE maps (group, index, m) to the coefficients of
-# F^m_(group, index), the series of ``_point_chi_coefficients``, as far as
-# they have been asked for.  Groups hash and compare by their tables, so
-# equal groups share entries no matter how they were built.
+# _POINT_CHI_CACHE maps (group, index, m, sign) to the coefficients of
+# F^m_(group, index),sign, the series of ``_point_chi_coefficients``, as
+# far as they have been asked for.  Groups hash and compare by their
+# tables, so equal groups share entries no matter how they were built.
 _POINT_CHI_CACHE: dict = {}
 
 
@@ -400,11 +400,8 @@ def point_wreath_chi_m(group: FiniteGroup, size: int, m: int) -> int:
     the cost is polynomial in ``size``.  The explicit route is compared
     with this one where they overlap.
 
-    ``verify main`` on a point is two computations: this side recurses
-    through centralizer subgroups, never calls J_{r,m} or
-    ``rhs_main_formula``, and reads every class list from
-    ``groups.conjugacy_classes``; the right side's chi_(m) comes from the
-    homomorphism walk (``homs.hom_classes``), which reads no class list.
+    It reads class lists and never calls J_{r,m}; the right side of
+    ``verify main`` takes chi_(m) from the homomorphism walk instead.
     """
     if size < 0 or m < 0:
         raise InputError("size and m must be nonnegative")
@@ -414,40 +411,46 @@ def point_wreath_chi_m(group: FiniteGroup, size: int, m: int) -> int:
 
 
 def _point_chi_coefficients(
-    group: FiniteGroup, m: int, order: int, index: int = 1
+    group: FiniteGroup, m: int, order: int, index: int = 1, sign: int = 1
 ) -> list:
-    """Coefficients 0..order (or more) of F^m_(H, N), for m >= 1, as ints.
+    """Coefficients 0..order (or more) of F^m_(H, N),e, for m >= 0, as ints.
 
     (H, N) stands for a group E = H.A with A a central abelian subgroup
     and [E : H] = N, here H = ``group`` and N = ``index``; G itself is
-    (G, 1), and F^m_(H, N) is sum_n chi_(m)(pt x E ~ S_n) q^n.  A being
-    central, E conjugates as H does, so each coset H.a holds one class
-    h.a per class of H: k(E) = N * k(H), and C_E(h.a) = C_H(h).A is
+    (G, 1).  Coefficient k of F^m_(H, N),e is the average, over
+    Hom(Z^(m+1), E ~ S_k), of e to the number of orbits of the image on
+    the k factors, e = ``sign``; for e = 1 that is chi_(m)(pt x E ~ S_k).
+    A being central, E conjugates as H does, so each coset H.a holds one
+    class h.a per class of H: k(E) = N * k(H), and C_E(h.a) = C_H(h).A is
     (C_H(h), N) again.  The r-th root extension of h.a adjoins a central
     b with b^r = h.a, which gives (C_H(h), N * r).  So class counts and
     every deeper centralizer depend only on (H, N), not on which element
-    of A the root was taken of, and
+    of A the root was taken of.  A tuple's orbits on the factors are the
+    last level's orbits on the super-factors (the r-cycles of the first
+    image), so the sign passes down unchanged to the base:
 
-        F^1_(H, N) = prod over r >= 1 of (1 - q^r)^(-N k(H)),
-        F^m_(H, N)(q) = prod over classes h of H, r >= 1, of
-                        F^(m-1)_(C_H(h), N r)(q^r)^N.
+        F^0_e = (1 - q)^(-e)  (the average of e^cycles over S_k),
+        F^1_(H, N),e = prod over r >= 1 of (1 - q^r)^(-e N k(H)),
+        F^m_(H, N),e(q) = prod over classes h of H, r >= 1, of
+                          F^(m-1)_(C_H(h), N r),e(q^r)^N.
 
-    Only centralizer subgroups of G are built, each once for all r.
+    Only centralizer subgroups of G are built, each once per group
+    (``class_centralizers``) for all r and N.
     """
-    key = (group, index, m)
+    key = (group, index, m, sign)
     cached = _POINT_CHI_CACHE.get(key)
     if cached is not None and len(cached) > order:
         return cached
-    if m == 1:
-        # every factor is 1/(1 - q^r): the coefficients count types
-        out = type_counts(index * len(conjugacy_classes(group)), order)
+    if m == 0:
+        out = list(_binomial_factor(1, sign, order).coefficients)
+    elif m == 1:
+        # every factor is (1 - q^r)^(-e): for e = 1 the coefficients count types
+        out = type_counts(sign * index * len(conjugacy_classes(group)), order)
     else:
         out = [1] + [0] * order
-        for cls in conjugacy_classes(group):
-            # the subgroup only: the recursion takes the degrees index * r
-            cent, _ = centralizer_extension(group, cls.representative, 1)
+        for cent in class_centralizers(group):
             for r in range(1, order + 1):
-                factor = _point_chi_coefficients(cent, m - 1, order // r, index * r)
+                factor = _point_chi_coefficients(cent, m - 1, order // r, index * r, sign)
                 # multiply by factor(q^r) N times, top coefficient first
                 for _ in range(index):
                     for i in range(order, r - 1, -1):
@@ -487,10 +490,29 @@ def _wreath_terms(
     return values, None
 
 
-def _cell_terms(rec: RegularEquivariantComplex, order: int, m) -> tuple:
-    """Coefficients 0..order of sum_n chi(M^n x| G~S_n) q^n, as (values,
-    note) like ``_wreath_terms``: chi_ES when m is None, else chi_(m),
-    summed over product cells with no power built.
+def _cell_blocks(rec: RegularEquivariantComplex) -> Counter:
+    """The simplex orbits of the base, counted by (stabilizer as a group,
+    whether the dimension is odd): the blocks of ``_cell_terms``' product.
+    A block's factor depends only on the stabilizer's table, so stabilizers
+    with equal tables share a block."""
+    ec = rec.ec
+    blocks, seen = Counter(), set()
+    for t in ec.cx.simplices:  # t opens its orbit, as in ``groups.orbits``
+        if t not in seen:
+            at = [ec._vpos[v] for v in t]  # t's columns of the action rows
+            images = [tuple(sorted([row[i] for i in at])) for row in ec.action]
+            seen.update(images)
+            stab = [g for g, image in enumerate(images) if image == t]
+            blocks[subgroup(rec.group, stab)[0], len(t) % 2 == 0] += 1  # True: odd dimension
+    return blocks
+
+
+def _cell_terms(
+    rec: RegularEquivariantComplex, order: int, m, blocks: Counter | None = None
+) -> list:
+    """Coefficients 0..order of sum_n chi(M^n x| G~S_n) q^n: chi_ES when m
+    is None, else chi_(m), summed over product cells with no power built,
+    from ``blocks`` = ``_cell_blocks(rec)`` (computed when not given).
 
     W = G~S_n permutes the open cells e = s_1 x ... x s_n of M^n.  By
     Tamanoi's fixed-point form (Algebr. Geom. Topol. 1, 2001), chi_(m) is
@@ -507,112 +529,64 @@ def _cell_terms(rec: RegularEquivariantComplex, order: int, m) -> tuple:
     orbits of dim t, with sign the product of e_t^(orbits), e_t =
     (-1)^dim t.  So the series is the product over simplex orbits t of
     sum_k a_t(k) q^k, a_t(k) the average of e_t^(orbits of <phi> on the k
-    factors) over Hom(Z^(m+1), G_t~S_k) (``_sign_averages``); chi_ES takes
-    the trivial phi alone, a_t(k) = e_t^k / |G_t~S_k|.  Each factor is
-    computed once per (stabilizer, sign) and raised to the number of its
-    orbits.
-
-    The terms stop at the first n whose W passes the table cap or, for
-    m >= 1, whose |W|^m passes the hom cap, with the note the
-    triangulated route gives there.  Nothing here reads a sector, the
-    Euler-Satake sum or a J_{r,m}.
+    factors) over Hom(Z^(m+1), G_t~S_k): coefficient k of F^m_(G_t, 1),e_t,
+    the centralizer recursion of ``_point_chi_coefficients`` (Bryan and
+    Fulman, Ann. Comb. 2, 1998).  The first image x of phi leaves a tuple
+    in C(x), a product of wreath powers on the r-cycles of x, and the
+    tuple's orbits on the factors are the last level's orbits on those
+    super-factors, so e_t passes down the recursion to its base.  chi_ES
+    takes the trivial phi alone, a_t(k) = e_t^k / |G_t~S_k|, held as the
+    int (e_t [G : G_t])^k over |G|^k k!, so products are binomial
+    convolutions of ints.  Each factor is raised to the number of its
+    orbits; a point is one orbit, with stabilizer G and e = 1.  Nothing
+    here reads a sector, the Euler-Satake sum or a J_{r,m}.
     """
-    group, ec = rec.group, rec.ec
-    top, note = order, None
-    for n in range(1, order + 1):
-        wreath = WreathProduct(group, n)
-        try:
-            wreath.check_table_order()
-            if m:
-                _check_hom_cap(free_abelian(m), wreath)
-        except CapExceeded as exc:
-            top, note = n - 1, f"wreath power n={n}: {exc}"
-            break
-    blocks = Counter()
-    for members in orbits(
-        ec.cx.simplices, lambda s: {ec.map_simplex(g, s) for g in group.elements()}
-    ):
-        t = members[0]
-        stab = tuple(g for g in group.elements() if ec.map_simplex(g, t) == t)
-        blocks[stab, len(t) % 2 == 0] += 1  # True for odd dimension
-    levels = 0 if m is None else m + 1
-    averages = {}
-    values = [Fraction(1)] + [Fraction(0)] * top
-    for (stab, odd), count in blocks.items():
-        if stab not in averages:
-            base, _ = subgroup(group, stab)
-            averages[stab] = [
-                _sign_averages(WreathProduct(base, k), levels) for k in range(top + 1)
+    group, exponential = rec.group, m is None
+    if blocks is None:
+        blocks = _cell_blocks(rec)
+    values = [1] + [0] * order  # the empty product
+    for j, ((base, odd), count) in enumerate(blocks.items()):
+        sign = -1 if odd else 1
+        if exponential:
+            x = sign * (group.order // base.order)
+            a = [x**k for k in range(order + 1)]
+        else:
+            a = _point_chi_coefficients(base, m, order, 1, sign)[: order + 1]
+        if count > 1:
+            # a^count by Miller's power recurrence (a_0 = 1): n p_n = sum
+            # over i >= 1 of ((count + 1) i - n) w(n, i) a_i p_(n-i)
+            p, rows = [1], _weight_rows(order, exponential)
+            next(rows)  # p_0 = 1
+            for n, w in enumerate(rows, 1):
+                terms = (((count + 1) * i - n) * w[i] * a[i] * p[n - i] for i in range(1, n + 1))
+                p.append(sum(terms) // n)  # an exact division
+            a = p
+        if j == 0:
+            values = a  # the product so far is 1
+        else:
+            values = [
+                sum(w[i] * values[i] * a[n - i] for i in range(n + 1))
+                for n, w in enumerate(_weight_rows(order, exponential))
             ]
-        a = [pair[odd] for pair in averages[stab]]
-        # p = a^count by Miller's power recurrence (a_0 = 1), whatever the
-        # count: n p_n = sum over i >= 1 of ((count + 1) i - n) a_i p_(n-i)
-        p = [Fraction(1)] * (top + 1)
-        for n in range(1, top + 1):
-            terms = (((count + 1) * i - n) * a[i] * p[n - i] for i in range(1, n + 1))
-            p[n] = sum(terms) / n
-        values = [
-            sum(values[i] * p[n - i] for i in range(n + 1)) for n in range(top + 1)
-        ]
-    return values, note
+    if exponential:
+        return [Fraction(v, group.order**n * math.factorial(n)) for n, v in enumerate(values)]
+    return values
 
 
-def _sign_averages(wreath: WreathProduct, levels: int) -> tuple:
-    """The averages of 1 and of (-1)^(orbits of <phi> on the factors) over
-    phi in Hom(Z^levels, W), W = ``wreath``.
-
-    Bryan and Fulman's class-first walk (Ann. Comb. 2, 1998): the average
-    over Hom(Z^j, H) of a conjugation-invariant f is the sum over classes
-    (x) of H of the average over Hom(Z^(j-1), C_H(x)) of f(x, .).  Classes
-    are generator orbits under conjugation, centralizers are filtered from
-    the members, and the last image runs over the members as they are.
-    A node's value depends only on its members, the orbits of the images
-    chosen so far and the images left, so each such node is walked once.
-    """
-    size = wreath.size
-    identity = tuple(range(size))  # the permutation of the empty tuple
-    commute = wreath.commute
-    walked = {}
-
-    def walk(members: list, gens, perms: list, left: int) -> tuple:
-        if left <= 1:
-            lasts = Counter(x.perm for x in members) if left else {identity: 1}
-            tally = [0, 0]
-            for perm, count in lasts.items():
-                tally[len(_factor_orbits(perms + [perm], size)) % 2] += count
-            return (
-                Fraction(tally[0] + tally[1], len(members)),
-                Fraction(tally[0] - tally[1], len(members)),
-            )
-        key = (tuple(members), _factor_orbits(perms, size), left)
-        if key not in walked:
-            gens = gens or generators(wreath, members)
-            conjs = [wreath.conjugator(g) for g in gens]
-            plus = minus = 0
-            for cls in orbits(members, lambda x: orbit(x, conjs, lambda y, c: c(y))):
-                x, cent = cls[0], members  # members, when x is central
-                if not all(commute(g, x) for g in gens):
-                    cent = [g for g in members if commute(g, x)]
-                a, b = walk(cent, None, perms + [x.perm], left - 1)
-                plus, minus = plus + a, minus + b
-            walked[key] = plus, minus
-        return walked[key]
-
-    averages = walk(list(wreath.elements()), wreath.generators(), [], levels)
-    del walk  # walk refers to itself through its cell; unbinding frees the nodes
-    return averages
-
-
-def _factor_orbits(perms: list, size: int) -> tuple:
-    """The orbits of the permutations' group on the factors 0..size-1."""
-    return tuple(orbits(range(size), lambda i: orbit(i, perms, lambda j, p: p[j])))
+def _weight_rows(order: int, exponential: bool):
+    """Rows n = 0..order of the weights w(n, i) of x_i y_(n-i) in coefficient
+    n of a product: C(n, i) for series held over k! (exponential), else 1."""
+    row = [1]
+    for n in range(order + 1):
+        yield row
+        row = [1, *map(operator.add, row, row[1:]), 1] if exponential else row + [1]
 
 
 # ---------------------------------------------------------------------------
 # identity reports
 
 
-def _compare_report(lhs_values: list, rhs: TruncatedSeries, note) -> dict:
+def _compare_report(lhs_values: list, rhs: TruncatedSeries, note=None) -> dict:
     mismatch = None
     for i, value in enumerate(lhs_values):
         if value != rhs.coefficients[i]:
@@ -636,6 +610,9 @@ def _compare_report(lhs_values: list, rhs: TruncatedSeries, note) -> dict:
 # ``str`` of an int.
 PRINTED_DIGITS_CAP = 4300
 
+# Most coefficient products an exp or main check may take before it runs.
+SERIES_WORK_CAP = 2 * 10**8
+
 
 def exp_printed_digits(chi: Fraction, order: int) -> int:
     """Digits of max(|a|, b)^order * order! for chi = a/b (1 when a = 0),
@@ -657,50 +634,102 @@ def exp_printed_digits(chi: Fraction, order: int) -> int:
     return digits
 
 
+def check_series_work(identity: str, order: int, m, blocks: Counter) -> int:
+    """The coefficient products the exp (m None) or main check to ``order``
+    predicts on the cell product ``blocks`` (``_cell_blocks``), before
+    either side runs; CapExceeded, with the sum so far, once it passes
+    ``SERIES_WORK_CAP``.
+
+    The rule, with D = (order + 1)^2 for a product or power of two series:
+    the right side takes D for chi_ES (its exponential), order + 1 at
+    m = 0, or (order + 1) (order // r + 1) per factor r <= order.  The
+    left side takes D per block for its Miller power (count above 1) and
+    for its product with the blocks before, and its recursion as
+    ``_point_chi_coefficients`` runs it: a node (H, N) at order n takes
+    N (n + 1) (n // r + 1) per class of H and r <= n, and its base
+    N k(H) n (n + 1) / 2 at m = 1 (type counts) or n + 1 at m = 0."""
+    work, seen = 0, {}
+
+    def add(products: int) -> None:
+        nonlocal work
+        work += products
+        if work > SERIES_WORK_CAP:
+            raise CapExceeded(
+                f"{identity} to order {order} predicts at least {work} coefficient"
+                f" products, above the series-work cap {SERIES_WORK_CAP}"
+            )
+
+    dense = (order + 1) ** 2
+    if m is None or m == 0:
+        add(dense if m is None else order + 1)
+    for r in range(1, order + 1 if m else 1):
+        add((order + 1) * (order // r + 1))
+    for j, ((base, odd), count) in enumerate(blocks.items()):
+        add(dense * ((count > 1) + (j > 0)))
+        if m is not None:
+            _recursion_work(base, m, order, 1, -1 if odd else 1, seen, add)
+    return work
+
+
+def _recursion_work(group, m: int, n: int, index: int, sign: int, seen, add) -> None:
+    """Pass ``add`` the products of ``_point_chi_coefficients(group, m, n,
+    index, sign)``, skipping a key that ``seen`` (key -> order) or the
+    cache holds at order n or more."""
+    key = (group, index, m, sign)
+    if seen.get(key, -1) >= n or len(_POINT_CHI_CACHE.get(key, ())) > n:
+        return
+    seen[key] = n
+    if m < 2:
+        add(index * len(conjugacy_classes(group)) * n * (n + 1) // 2 if m else n + 1)
+        return
+    for cent in class_centralizers(group):
+        for r in range(1, n + 1):
+            add(index * (n + 1) * (n // r + 1))
+            _recursion_work(cent, m - 1, n // r, index * r, sign, seen, add)
+
+
 def verify_exp_formula(rec: RegularEquivariantComplex, order: int) -> dict:
     """Check sum of chi_ES(n-th wreath product) q^n = exp(q chi_ES).
 
-    Raises CapExceeded, before any term is computed, when the report's
-    numbers could pass ``PRINTED_DIGITS_CAP``: on a point, chi_ES = 1/|G|
-    and the last term is exactly 1/(|G|^order * order!)."""
+    Raises CapExceeded, before any term is computed, when the numbers of
+    either side could pass ``PRINTED_DIGITS_CAP``: chi_ES = a/b has |a| <=
+    S, the number of simplices, and b <= |G|, and the left side holds
+    coefficient k as about S^k over |G|^k k!, so max(S, |G|)^order *
+    order! bounds both (on a point, 1/(|G|^order * order!) is the last
+    term); or when ``check_series_work`` does."""
     chi = euler_satake(rec)
-    if order > 0:
-        digits = exp_printed_digits(chi, order)
-        if digits > PRINTED_DIGITS_CAP:
-            raise CapExceeded(
-                f"exp formula to order {order} prints numbers of up to {digits}"
-                f" digits (max(|a|, b)^order * order! for chi_ES = {chi}),"
-                f" above the printed-digit cap {PRINTED_DIGITS_CAP}"
-            )
+    blocks = _cell_blocks(rec)
+    bound = max(len(rec.cx.simplices), rec.group.order)
+    digits = exp_printed_digits(Fraction(bound), order) if order > 0 else 1
+    if digits > PRINTED_DIGITS_CAP:
+        raise CapExceeded(
+            f"exp formula to order {order} handles numbers of up to {digits}"
+            f" digits ({bound}^order * order!, {bound} = max(simplices, |G|)),"
+            f" above the printed-digit cap {PRINTED_DIGITS_CAP}"
+        )
+    check_series_work("exp formula", order, None, blocks)
     rhs = rhs_exp_formula(chi, order)
-    if len(rec.cx.vertices) > 1:
-        values, note = _cell_terms(rec, order, None)
-    else:
-        size = rec.group.order
-        values = [Fraction(1, size**n * math.factorial(n)) for n in range(order + 1)]
-        note = None
+    values = _cell_terms(rec, order, None, blocks)
     report = {"identity": "exp-formula", "chi_es": str(chi), "order": order}
-    report.update(_compare_report(values, rhs, note))
+    report.update(_compare_report(values, rhs))
     return report
 
 
 def verify_main_formula(rec: RegularEquivariantComplex, m: int, order: int) -> dict:
-    """Check the chi_(m) wreath series against the J_{r,m} product formula."""
+    """Check the chi_(m) wreath series against the J_{r,m} product formula,
+    once ``check_series_work`` admits it."""
+    blocks = _cell_blocks(rec)
+    check_series_work(f"main formula at m = {m}", order, m, blocks)
     chi = chi_m_top(rec, m)
     rhs = rhs_main_formula(m, chi, order)
-    if len(rec.cx.vertices) > 1:
-        values, note = _cell_terms(rec, order, m)
-    elif m:
-        values, note = _point_chi_coefficients(rec.group, m, order)[: order + 1], None
-    else:
-        values, note = [1] * (order + 1), None
+    values = _cell_terms(rec, order, m, blocks)
     report = {
         "identity": "main-product-formula",
         "m": m,
         "chi": str(chi),
         "order": order,
     }
-    report.update(_compare_report(values, rhs, note))
+    report.update(_compare_report(values, rhs))
     return report
 
 

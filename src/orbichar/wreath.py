@@ -134,17 +134,6 @@ class WreathProduct:
 
         return conj
 
-    def commute(self, a: WreathElement, b: WreathElement) -> bool:
-        """Whether a b = b a, with no product built: for a = (g, s) and
-        b = (h, p), a b puts g[s p j] h[p j] at s p j and b a puts
-        h[p s j] g[s j] at p s j, so both must agree for every j."""
-        t, g, s, h, p = self.base.table, a.components, a.perm, b.components, b.perm
-        for j, k in enumerate(p):
-            i = s[k]
-            if i != p[s[j]] or t[g[i]][h[k]] != t[h[i]][g[s[j]]]:
-                return False
-        return True
-
     def elements(self):
         """All elements, tuple part outer, permutation part inner (sorted)."""
         perms = sorted(itertools.permutations(range(self.size)))
@@ -312,14 +301,19 @@ def type_trie(k: int, top: int) -> list:
 
 
 def type_counts(k: int, order: int) -> list:
-    """Entry n, for n = 0..order, is the number of maps of weight n that
-    ``type_trie(k, order)`` lists (one, the empty map, for n = 0): the
-    coefficients of the product over r >= 1 of (1 - q^r)^(-k)."""
+    """The coefficients 0..order of the product over r >= 1 of
+    (1 - q^r)^(-k), for any int k; for k >= 0, entry n is the number of
+    maps of weight n that ``type_trie(k, order)`` lists (one, the empty map,
+    for n = 0)."""
     out = [1] + [0] * order
     for r in range(1, order + 1):
-        for _ in range(k):
-            for i in range(r, order + 1):
-                out[i] += out[i - r]
+        for _ in range(abs(k)):
+            if k > 0:
+                for i in range(r, order + 1):
+                    out[i] += out[i - r]
+            else:  # multiply by 1 - q^r, top coefficient first
+                for i in range(order, r - 1, -1):
+                    out[i] -= out[i - r]
     return out
 
 
@@ -422,7 +416,18 @@ def centralizer_extension(base: FiniteGroup, c: int, r: int) -> tuple:
     r in it.  Its classes and centralizers depend only on that
     pair (``series._point_chi_coefficients`` gives the argument), so no
     table is built.  For a pair (H, N), the r-th root extension over c is
-    (C_H(c), N * r): the point recursion calls this once per class.
+    (C_H(c), N * r).
     """
     cent, _carrier = subgroup(base, centralizer(base, [c]))
     return cent, r
+
+
+def class_centralizers(base: FiniteGroup) -> tuple:
+    """C_G(c) (``centralizer_extension``) for the representative c of each
+    class of G, in class order, built once per group and stored on it."""
+    if base._centralizers is None:
+        base._centralizers = tuple(
+            centralizer_extension(base, cls.representative, 1)[0]
+            for cls in conjugacy_classes(base)
+        )
+    return base._centralizers

@@ -6,14 +6,18 @@ Euler-Satake orbit sum to an invariant subcomplex, which the tests use to
 check additivity over unions.  ``orbit_complex_by_relabel``,
 ``euler_satake_by_fractions``, ``wreath_inv`` and ``wreath_conj`` are
 the plain routes that the library's orbit complex, Euler-Satake sum and
-wreath conjugation are checked against.
+wreath conjugation are checked against.  ``sign_averages`` walks the
+classes of a wreath product element by element (with ``wreath_commute``
+and ``factor_orbits``), the route that the product-cell left sides'
+signed centralizer recursion is checked against.
 """
+from collections import Counter
 from fractions import Fraction
 
 from orbichar.complexes import SimplicialComplex
 from orbichar.equivariant import RegularEquivariantComplex, _require_regular
 from orbichar.errors import InputError
-from orbichar.groups import FiniteGroup, orbits, perm_inverse
+from orbichar.groups import FiniteGroup, generators, orbit, orbits, perm_inverse
 from orbichar.wreath import WreathElement, WreathProduct
 
 
@@ -94,3 +98,65 @@ def wreath_inv(wreath: WreathProduct, a: WreathElement) -> WreathElement:
 def wreath_conj(wreath: WreathProduct, g: WreathElement, x: WreathElement):
     """g x g^-1 from two products and an inverse."""
     return wreath.mul(wreath.mul(g, x), wreath_inv(wreath, g))
+
+
+def wreath_commute(wreath: WreathProduct, a: WreathElement, b: WreathElement) -> bool:
+    """Whether a b = b a, with no product built: for a = (g, s) and
+    b = (h, p), a b puts g[s p j] h[p j] at s p j and b a puts
+    h[p s j] g[s j] at p s j, so both must agree for every j."""
+    t, g, s, h, p = wreath.base.table, a.components, a.perm, b.components, b.perm
+    for j, k in enumerate(p):
+        i = s[k]
+        if i != p[s[j]] or t[g[i]][h[k]] != t[h[i]][g[s[j]]]:
+            return False
+    return True
+
+
+def factor_orbits(perms: list, size: int) -> tuple:
+    """The orbits of the permutations' group on the factors 0..size-1."""
+    return tuple(orbits(range(size), lambda i: orbit(i, perms, lambda j, p: p[j])))
+
+
+def sign_averages(wreath: WreathProduct, levels: int) -> tuple:
+    """The averages of 1 and of (-1)^(orbits of <phi> on the factors) over
+    phi in Hom(Z^levels, W), W = ``wreath``.
+
+    Bryan and Fulman's class-first walk (Ann. Comb. 2, 1998): the average
+    over Hom(Z^j, H) of a conjugation-invariant f is the sum over classes
+    (x) of H of the average over Hom(Z^(j-1), C_H(x)) of f(x, .).  Classes
+    are generator orbits under conjugation, centralizers are filtered from
+    the members, and the last image runs over the members as they are.
+    A node's value depends only on its members, the orbits of the images
+    chosen so far and the images left, so each such node is walked once.
+    """
+    size = wreath.size
+    identity = tuple(range(size))  # the permutation of the empty tuple
+    walked = {}
+
+    def walk(members: list, gens, perms: list, left: int) -> tuple:
+        if left <= 1:
+            lasts = Counter(x.perm for x in members) if left else {identity: 1}
+            tally = [0, 0]
+            for perm, count in lasts.items():
+                tally[len(factor_orbits(perms + [perm], size)) % 2] += count
+            return (
+                Fraction(tally[0] + tally[1], len(members)),
+                Fraction(tally[0] - tally[1], len(members)),
+            )
+        key = (tuple(members), factor_orbits(perms, size), left)
+        if key not in walked:
+            gens = gens or generators(wreath, members)
+            conjs = [wreath.conjugator(g) for g in gens]
+            plus = minus = 0
+            for cls in orbits(members, lambda x: orbit(x, conjs, lambda y, c: c(y))):
+                x, cent = cls[0], members  # members, when x is central
+                if not all(wreath_commute(wreath, g, x) for g in gens):
+                    cent = [g for g in members if wreath_commute(wreath, g, x)]
+                a, b = walk(cent, None, perms + [x.perm], left - 1)
+                plus, minus = plus + a, minus + b
+            walked[key] = plus, minus
+        return walked[key]
+
+    averages = walk(list(wreath.elements()), wreath.generators(), [], levels)
+    del walk  # walk refers to itself through its cell; unbinding frees the nodes
+    return averages

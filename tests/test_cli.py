@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -932,8 +933,8 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
 
 
 CAPPED_SERIES = [
-    ("exp", "--complex", "S0-swap", "--order", "6"),
-    ("main", "--complex", "S0-swap", "--m", "1", "--order", "6"),
+    ("macdonald", "--complex", "edge-swap", "--order", "6"),
+    ("macdonald", "--complex", "S0-swap", "--order", "5"),
     ("macdonald", "--complex", "S0-swap", "--order", "6"),
 ]
 
@@ -969,15 +970,83 @@ def test_product_cell_left_sides_reach_past_the_triangulation(capsys, argv):
     assert code == 0 and report["equal"] and "cap" not in report
 
 
-def test_hom_cap_note_on_a_wreath_power(capsys):
-    # |Z2 wr S2|^9 = 8^9 passes the homomorphism cap at n = 2
+@pytest.mark.parametrize(
+    "argv, seconds",
+    [
+        (("main", "--complex", "edge-swap", "--m", "1", "--order", "5"), 0.5),
+        (("exp", "--complex", "S0-swap", "--order", "6"), 0.5),
+        (("main", "--complex", "edge-swap", "--m", "3", "--order", "30"), 1),
+    ],
+)
+def test_product_cells_reach_past_the_wreath_tables_in_time(capsys, argv, seconds):
+    # each stopped at a wreath table or homomorphism cap while the left
+    # side walked the classes of G ~ S_n element by element
+    start = time.perf_counter()
+    code, report = run_json(capsys, "verify", *argv)
+    assert time.perf_counter() - start < seconds
+    assert code == 0 and report["equal"] and "cap" not in report
+
+
+@pytest.mark.parametrize(
+    "order, predicted",
+    [("20000", 400040001), ("1000000000", 1000000002000000001)],
+)
+def test_series_work_cap_trips_before_either_side(capsys, order, predicted):
+    # the first right-side factor alone passes the cap
+    start = time.perf_counter()
     code, out, err = run(
+        capsys, "verify", "main", "--complex", "point-Z2", "--m", "1",
+        "--order", order,
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    assert err == (
+        f"error: cap exceeded: main formula at m = 1 to order {order} predicts"
+        f" at least {predicted} coefficient products, above the series-work"
+        " cap 200000000\n"
+    )
+
+
+@pytest.mark.parametrize("group, m, order", [("Z2", 1, 3000), ("S4", 2, 800)])
+def test_series_work_cap_admits_the_long_point_probes(group, m, order):
+    # both ran to exit 0 before the cap; each takes seconds, so only the
+    # prediction is checked here
+    blocks = Counter({(builtin_group(group), False): 1})
+    work = series.check_series_work("main", order, m, blocks)
+    assert 0 < work <= series.SERIES_WORK_CAP
+
+
+def test_exp_left_side_numbers_are_held_to_the_digit_cap(capsys):
+    # chi_ES = 0 prints only zeros, but the cells' factors still grow:
+    # 54^1001 * 1001! has 4,305 digits over the 54 simplices of the torus
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "verify", "exp", "--complex", "torus-trivial", "--order", "1001"
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    assert err == (
+        "error: cap exceeded: exp formula to order 1001 handles numbers of up to"
+        " 4305 digits (54^order * order!, 54 = max(simplices, |G|)), above the"
+        " printed-digit cap 4300\n"
+    )
+
+
+def test_hom_cap_note_on_a_wreath_power(capsys):
+    # the left side enumerates no Hom(Z^9, Z2 wr S_n), so it no longer stops
+    # at n = 2, where |Z2 wr S2|^9 = 8^9 passes the homomorphism cap; that
+    # cap trips on the base alone, in the right side's chi_(m)
+    code, report = run_json(
         capsys, "verify", "main", "--complex", "S0-swap", "--m", "9", "--order", "3"
     )
-    assert code == 3 and json.loads(out)["lhs"] == ["1", "1"]
+    assert code == 0 and report["equal"] and len(report["lhs"]) == 4
+    assert "cap" not in report
+    code, out, err = run(
+        capsys, "verify", "main", "--complex", "S0-swap", "--m", "27", "--order", "3"
+    )
+    assert code == 3 and out == ""
     assert err == (
-        "error: cap exceeded: wreath power n=2: |G|^k = 8^9 exceeds enumeration"
-        " cap 100000000\n"
+        "error: cap exceeded: |G|^k = 2^27 exceeds enumeration cap 100000000\n"
     )
 
 
@@ -1038,11 +1107,11 @@ _PINNED_SERIES = {
     "verify macdonald --complex edge-swap --order 3": (
         0, "84a9afab079982b8f68a18e26776e6aeb4100db1f0d58a96157e3d4517566167", ""
     ),
+    # re-recorded when the product-cell left side lost its table cap: it
+    # was exit 3 with "wreath power n=5: wreath product order 3840 exceeds
+    # cap 2000" and lhs 1, 1, 2, 3, 5; now every term lands, equal: true
     "verify main --complex S0-swap --m 1 --order 6": (
-        3,
-        "88b71474bb65f7d231004176ef2e9843115f46351d6df27cc34d98289f27e0cc",
-        "error: cap exceeded: wreath power n=5: wreath product order 3840"
-        " exceeds cap 2000\n",
+        0, "b7a0e0567a527473c82ce120e80e58ecd33565b35f7c208fe3e7e0f815cc8047", ""
     ),
     # recorded before the series products lost their generic ring
     "verify main --complex point-Z2 --m 1 --order 300": (
@@ -1103,14 +1172,16 @@ def test_capped_series_check_with_a_mismatch_exits_1(capsys, monkeypatch):
     # force a mismatch below the cap by tampering with the formula side
     import orbichar.series as series_mod
 
-    real = series_mod.rhs_exp_formula
+    real = series_mod.rhs_main_formula
     monkeypatch.setattr(
-        "orbichar.series.rhs_exp_formula", lambda chi, order: real(chi + 1, order)
+        "orbichar.series.rhs_main_formula",
+        lambda m, chi, order: real(m, chi + 1, order),
     )
     code, report = run_json(
-        capsys, "verify", "exp", "--complex", "S0-swap", "--order", "6"
+        capsys, "verify", "macdonald", "--complex", "S0-swap", "--order", "6"
     )
-    assert code == 1 and report["mismatch_index"] == 1 and "cap" in report
+    part = report["part1"]
+    assert code == 1 and part["mismatch_index"] == 1 and "cap" in part
 
 
 @pytest.mark.parametrize("group,order", [("Z2", 1424), ("S3", 1250), ("S4", 1081)])

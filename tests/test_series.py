@@ -51,8 +51,9 @@ from orbichar.series import (
     verify_exp_formula,
     verify_main_formula,
 )
-from orbichar.wreath import all_types
+from orbichar.wreath import WreathProduct, all_types
 from group_oracle import extension_table, point_chi_by_extension_tables
+from helpers import sign_averages
 from series_oracle import (
     NonInvertibleSeries,
     annihilator_bfs,
@@ -604,25 +605,49 @@ def test_cell_terms_equal_the_triangulated_powers(name):
     built: dict = {}  # each power is built once for every m
     explicit, note = _wreath_terms(rec, reach, None, euler_satake, built)
     assert note is None
-    assert _cell_terms(rec, reach, None) == (explicit, None)
+    assert _cell_terms(rec, reach, None) == explicit
     for m in range(4):
         explicit, note = _wreath_terms(
             rec, reach, None, lambda rec_n: chi_m_top(rec_n, m), built
         )
         assert note is None
-        assert _cell_terms(rec, reach, m) == (explicit, None), m
+        assert _cell_terms(rec, reach, m) == explicit, m
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        trivial_group(),
+        cyclic_group(2),
+        cyclic_group(3),
+        symmetric_group(3),
+        dihedral_group(4),
+    ],
+    ids=["trivial", "Z2", "Z3", "S3", "D4"],
+)
+def test_signed_recursion_equals_the_class_walk(group):
+    # coefficient k of F^m_(H, 1),e against the element-by-element class
+    # walk over Hom(Z^(m+1), H ~ S_k), for every k with |H ~ S_k| <= 3000
+    top = 0
+    while group.order ** (top + 1) * math.factorial(top + 1) <= 3000:
+        top += 1
+    for m in range(4):
+        plus = series_module._point_chi_coefficients(group, m, top, 1, 1)
+        minus = series_module._point_chi_coefficients(group, m, top, 1, -1)
+        for k in range(top + 1):
+            walked = sign_averages(WreathProduct(group, k), m + 1)
+            assert walked == (plus[k], minus[k]), (m, k)
 
 
 @pytest.mark.parametrize("rec", [point_z2(), point_s3()], ids=["Z2", "S3"])
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_cell_terms_on_a_point_equal_the_point_recursion(rec, m):
-    # the stabilizer is the whole group, so the walk runs on G ~ S_k
-    values, note = _cell_terms(rec, 3, m)
-    assert note is None
+    # the stabilizer is the whole group, so the recursion runs on G ~ S_k
+    values = _cell_terms(rec, 3, m)
     assert values == [point_wreath_chi_m(rec.group, n, m) for n in range(4)]
     size = rec.group.order
     closed = [Fraction(1, size**n * math.factorial(n)) for n in range(4)]
-    assert _cell_terms(rec, 3, None) == (closed, None)
+    assert _cell_terms(rec, 3, None) == closed
 
 
 def test_cell_terms_read_no_sector_or_right_side(monkeypatch):
@@ -654,12 +679,30 @@ def test_cell_sign_reads_the_fixed_dimension(monkeypatch, name):
     # a mutant signing each cell by its own dimension, not by that of its
     # fixed set, must break the main identity
     assert verify_main_formula(builtin_equivariant(name), 1, 3)["equal"]
+    real = series_module._point_chi_coefficients
 
-    def singletons(perms, size):
-        return tuple((i,) for i in range(size))
+    def cell_signed(group, m, order, index=1, sign=1):
+        # e^k on coefficient k: each factor counted as its own orbit
+        unsigned = real(group, m, order, index, 1)
+        return [sign**k * c for k, c in enumerate(unsigned)]
 
-    monkeypatch.setattr(series_module, "_factor_orbits", singletons)
+    monkeypatch.setattr(series_module, "_point_chi_coefficients", cell_signed)
     assert not verify_main_formula(builtin_equivariant(name), 1, 3)["equal"]
+
+
+def test_empty_complex_series_are_the_empty_product():
+    # no simplex orbit, so the cell product is 1; the left side once took a
+    # complex with fewer than two vertices for a point
+    from orbichar.complexes import SimplicialComplex
+    from orbichar.equivariant import trivial_action
+
+    rec = regularize(trivial_action(SimplicialComplex([]), symmetric_group(3)))
+    assert _cell_terms(rec, 3, None) == [1, 0, 0, 0]
+    report = verify_exp_formula(rec, 3)
+    assert report["equal"] and report["lhs"] == ["1", "0", "0", "0"]
+    for m in range(3):
+        report = verify_main_formula(rec, m, 3)
+        assert report["equal"] and report["lhs"] == ["1", "0", "0", "0"], m
 
 
 def test_exp_left_side_does_not_read_euler_satake(monkeypatch):

@@ -32,7 +32,7 @@ from orbichar.wreath import (
     type_trie,
 )
 from group_oracle import extension_table
-from helpers import element_order, is_abelian, wreath_conj, wreath_inv
+from helpers import element_order, is_abelian, wreath_commute, wreath_conj, wreath_inv
 from series_oracle import type_entries
 
 
@@ -223,7 +223,7 @@ def test_conjugator_and_commute_match_products(base, n):
         conj = wreath.conjugator(a)
         for x in elements:
             assert conj(x) == wreath_conj(wreath, a, x)
-            assert wreath.commute(a, x) == (wreath.mul(a, x) == wreath.mul(x, a))
+            assert wreath_commute(wreath, a, x) == (wreath.mul(a, x) == wreath.mul(x, a))
 
 
 def test_wreath_element_sorts_and_compares_by_fields():
