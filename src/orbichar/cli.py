@@ -406,22 +406,14 @@ class Fragment:
         self.indent = indent
 
 
-def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, for str-keyed dicts,
-    lists and tuples of str, int, bool, None (leaves by exact type) and
-    fragments; anything else raises TypeError.
-
-    It is faster than ``json.dumps``, which indents in pure Python.
-    """
-    out = []
-    _text(obj, "\n", out)
-    return "".join(out)
-
-
 def _text(obj, indent: str, out: list) -> None:
-    """Append the text of ``obj`` to ``out``; ``indent`` is the newline and
-    indentation that precede its closing bracket.  No container joins its
-    own text, so every piece is written once."""
+    """Append the text of ``obj`` to ``out``, as ``json.dumps(obj, indent=2,
+    sort_keys=True)`` writes it, for str-keyed dicts, lists and tuples of
+    str, int, bool, None (leaves by exact type) and fragments; anything
+    else raises TypeError.  ``indent`` is the newline and indentation that
+    precede its closing bracket.  No container joins its own text, so
+    every piece is written once, faster than ``json.dumps``, which indents
+    in pure Python."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         out.append(leaf(obj))

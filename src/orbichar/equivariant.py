@@ -106,9 +106,6 @@ class EquivariantComplex:
                         f"element {g} maps simplex {s} outside the complex"
                     )
 
-    def apply(self, g: int, v: int) -> int:
-        return self.action[g][self._vpos[v]]
-
     def map_simplex(self, g: int, s: tuple) -> tuple:
         row = self.action[g]
         pos = self._vpos

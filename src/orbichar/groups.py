@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -238,13 +239,6 @@ def perm_compose(p: tuple, q: tuple) -> tuple:
     return tuple([p[i] for i in q])
 
 
-def perm_inverse(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def perm_cycle_label(p: tuple) -> str:
     """Cycle notation on points 1..d, for human-readable labels."""
     seen = [False] * len(p)
@@ -336,6 +330,55 @@ def centralizer(group: FiniteGroup, elements) -> tuple:
         row = table[x]
         out = [g for g in out if table[g][x] == row[g]]
     return tuple(out)
+
+
+def abelian_subgroups(group: FiniteGroup) -> list:
+    """Every abelian subgroup as a frozenset, smallest first (equal sizes
+    in order of their sorted elements).
+
+    The cyclic subgroups come from one pass over the elements: an element
+    g not yet marked opens <g>, and marks every power g^j with gcd(j, |g|)
+    = 1, as each of those generates <g> too.  Every abelian subgroup is a
+    cyclic one with commuting cyclic subgroups adjoined one at a time, so
+    the rest close from these.  A subgroup A, with its centralizer Z,
+    takes each <g> for g in Z outside A; A<g> is the union of the cosets
+    A g^k for k below the least t with g^t in A, and its centralizer, Z
+    cut to the elements that commute with g, passes to it.
+    """
+    n, table, e = group.order, group.table, group.identity
+    cyclic = [None] * n  # cyclic[x] is <x>, shared by its generators
+    found = []  # (subgroup, its centralizer), the cyclic ones first
+    for g in range(n):
+        if cyclic[g] is None:
+            powers = [e]
+            x = g
+            while x != e:
+                powers.append(x)
+                x = table[x][g]
+            members = frozenset(powers)
+            for j, x in enumerate(powers):
+                if math.gcd(j, len(powers)) == 1:
+                    cyclic[x] = members
+            row = table[g]
+            found.append((members, [z for z in range(n) if table[z][g] == row[z]]))
+    seen = {members for members, _cent in found}
+    for sub, cent in found:  # the list grows as it is walked
+        tried = set()
+        for g in cent:
+            if g in sub or cyclic[g] in tried:
+                continue
+            tried.add(cyclic[g])
+            members, x = set(sub), g
+            while x not in sub:
+                row = table[x]
+                members.update([row[a] for a in sub])
+                x = table[x][g]
+            members = frozenset(members)
+            if members not in seen:
+                seen.add(members)
+                row = table[g]
+                found.append((members, [z for z in cent if table[z][g] == row[z]]))
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
 # ---------------------------------------------------------------------------

@@ -139,9 +139,6 @@ class GroupHom:
     group: FiniteGroup = field(compare=False)
     images: tuple = ()
 
-    def evaluate(self, word) -> int:
-        return evaluate_word(self.group, self.images, word)
-
 
 def evaluate_word(group: FiniteGroup, images, word) -> int:
     return _evaluate(group, images, validate_word(word, len(images)))

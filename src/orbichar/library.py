@@ -234,11 +234,6 @@ def builtin_equivariant(name: str) -> RegularEquivariantComplex:
     return builder()
 
 
-def suite() -> list:
-    """The bundled equivariant complexes as (name, complex) pairs."""
-    return [(name, EQUIVARIANT_PRESETS[name]()) for name in SUITE_NAMES]
-
-
 # Pairs whose products stay small enough for exhaustive sector checks.
 PRODUCT_PAIRS = (
     ("point-Z2", "point-S3"),

@@ -36,11 +36,11 @@ from .equivariant import (
     orbit_complex,
     regularize,
 )
-from .groups import FiniteGroup, subgroup
+from .errors import InputError
+from .groups import FiniteGroup, abelian_subgroups, subgroup
 from .homs import (
     HomClass,
     Presentation,
-    free_abelian,
     hom_classes,
     hom_orbits,
     product_presentation,
@@ -151,10 +151,45 @@ def chi_gamma_top(rec: RegularEquivariantComplex, presentation: Presentation) ->
 
 
 def chi_m_top(rec: RegularEquivariantComplex, m: int) -> int:
-    """chi_(m): the orbit-space Euler characteristic summed over Z^m-sectors."""
-    if m == 0:
-        return euler_characteristic(orbit_complex(rec))
-    return chi_gamma_top(rec, free_abelian(m))
+    """chi_(m): the orbit-space Euler characteristic summed over Z^m-sectors,
+    read off the fixed subcomplexes of the abelian subgroups of G.
+
+    The sector of a class of phi in Hom(Z^m, G) is X^<phi> acted on by the
+    centralizer C of phi's image.  The action is regular, so by Burnside
+    the sector's orbit space has chi (1/|C|) times the sum over g in C of
+    chi(X^<phi, g>).  The class has |G|/|C| members, so summing over the
+    classes gives (1/|G|) times the sum over psi in Hom(Z^(m+1), G) of
+    chi(X^im psi) (Tamanoi's fixed-point form, Algebr. Geom. Topol. 1,
+    2001).  Grouped by their image A, an abelian subgroup:
+
+        chi_(m) = (1/|G|) sum over abelian A of e(A) chi(X^A),
+
+    where e(A) = |Epi(Z^(m+1), A)| = |A|^(m+1) - sum over B < A of e(B),
+    by Moebius inversion on the subgroups of A (P. Hall, "The Eulerian
+    functions of a group", Quart. J. Math. 7, 1936).  So no homomorphism
+    is walked, no sector is built and no class list is read.
+    """
+    if m < 0:
+        raise InputError(f"m must be >= 0, got {m}")
+    subgroups = abelian_subgroups(rec.group)
+    # each subgroup B, filed under its greatest element, is found from any
+    # subgroup that holds that element
+    by_top = {}
+    epi = []  # e(A) of the subgroups walked so far
+    chis = {}  # fixed vertices -> chi of their fixed subcomplex
+    total = 0
+    for a, sub in enumerate(subgroups):
+        below = sum(epi[b] for x in sub for b in by_top.get(x, ()) if subgroups[b] < sub)
+        epi.append(len(sub) ** (m + 1) - below)
+        by_top.setdefault(max(sub), []).append(a)
+        fixed = fixed_vertices(rec, sub) if epi[a] else ()
+        if fixed:
+            if fixed not in chis:
+                chis[fixed] = euler_characteristic(fixed_subcomplex(rec, sub))
+            total += epi[a] * chis[fixed]
+    chi, rest = divmod(total, rec.group.order)
+    assert rest == 0, "the fixed-point sum is not divisible by |G|"
+    return chi
 
 
 # ---------------------------------------------------------------------------

@@ -134,9 +134,9 @@ def _divisors(r: int) -> list:
 
 def _ordered_factorizations(r: int, m: int):
     """All tuples (j_1..j_m) of positive integers with product r, in
-    lexicographic order.  The walk keeps its own stack, so a large m
-    costs no recursion depth; once the product is used up, the remaining
-    coordinates are all 1."""
+    lexicographic order: the diagonals of the brute force's normal forms.
+    The walk keeps its own stack, so a large m costs no recursion depth;
+    once the product is used up, the remaining coordinates are all 1."""
     stack = [((), r)]
     while stack:
         prefix, rest = stack.pop()
@@ -150,19 +150,33 @@ def _ordered_factorizations(r: int, m: int):
 def subgroup_count(r: int, m: int) -> int:
     """J_{r,m}: the number of index-r subgroups of Z^m.
 
-    Computed as the weighted factorization sum
-    J_{r,m} = sum over j_1...j_m = r of j_2 * j_3^2 * ... * j_m^(m-1),
-    which counts upper-triangular normal forms by their diagonals.
+    Its Dirichlet series is zeta(s) zeta(s-1) ... zeta(s-m+1), so J_{r,m}
+    is multiplicative in r, and at a prime power it is the Gaussian
+    binomial
+
+        J_{p^e,m} = prod over i = 1..m-1 of (p^(e+i) - 1) / (p^i - 1).
+
+    The product through i is itself a Gaussian binomial, an integer, so
+    every division is exact.
     """
     if r < 1 or m < 1:
         raise InputError(f"subgroup counts need r, m >= 1, got r={r}, m={m}")
-    return sum(_weight(js) for js in _ordered_factorizations(r, m))
-
-
-def _weight(js) -> int:
-    """j_2 * j_3^2 * ... * j_m^(m-1): the number of upper-triangular normal
-    forms with diagonal (j_1..j_m)."""
-    return math.prod(j**i for i, j in enumerate(js))
+    out, p = 1, 2
+    while r > 1:
+        if p * p > r:
+            p = r  # what is left of r is prime
+        if r % p == 0:
+            top, bottom, factor = 1, 1, 1
+            while r % p == 0:
+                r //= p
+                top *= p  # p^e, then p^(e+i)
+            for _ in range(1, m):
+                top *= p
+                bottom *= p
+                factor = factor * (top - 1) // (bottom - 1)
+            out *= factor
+        p += 1
+    return out
 
 
 def sublattice_count_bruteforce(r: int, m: int, exhaustive: bool = False) -> int:
@@ -401,7 +415,8 @@ def point_wreath_chi_m(group: FiniteGroup, size: int, m: int) -> int:
     with this one where they overlap.
 
     It reads class lists and never calls J_{r,m}; the right side of
-    ``verify main`` takes chi_(m) from the homomorphism walk instead.
+    ``verify main`` takes chi_(m) from the abelian subgroup lattice
+    (``sectors.chi_m_top``) instead.
     """
     if size < 0 or m < 0:
         raise InputError("size and m must be nonnegative")
@@ -613,6 +628,11 @@ PRINTED_DIGITS_CAP = 4300
 # Most coefficient products an exp or main check may take before it runs.
 SERIES_WORK_CAP = 2 * 10**8
 
+# Largest m a main check takes: the left side's recursion and its work
+# prediction descend one stack frame per level of m, and half of Python's
+# default limit of 1000 frames leaves the rest to their callers.
+MAIN_M_CAP = 500
+
 
 def exp_printed_digits(chi: Fraction, order: int) -> int:
     """Digits of max(|a|, b)^order * order! for chi = a/b (1 when a = 0),
@@ -632,6 +652,65 @@ def exp_printed_digits(chi: Fraction, order: int) -> int:
     while 10**digits <= bound:
         digits += 1
     return digits
+
+
+def main_printed_digits(m: int, chi: int, order: int) -> int:
+    """Digits bounding chi and every coefficient, through q^order, of the
+    main formula's product P = prod over r <= order of (1 - q^r)^(-J_{r,m}
+    chi) (``rhs_main_formula``), before it is multiplied out.
+
+    P is bounded coefficientwise by its majorant F, the same product with
+    |chi|, whose coefficients are positive and grow with n.  As (1 - q^r)^-1
+    <= (1 - q)^-1, F <= (1 - q)^-T with T = |chi| sum over r of J_{r,m},
+    so every coefficient is at most C(T + order - 1, order) <= (T +
+    order)^order / order!.  That bound is returned when it is within
+    ``PRINTED_DIGITS_CAP``.  Otherwise Cauchy's bound is taken: for every
+    x in (0, 1) each coefficient through q^order is at most F(x) / x^order,
+    which with x = e^-s is the exponential of
+
+        f(s) = order s + |chi| sum over r of J_{r,m} L(r s),  L(t) = -log(1 - e^-t),
+
+    a convex function of s, whose least value a golden-section search on
+    log s approaches from above (any s gives a bound).  It stays within a
+    few digits of the largest coefficient on the point probes.
+    """
+    digits = math.floor(abs(chi).bit_length() * math.log10(2)) + 1
+    if order < 1 or chi == 0:
+        return digits
+    # at m = 0 the product is (1 - q)^(-chi) alone
+    js = [subgroup_count(r, m) for r in range(1, order + 1)] if m else [1]
+    binomial = order * math.log10(abs(chi) * sum(js) + order)
+    binomial -= math.lgamma(order + 1) / math.log(10)
+    if binomial * (1 + 1e-9) < PRINTED_DIGITS_CAP:  # float rounding, upward
+        return max(digits, math.floor(binomial * (1 + 1e-9)) + 1)
+    logs = [math.log(j * abs(chi)) for j in js]
+
+    def f(s: float) -> float:
+        total = order * s
+        for r, log_j in enumerate(logs, 1):
+            t = r * s
+            # log L(t), or above it by less than 1e-12 past t = 30
+            log_l = math.log(-math.log1p(-math.exp(-t))) if t < 30 else 1e-12 - t
+            if log_j + log_l > 700:  # past floats: this s bounds nothing useful
+                return math.inf
+            total += math.exp(log_j + log_l)
+        return total
+
+    golden = (math.sqrt(5) - 1) / 2
+    lo, hi = math.log(1e-9), math.log(1e6)
+    a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    fa, fb = f(math.exp(a)), f(math.exp(b))
+    for _ in range(60):
+        if fa <= fb < math.inf:  # the least value is left of b
+            hi, b, fb = b, a, fa
+            a = hi - golden * (hi - lo)
+            fa = f(math.exp(a))
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + golden * (hi - lo)
+            fb = f(math.exp(b))
+    nats = min(fa, fb) * (1 + 1e-9)  # float rounding, upward
+    return max(digits, math.floor(nats / math.log(10)) + 1)
 
 
 def check_series_work(identity: str, order: int, m, blocks: Counter) -> int:
@@ -716,11 +795,28 @@ def verify_exp_formula(rec: RegularEquivariantComplex, order: int) -> dict:
 
 
 def verify_main_formula(rec: RegularEquivariantComplex, m: int, order: int) -> dict:
-    """Check the chi_(m) wreath series against the J_{r,m} product formula,
-    once ``check_series_work`` admits it."""
+    """Check the chi_(m) wreath series against the J_{r,m} product formula.
+
+    Raises CapExceeded, before either series is computed, when m passes
+    ``MAIN_M_CAP``, when ``check_series_work`` does, or when the numbers
+    that either side prints could pass ``PRINTED_DIGITS_CAP``: the sides
+    are equal when the identity holds, so ``main_printed_digits`` bounds
+    the left side's numbers too."""
+    if m > MAIN_M_CAP:
+        raise CapExceeded(
+            f"main formula at m = {m} recurses {m} levels deep, above the"
+            f" m cap {MAIN_M_CAP}"
+        )
     blocks = _cell_blocks(rec)
     check_series_work(f"main formula at m = {m}", order, m, blocks)
     chi = chi_m_top(rec, m)
+    digits = main_printed_digits(m, chi, order)
+    if digits > PRINTED_DIGITS_CAP:
+        raise CapExceeded(
+            f"main formula at m = {m} to order {order} handles numbers of up to"
+            f" {digits} digits (Cauchy's bound on the product's coefficients),"
+            f" above the printed-digit cap {PRINTED_DIGITS_CAP}"
+        )
     rhs = rhs_main_formula(m, chi, order)
     values = _cell_terms(rec, order, m, blocks)
     report = {

@@ -1,9 +1,13 @@
 """Small group and complex computations that only the tests need.
 
 ``element_order`` and ``is_abelian`` read a group's table; the library
-never asks for either.  ``euler_satake_subcomplex`` restricts the
-Euler-Satake orbit sum to an invariant subcomplex, which the tests use to
-check additivity over unions.  ``orbit_complex_by_relabel``,
+never asks for either.  ``abelian_subgroups_by_closure`` is the naive
+closure that the library's abelian subgroup lattice is checked against.
+``perm_inverse``, ``apply``, ``evaluate_hom``, ``json_text`` and
+``suite`` are conveniences over library data that only tests call.
+``euler_satake_subcomplex`` restricts the Euler-Satake orbit sum to an
+invariant subcomplex, which the tests use to check additivity over
+unions.  ``orbit_complex_by_relabel``,
 ``euler_satake_by_fractions``, ``wreath_inv`` and ``wreath_conj`` are
 the plain routes that the library's orbit complex, Euler-Satake sum and
 wreath conjugation are checked against.  ``sign_averages`` walks the
@@ -14,10 +18,17 @@ signed centralizer recursion is checked against.
 from collections import Counter
 from fractions import Fraction
 
+from orbichar.cli import _text
 from orbichar.complexes import SimplicialComplex
-from orbichar.equivariant import RegularEquivariantComplex, _require_regular
+from orbichar.equivariant import (
+    EquivariantComplex,
+    RegularEquivariantComplex,
+    _require_regular,
+)
 from orbichar.errors import InputError
-from orbichar.groups import FiniteGroup, generators, orbit, orbits, perm_inverse
+from orbichar.groups import FiniteGroup, generators, orbit, orbits
+from orbichar.homs import GroupHom, evaluate_word
+from orbichar.library import EQUIVARIANT_PRESETS, SUITE_NAMES
 from orbichar.wreath import WreathElement, WreathProduct
 
 
@@ -32,6 +43,54 @@ def element_order(group: FiniteGroup, a: int) -> int:
 def is_abelian(group: FiniteGroup) -> bool:
     t = group.table
     return all(t[a][b] == t[b][a] for a in range(group.order) for b in range(a))
+
+
+def abelian_subgroups_by_closure(group: FiniteGroup) -> set:
+    """Every abelian subgroup as a frozenset: from the trivial one, adjoin
+    each element that commutes with a subgroup found so far and close the
+    generators by products, until nothing new turns up."""
+    t, e = group.table, group.identity
+    found = {frozenset([e]): (e,)}  # subgroup -> generators
+    frontier = list(found)
+    while frontier:
+        sub = frontier.pop()
+        for g in range(group.order):
+            if g not in sub and all(t[g][a] == t[a][g] for a in sub):
+                gens = found[sub] + (g,)
+                bigger = frozenset(orbit(e, gens, group.mul))
+                if bigger not in found:
+                    found[bigger] = gens
+                    frontier.append(bigger)
+    return set(found)
+
+
+def perm_inverse(p: tuple) -> tuple:
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def apply(ec: EquivariantComplex, g: int, v: int) -> int:
+    """The image of vertex v under g, read from g's action row."""
+    return ec.action[g][ec._vpos[v]]
+
+
+def evaluate_hom(phi: GroupHom, word) -> int:
+    """phi of a word in the generators (negative letters for inverses)."""
+    return evaluate_word(phi.group, phi.images, word)
+
+
+def json_text(obj) -> str:
+    """The report writer's text of ``obj`` as one string."""
+    out = []
+    _text(obj, "\n", out)
+    return "".join(out)
+
+
+def suite() -> list:
+    """The bundled equivariant complexes as (name, complex) pairs."""
+    return [(name, EQUIVARIANT_PRESETS[name]()) for name in SUITE_NAMES]
 
 
 def euler_satake_subcomplex(rec: RegularEquivariantComplex, simplices) -> Fraction:

@@ -12,6 +12,8 @@ from fractions import Fraction
 from orbichar.complexes import SimplicialComplex, boundary_matrix
 from orbichar.equivariant import RegularEquivariantComplex, _require_regular
 
+from helpers import apply
+
 
 def _reduce(vectors) -> list:
     """Gaussian elimination over Q on sparse vectors, in order.
@@ -90,7 +92,7 @@ def homology_traces(rec: RegularEquivariantComplex, k: int) -> list[Fraction]:
         for z in gens:
             out: dict = {}
             for i, c in z.items():
-                vs = [ec.apply(g, v) for v in simps_k[i]]
+                vs = [apply(ec, g, v) for v in simps_k[i]]
                 j = pos[tuple(sorted(vs))]
                 out[j] = out.get(j, 0) + c * _sort_sign(vs)
             images.append(out)

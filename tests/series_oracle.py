@@ -1,14 +1,15 @@
 """Series oracles: routes the library no longer takes, kept for the tests.
 
 Test-only.  The library builds each power of a factor in closed form
-(``series.binomial_coefficients``), deduplicates jcount candidates by
-their annihilators from m = 3 on, closed as sums of cyclic subgroups, and
-walks the sector types of the Hodge left side as one trie
-(``wreath.type_trie``).
+(``series.binomial_coefficients``), counts J_{r,m} in closed form,
+deduplicates jcount candidates by their annihilators from m = 3 on,
+closed as sums of cyclic subgroups, and walks the sector types of the
+Hodge left side as one trie (``wreath.type_trie``).
 The functions here are the routes those replaced -- inverses and powers
-by repeated squaring, the count by row spans, the generator-orbit span,
-the flat type enumeration -- plus an annihilator found by testing every
-vector, evaluations and the wreath-series wrapper that only tests call.
+by repeated squaring, J_{r,m} as a sum over ordered factorizations, the
+count by row spans, the generator-orbit span, the flat type enumeration
+-- plus an annihilator found by testing every vector, evaluations and
+the wreath-series wrapper that only tests call.
 Each computes its answer independently of the code it checks.
 
 Hodge polynomials are sorted tuples of nonzero ((s, t), c) terms, as the
@@ -18,6 +19,7 @@ arithmetic the library dropped once each of its routes summed into one
 int dict.
 """
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from orbichar.series import (
     TruncatedSeries,
     _generator_rows,
     _integer_exponent,
+    _ordered_factorizations,
     _packing,
     _residue_span,
     _wreath_terms,
@@ -142,6 +145,19 @@ def lhs_wreath_series(rec, order: int, on_point, on_power) -> TruncatedSeries:
     if note is not None:
         raise SizeCapExceeded(note)
     return TruncatedSeries(tuple(values))
+
+
+def subgroup_count_by_factorizations(r: int, m: int) -> int:
+    """J_{r,m} as the sum over j_1...j_m = r of ``diagonal_weight``: the
+    upper-triangular normal forms of the index-r sublattices of Z^m,
+    counted by their diagonals."""
+    return sum(diagonal_weight(js) for js in _ordered_factorizations(r, m))
+
+
+def diagonal_weight(js) -> int:
+    """j_2 * j_3^2 * ... * j_m^(m-1): the number of upper-triangular normal
+    forms with diagonal (j_1..j_m)."""
+    return math.prod(j**i for i, j in enumerate(js))
 
 
 def residue_span_bfs(rows: list, r: int, m: int) -> frozenset:

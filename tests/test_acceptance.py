@@ -32,7 +32,6 @@ from orbichar.library import (
     point_s3,
     point_z2,
     s0_swap,
-    suite,
     two_points,
 )
 from orbichar.sectors import chi_gamma_es, iterate_sectors
@@ -49,7 +48,7 @@ from orbichar.wreath import (
     centralizer_order_by_formula,
     classify_conjugacy_by_type,
 )
-from helpers import euler_satake_subcomplex
+from helpers import euler_satake_subcomplex, suite
 from series_oracle import evaluate
 
 

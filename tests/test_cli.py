@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orbichar import cli, complexes, series, wreath
-from orbichar.cli import Fragment, json_text, main
+from orbichar.cli import Fragment, main
 from orbichar.groups import conjugacy_classes
 from orbichar.library import builtin_group
+
+from helpers import json_text
 
 
 def run(capsys, *argv):
@@ -1032,21 +1034,65 @@ def test_exp_left_side_numbers_are_held_to_the_digit_cap(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--complex", "point-Z2", "--m", "1000", "--order", "2"],
+            "main formula at m = 1000 recurses 1000 levels deep, above the m cap 500",
+        ),
+        (
+            ["--complex", "point", "--group", "S3", "--m", "2000", "--order", "1"],
+            "main formula at m = 2000 recurses 2000 levels deep, above the m cap 500",
+        ),
+        (
+            ["--complex", "point", "--group", "S4", "--m", "900", "--order", "10"],
+            "main formula at m = 900 recurses 900 levels deep, above the m cap 500",
+        ),
+        (
+            ["--complex", "point", "--group", "S3", "--m", "100", "--order", "100"],
+            "main formula at m = 100 to order 100 handles numbers of up to 4585"
+            " digits (Cauchy's bound on the product's coefficients), above the"
+            " printed-digit cap 4300",
+        ),
+    ],
+)
+def test_main_caps_trip_before_either_side(capsys, argv, message):
+    # the first three once ended in a RecursionError or an int-to-str
+    # ValueError, exit 1; each cap now names its prediction, exit 3
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "main", *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (3, "", f"error: cap exceeded: {message}\n")
+
+
+def test_main_m_cap_admits_its_bound(capsys):
+    code, report = run_json(
+        capsys, "verify", "main", "--complex", "point-Z2", "--m", "500", "--order", "2"
+    )
+    assert code == 0 and report["equal"]
+
+
 def test_hom_cap_note_on_a_wreath_power(capsys):
     # the left side enumerates no Hom(Z^9, Z2 wr S_n), so it no longer stops
-    # at n = 2, where |Z2 wr S2|^9 = 8^9 passes the homomorphism cap; that
-    # cap trips on the base alone, in the right side's chi_(m)
+    # at n = 2, where |Z2 wr S2|^9 = 8^9 passes the homomorphism cap
     code, report = run_json(
         capsys, "verify", "main", "--complex", "S0-swap", "--m", "9", "--order", "3"
     )
     assert code == 0 and report["equal"] and len(report["lhs"]) == 4
     assert "cap" not in report
-    code, out, err = run(
+    # nor does the right side's chi_(m) walk Hom(Z^27, Z2), which is past the
+    # cap; the cap still holds where the walk is the answer
+    code, report = run_json(
         capsys, "verify", "main", "--complex", "S0-swap", "--m", "27", "--order", "3"
+    )
+    assert code == 0 and report["equal"] and "cap" not in report
+    code, out, err = run(
+        capsys, "euler", "--complex", "point", "--group", "S4", "--gamma", "Z^6"
     )
     assert code == 3 and out == ""
     assert err == (
-        "error: cap exceeded: |G|^k = 2^27 exceeds enumeration cap 100000000\n"
+        "error: cap exceeded: |G|^k = 24^6 exceeds enumeration cap 100000000\n"
     )
 
 

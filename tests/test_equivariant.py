@@ -56,15 +56,16 @@ from orbichar.library import (
     octahedron_reflection,
     point,
     s0_swap,
-    suite,
     two_points,
 )
 from orbichar.sectors import gamma_sectors
 
 from helpers import (
+    apply,
     euler_satake_by_fractions,
     euler_satake_subcomplex,
     orbit_complex_by_relabel,
+    suite,
 )
 from homology_oracle import homology_traces
 
@@ -83,7 +84,7 @@ def test_action_must_respect_group_law():
     g = cyclic_group(3)
     rot = {0: 1, 1: 2, 2: 0}
     ec = action_from_generator_maps(cx, g, {1: rot})
-    assert ec.apply(2, 0) == 2  # g^2 rotates twice
+    assert apply(ec, 2, 0) == 2  # g^2 rotates twice
     broken = {0: 1, 1: 0, 2: 2}  # an involution cannot generate Z/3
     with pytest.raises(InputError):
         action_from_generator_maps(cx, g, {1: broken})
@@ -100,7 +101,7 @@ def test_action_law_broken_off_the_generators_is_caught():
     # breaks it at pairs such as (2, 1), whose product is 3
     cx, g = circle(4), cyclic_group(4)
     rows = [tuple((v + k) % 4 for v in range(4)) for k in range(4)]
-    assert EquivariantComplex(cx, g, rows).apply(3, 0) == 3
+    assert apply(EquivariantComplex(cx, g, rows), 3, 0) == 3
     reflection = tuple((4 - v) % 4 for v in range(4))
     for k in (2, 3):
         broken = rows[:k] + [reflection] + rows[k + 1 :]
@@ -140,7 +141,7 @@ def _three_condition_failure(ec):
         if len(s) > 1:
             for g in elements:
                 if ec.map_simplex(g, s) == s and any(
-                    ec.apply(g, v) != v for v in s
+                    apply(ec, g, v) != v for v in s
                 ):
                     return f"element {g} preserves {s} without fixing it"
     by_image = {}
@@ -302,7 +303,7 @@ def _fixed_subcomplex_by_scan(rec, elements):
     ec = rec.ec
     els = sorted(set(elements))
     fixed_vertices = {
-        v for v in ec.cx.vertices if all(ec.apply(g, v) == v for g in els)
+        v for v in ec.cx.vertices if all(apply(ec, g, v) == v for g in els)
     }
     simps = [s for s in ec.cx.simplices if all(v in fixed_vertices for v in s)]
     return SimplicialComplex(simps, _skip_validation=True)

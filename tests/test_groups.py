@@ -7,6 +7,7 @@ from orbichar import groups
 from orbichar.errors import InputError, NoInverse, OrderCapExceeded
 from orbichar.groups import (
     FiniteGroup,
+    abelian_subgroups,
     build_group_from_permutations,
     centralizer,
     conjugacy_classes,
@@ -18,14 +19,19 @@ from orbichar.groups import (
     orbits,
     perm_compose,
     perm_cycle_label,
-    perm_inverse,
     subgroup,
     symmetric_group,
     trivial_group,
 )
+from orbichar.library import builtin_group
 
 from group_oracle import is_central
-from helpers import element_order, is_abelian
+from helpers import (
+    abelian_subgroups_by_closure,
+    element_order,
+    is_abelian,
+    perm_inverse,
+)
 
 
 def test_monoid_without_inverse_is_rejected():
@@ -195,6 +201,30 @@ def test_nonassociative_rejected():
     ]
     with pytest.raises(InputError):
         FiniteGroup(table)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [symmetric_group(3), dihedral_group(4), dihedral_group(6), cyclic_group(6),
+     symmetric_group(4), trivial_group()],
+    ids=["S3", "D4", "D6", "Z6", "S4", "trivial"],
+)
+def test_abelian_subgroups_match_the_naive_closure(group):
+    found = abelian_subgroups(group)
+    assert set(found) == abelian_subgroups_by_closure(group)
+    assert len(set(found)) == len(found)
+    assert [len(s) for s in found] == sorted(len(s) for s in found)
+    assert found[0] == {group.identity}
+
+
+@pytest.mark.parametrize(
+    "spec, count", [("S4", 21), ("D30", 53), ("D300", 468), ("D1000", 1516), ("Z2000", 20)]
+)
+def test_abelian_subgroup_counts(spec, count):
+    # D_n: the n-gon's rotations give d(n) subgroups, the n reflections n
+    # more, and the Klein groups {1, r^(n/2), s, s r^(n/2)} n/2 for even n;
+    # Z_n has one subgroup per divisor
+    assert len(abelian_subgroups(builtin_group(spec))) == count
 
 
 def test_permutation_helpers():

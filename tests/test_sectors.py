@@ -43,7 +43,6 @@ from orbichar.library import (
     point_s3,
     point_z2,
     s0_swap,
-    suite,
     torus_trivial,
 )
 from orbichar.sectors import (
@@ -56,7 +55,7 @@ from orbichar.sectors import (
 )
 
 from group_oracle import BadExtension, central_cyclic_extension
-from helpers import element_order
+from helpers import apply, element_order, suite
 
 Z = free_abelian(1)
 Z2 = free_abelian(2)
@@ -115,6 +114,24 @@ def test_chi_m_top_point():
     assert chi_m_top(rec, 2) == 8
     d4 = regularize(trivial_action(point(), dihedral_group(4)))
     assert chi_m_top(d4, 2) == 22
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(EQUIVARIANT_PRESETS)
+    + [f"{cx} {group}" for cx in ("point", "edge", "circle(4)")
+       for group in ("Z2", "Z4", "S3", "D4", "D6", "S4")],
+)
+def test_chi_m_top_equals_the_sector_walk(spec):
+    # the abelian-subgroup sum against the orbit spaces of the Z^m-sectors
+    rec = load_equivariant(*spec.split()) if " " in spec else builtin_equivariant(spec)
+    for m in range(5):
+        assert chi_m_top(rec, m) == chi_gamma_top(rec, free_abelian(m)), m
+
+
+def test_chi_m_top_refuses_a_negative_m():
+    with pytest.raises(InputError, match="m must be >= 0"):
+        chi_m_top(point_s3(), -1)
 
 
 def test_chi_m_top_s0_swap():
@@ -234,11 +251,11 @@ def trivial_extension_scaling_check(ec: EquivariantComplex, z: int, r: int, m: i
     complex; the extended group K<a> then acts through K, and the m-th
     orbit-space invariant multiplies by r^m.
     """
-    if any(ec.apply(z, v) != v for v in ec.cx.vertices):
+    if any(apply(ec, z, v) != v for v in ec.cx.vertices):
         raise BadExtension(f"element {z} does not act trivially")
     ext, pairs = central_cyclic_extension(ec.group, z, r)
     rows = tuple(
-        tuple(ec.apply(k, v) for v in ec.cx.vertices) for (k, i) in pairs
+        tuple(apply(ec, k, v) for v in ec.cx.vertices) for (k, i) in pairs
     )
     ext_ec = EquivariantComplex(ec.cx, ext, rows, _skip_validation=True)
     base_val = chi_m_top(regularize(ec), m)
@@ -283,7 +300,7 @@ def _distinct_sectors(rec, presentation) -> int:
     for cls in hom_classes(presentation, group):
         images = cls.representative.images
         fixed = tuple(
-            v for v in rec.cx.vertices if all(ec.apply(g, v) == v for g in images)
+            v for v in rec.cx.vertices if all(apply(ec, g, v) == v for g in images)
         )
         if fixed:
             keys.add((fixed, tuple(centralizer(group, images))))
@@ -325,7 +342,7 @@ def _report_by_lone_sectors(rec, presentation) -> dict:
             dropped += 1
             continue
         sub, carrier = subgroup(group, cls.centralizer)
-        rows = [[ec.apply(carrier[i], v) for v in fixed.vertices] for i in range(sub.order)]
+        rows = [[apply(ec, carrier[i], v) for v in fixed.vertices] for i in range(sub.order)]
         sector = regularize(EquivariantComplex(fixed, sub, rows))
         entries.append({
             "images": [group.label(x) for x in cls.representative.images],

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import types
 from fractions import Fraction
 
@@ -39,10 +40,10 @@ from orbichar.series import (
     _ordered_factorizations,
     _packing,
     _residue_span as _packed_residue_span,
-    _weight,
     _wreath_terms,
     exp_printed_digits,
     macdonald_dimension_check,
+    main_printed_digits,
     point_wreath_chi_m,
     rhs_exp_formula,
     rhs_main_formula,
@@ -57,11 +58,13 @@ from helpers import sign_averages
 from series_oracle import (
     NonInvertibleSeries,
     annihilator_bfs,
+    diagonal_weight,
     inverse,
     lhs_wreath_series,
     log,
     power,
     residue_span_bfs,
+    subgroup_count_by_factorizations,
     sublattice_count_by_row_spans,
 )
 
@@ -224,6 +227,46 @@ J_ORACLE = {
 def test_subgroup_count_oracle(rm, expected):
     r, m = rm
     assert subgroup_count(r, m) == expected
+
+
+def test_subgroup_count_matches_the_factorization_sum():
+    # the closed form against the normal forms counted by their diagonals
+    for m in range(1, 9):
+        for r in range(1, 200):
+            assert subgroup_count(r, m) == subgroup_count_by_factorizations(r, m), (r, m)
+
+
+def test_subgroup_count_reaches_high_m_in_time():
+    start = time.perf_counter()
+    counts = [subgroup_count(r, 16) for r in range(1, 401)]
+    assert time.perf_counter() - start < 0.1
+    assert counts[:4] == [1, 2**16 - 1, (3**16 - 1) // 2, (2**17 - 1) * (2**16 - 1) // 3]
+
+
+@pytest.mark.parametrize(
+    "m, chi, order",
+    [(0, 5, 30), (0, -3, 12), (1, 2, 200), (2, -7, 60), (3, 8, 80), (5, 1, 40),
+     (12, 2**12, 120), (0, 0, 5), (3, 1, 0), (2, 10**50, 0)],
+)
+def test_main_printed_digits_bound_the_right_side(m, chi, order):
+    # the binomial bound: above chi and every coefficient, within the cap
+    rhs = rhs_main_formula(m, chi, order)
+    widest = max(len(str(abs(c))) for c in rhs.coefficients + (chi,))
+    assert widest <= main_printed_digits(m, chi, order) <= series_module.PRINTED_DIGITS_CAP
+
+
+@pytest.mark.parametrize(
+    "m, chi, order", [(16, 2**16, 200), (8, 5, 300), (8, -5, 300), (40, 3**40, 60), (5, 1, 500)]
+)
+def test_main_printed_digits_bound_tightly_past_the_binomial(m, chi, order):
+    # the binomial bound passes the cap here, so Cauchy's bound is taken:
+    # within a few digits of the widest coefficient where chi > 0
+    rhs = rhs_main_formula(m, chi, order)
+    widest = max(len(str(abs(c))) for c in rhs.coefficients)
+    predicted = main_printed_digits(m, chi, order)
+    assert widest <= predicted
+    if chi > 0:
+        assert predicted <= widest + 3
 
 
 def test_subgroup_count_matches_bruteforce():
@@ -456,7 +499,7 @@ def rhs_main_formula_multiindex(m: int, chi, order: int) -> TruncatedSeries:
     out = TruncatedSeries.one(order)
     for js in _bounded_index_tuples(m, order):
         out = out * power(
-            one_minus_q_power(math.prod(js), order), -_weight(js) * chi_int
+            one_minus_q_power(math.prod(js), order), -diagonal_weight(js) * chi_int
         )
     return out
 
@@ -661,7 +704,7 @@ def test_cell_terms_read_no_sector_or_right_side(monkeypatch):
         raise AssertionError("the left side read the right side's routines")
 
     names = ("euler_satake", "chi_m_top", "gamma_sectors", "hom_classes",
-             "subgroup_count", "rhs_main_formula")
+             "subgroup_count", "rhs_main_formula", "abelian_subgroups")
     modules = [m for m in vars(orbichar).values() if isinstance(m, types.ModuleType)]
     for module in modules:
         for name in names:
@@ -672,6 +715,29 @@ def test_cell_terms_read_no_sector_or_right_side(monkeypatch):
     assert got == expected
     with pytest.raises(AssertionError):  # the right sides do read them
         verify_main_formula(recs["edge-swap"], 1, 2)
+
+
+def test_chi_m_top_reads_no_left_side_or_sector(monkeypatch):
+    # the mirror of the test above: the right side's chi_(m) walks no
+    # homomorphism, builds no sector and reads no class list
+    import orbichar
+
+    names = ["edge-swap", "circle4-rotation", "octahedron-reflection", "point-S3"]
+    expected = [chi_m_top(builtin_equivariant(n), m) for n in names for m in (0, 1, 3)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("chi_(m) read the left side's or the sectors' routines")
+
+    modules = [m for m in vars(orbichar).values() if isinstance(m, types.ModuleType)]
+    for module in modules:
+        for name in ("hom_classes", "gamma_sectors", "conjugacy_classes",
+                     "class_centralizers", "_point_chi_coefficients"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    got = [chi_m_top(builtin_equivariant(n), m) for n in names for m in (0, 1, 3)]
+    assert got == expected
+    with pytest.raises(AssertionError):  # the left side does read them
+        verify_main_formula(builtin_equivariant("edge-swap"), 1, 2)
 
 
 @pytest.mark.parametrize("name", ["edge-swap", "circle4-rotation"])
