@@ -277,24 +277,15 @@ def _require_regular(rec) -> EquivariantComplex:
 
 
 def euler_satake(rec: RegularEquivariantComplex) -> Fraction:
-    """Sum over simplex orbits of (-1)^dim / |isotropy|.
-
-    An orbit's term is (-1)^dim |orbit| / |G|, so the signed orbit sizes
-    are summed as ints and divided once.  The orbits come from this walk
-    through the action rows, never from the certificate's image classes,
-    so the identities that check this sum stay two computations.
+    """Sum over simplex orbits of (-1)^dim / |isotropy|, which is chi(M) / |G|:
+    by orbit-stabilizer an orbit's term (-1)^dim / |G_s| is the sum of
+    (-1)^dim / |G| over its |G| / |G_s| simplices.  The checks that read it
+    stay two computations: the ``verify exp`` left side walks the orbits and
+    their stabilizers (``series._cell_blocks``), and ``verify products`` and
+    ``wreath euler`` set chi of a triangulated product against the factors'.
     """
     ec = _require_regular(rec)
-    action, pos = ec.action, ec._vpos
-    seen = set()
-    total = 0
-    for s in ec.cx.simplices:
-        if s not in seen:
-            at = [pos[v] for v in s]
-            members = {tuple(sorted([row[i] for i in at])) for row in action}
-            seen |= members
-            total += len(members) if len(s) % 2 else -len(members)
-    return Fraction(total, ec.group.order)
+    return Fraction(complexes.euler_characteristic(ec.cx), ec.group.order)
 
 
 def fixed_vertices(rec: RegularEquivariantComplex, elements) -> tuple:

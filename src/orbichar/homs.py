@@ -140,10 +140,6 @@ class GroupHom:
     images: tuple = ()
 
 
-def evaluate_word(group: FiniteGroup, images, word) -> int:
-    return _evaluate(group, images, validate_word(word, len(images)))
-
-
 def _evaluate(group: FiniteGroup, images, word) -> int:
     """The image of a word whose letters are known to be in range."""
     x = group.identity

@@ -17,10 +17,12 @@ right side:
 
 The exp and main left sides, on every complex, are fixed-point counts over
 the product cells of M^n: one factor per orbit of simplices (a point is
-one), each a recursion through the centralizer decomposition of wreath
-conjugacy classes that builds no wreath product, so it reaches sizes far
-past any multiplication table.  Macdonald's left sides are read off the
-explicit, triangulated wreath powers; the routes overlap at small n.
+one), each a signed power of one series per stabilizer, keyed by the
+group and m alone.  That series is a recursion through the centralizer
+decomposition of wreath conjugacy classes that builds no wreath product,
+so it reaches sizes far past any multiplication table.  Macdonald's left
+sides are read off the explicit, triangulated wreath powers; the routes
+overlap at small n.
 """
 from __future__ import annotations
 
@@ -382,10 +384,10 @@ def _binomial_factor(r: int, k: int, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # structural chi_(m) for wreath products over a point
 
-# _POINT_CHI_CACHE maps (group, index, m, sign) to the coefficients of
-# F^m_(group, index),sign, the series of ``_point_chi_coefficients``, as
-# far as they have been asked for.  Groups hash and compare by their
-# tables, so equal groups share entries no matter how they were built.
+# _POINT_CHI_CACHE maps (group, m) to the coefficients of F^m_group, the
+# series of ``_point_chi_coefficients``, as far as they have been asked
+# for.  Groups hash and compare by their tables, so equal groups share
+# entries no matter how they were built.
 _POINT_CHI_CACHE: dict = {}
 
 
@@ -400,19 +402,17 @@ def point_wreath_chi_m(group: FiniteGroup, size: int, m: int) -> int:
     and the centralizer of an element of a given type is a direct product,
     over the (class c, cycle length r) pairs, of wreath products
     E(c, r) ~ S_mult of the groups attached to single cycles
-    (``centralizer_extension``): C_G(c) extended by a central a with
-    a^r = c.  A type is any choice of multiplicities, so the sum over
-    types factors:
+    (Bryan and Fulman, Ann. Comb. 2, 1998): C_G(c) extended by a central
+    a with a^r = c.  A type is any choice of multiplicities, so the sum
+    over types factors:
 
         sum_n chi_(m)(pt x G ~ S_n) q^n
-            = prod over (c, r) of F_{E(c, r)}(q^r),
+            = prod over (c, r) of F^(m-1)_E(c, r)(q^r),
 
-    where F_E(q) = sum_k chi_(m-1)(pt x E ~ S_k) q^k, and F_E = 1/(1-q) at
-    m = 1.  ``_point_chi_coefficients`` evaluates the product through
-    pairs (subgroup of G, index) that stand for the extension groups, so
-    no extension group, and no table of a wreath product, is ever built;
-    the cost is polynomial in ``size``.  The explicit route is compared
-    with this one where they overlap.
+    where F^m_E(q) = sum_k chi_(m)(pt x E ~ S_k) q^k.  C_G(c) has index r
+    in E(c, r) = C_G(c)<a>, a central, so F^(m-1)_E(c, r) is F^(m-1)_C_G(c)
+    to the power r^(m-1) (``_point_chi_coefficients``): no extension group
+    or wreath table is built, and the cost is polynomial in ``size``.
 
     It reads class lists and never calls J_{r,m}; the right side of
     ``verify main`` takes chi_(m) from the abelian subgroup lattice
@@ -425,54 +425,71 @@ def point_wreath_chi_m(group: FiniteGroup, size: int, m: int) -> int:
     return _point_chi_coefficients(group, m, size)[size]
 
 
-def _point_chi_coefficients(
-    group: FiniteGroup, m: int, order: int, index: int = 1, sign: int = 1
-) -> list:
-    """Coefficients 0..order (or more) of F^m_(H, N),e, for m >= 0, as ints.
+def _point_chi_coefficients(group: FiniteGroup, m: int, order: int) -> list:
+    """Coefficients 0..order (or more) of F^m_H, H = ``group``, as ints:
+    F^0 = 1 / (1 - q), F^1_H = prod over r >= 1 of (1 - q^r)^(-k(H))
+    (``type_counts``), and for m >= 2
 
-    (H, N) stands for a group E = H.A with A a central abelian subgroup
-    and [E : H] = N, here H = ``group`` and N = ``index``; G itself is
-    (G, 1).  Coefficient k of F^m_(H, N),e is the average, over
-    Hom(Z^(m+1), E ~ S_k), of e to the number of orbits of the image on
-    the k factors, e = ``sign``; for e = 1 that is chi_(m)(pt x E ~ S_k).
-    A being central, E conjugates as H does, so each coset H.a holds one
-    class h.a per class of H: k(E) = N * k(H), and C_E(h.a) = C_H(h).A is
-    (C_H(h), N) again.  The r-th root extension of h.a adjoins a central
-    b with b^r = h.a, which gives (C_H(h), N * r).  So class counts and
-    every deeper centralizer depend only on (H, N), not on which element
-    of A the root was taken of.  A tuple's orbits on the factors are the
-    last level's orbits on the super-factors (the r-cycles of the first
-    image), so the sign passes down unchanged to the base:
+        F^m_H(q) = prod over classes h of H, r >= 1, of F^(m-1)_C_H(h)(q^r)^(r^(m-1))
+                 = prod over r >= 1 of B(q^r)^(r^(m-1)),  B = prod over h of F^(m-1)_C_H(h).
 
-        F^0_e = (1 - q)^(-e)  (the average of e^cycles over S_k),
-        F^1_(H, N),e = prod over r >= 1 of (1 - q^r)^(-e N k(H)),
-        F^m_(H, N),e(q) = prod over classes h of H, r >= 1, of
-                          F^(m-1)_(C_H(h), N r),e(q^r)^N.
+    For E = H.A, A central of index N, coefficient k of F^m_(H, N),e is the
+    average of e^(orbits of the image on the k factors) over Hom(Z^(m+1),
+    E ~ S_k).  E's classes are H's times A, with centralizers C_H(h).A; an
+    r-th root of h a extends C_H(h) centrally with index N r; the orbits
+    are the last level's, so e passes down.  So ``point_wreath_chi_m``'s
+    decomposition gives F^0_e = (1 - q)^(-e), F^1_(H, N),e = (F^1_H)^(e N)
+    and F^m_(H, N),e = prod over h, r of F^(m-1)_(C_H(h), N r),e(q^r)^N.
+    Power law: F^m_(H, N),e = (F^m_H)^(e N^m).  The bases read it off, and
+    by induction on m the step is
 
-    Only centralizer subgroups of G are built, each once per group
-    (``class_centralizers``) for all r and N.
+        prod over h, r of F^(m-1)_(C, N r),e(q^r)^N
+            = prod over h, r of F^(m-1)_C(q^r)^(e (N r)^(m-1) N) = (F^m_H)^(e N^m),
+
+    at (H, 1),1 the recursion above.  Only centralizer subgroups of G are
+    built, each once per group (``class_centralizers``).
     """
-    key = (group, index, m, sign)
+    key = (group, m)
     cached = _POINT_CHI_CACHE.get(key)
     if cached is not None and len(cached) > order:
         return cached
     if m == 0:
-        out = list(_binomial_factor(1, sign, order).coefficients)
+        out = [1] * (order + 1)
     elif m == 1:
-        # every factor is (1 - q^r)^(-e): for e = 1 the coefficients count types
-        out = type_counts(sign * index * len(conjugacy_classes(group)), order)
-    else:
-        out = [1] + [0] * order
-        for cent in class_centralizers(group):
-            for r in range(1, order + 1):
-                factor = _point_chi_coefficients(cent, m - 1, order // r, index * r, sign)
-                # multiply by factor(q^r) N times, top coefficient first
-                for _ in range(index):
-                    for i in range(order, r - 1, -1):
-                        terms = map(operator.mul, factor[1 : i // r + 1], out[i - r :: -r])
-                        out[i] += sum(terms)
+        out = type_counts(len(conjugacy_classes(group)), order)
+    else:  # the classes' factors at q^r are the r-th stretch of their product
+        cents = class_centralizers(group)
+        base = _point_chi_coefficients(cents[0], m - 1, order)[: order + 1]
+        for cent in cents[1:]:
+            _times(base, _point_chi_coefficients(cent, m - 1, order), 1)
+        out = base[:]
+        for r in range(2, order + 1):
+            _times(out, _miller_power(base, r ** (m - 1), order // r), r)
     _POINT_CHI_CACHE[key] = out
     return out
+
+
+def _times(out: list, factor: list, r: int) -> None:
+    """Multiply the coefficient list ``out`` in place by factor(q^r)."""
+    before = out[:]
+    for at, f in zip(range(r, len(out), r), factor[1:]):
+        out[at:] = map(operator.add, out[at:], map(f.__mul__, before))
+
+
+def _miller_power(a: list, exponent: int, order: int) -> list:
+    """Coefficients 0..order of a^k, k = ``exponent`` any int, for a list a
+    with a_0 = 1 through a_order, by Miller's power recurrence: a p' = k a' p
+    gives n p_n = sum over i = 1..n of ((k + 1) i - n) a_i p_(n-i), an exact
+    division for integral a, summed as (k + 1) sum(i a_i p_(n-i)) - n
+    sum(a_i p_(n-i))."""
+    if exponent == 1:
+        return a[: order + 1]
+    p, weighted = [1], [i * x for i, x in enumerate(a[: order + 1])]
+    for n in range(1, order + 1):
+        back = p[::-1]  # p_(n-1) .. p_0
+        first, plain = (sum(map(operator.mul, b[1 : n + 1], back)) for b in (weighted, a))
+        p.append(((exponent + 1) * first - n * plain) // n)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -544,38 +561,31 @@ def _cell_terms(
     orbits of dim t, with sign the product of e_t^(orbits), e_t =
     (-1)^dim t.  So the series is the product over simplex orbits t of
     sum_k a_t(k) q^k, a_t(k) the average of e_t^(orbits of <phi> on the k
-    factors) over Hom(Z^(m+1), G_t~S_k): coefficient k of F^m_(G_t, 1),e_t,
-    the centralizer recursion of ``_point_chi_coefficients`` (Bryan and
-    Fulman, Ann. Comb. 2, 1998).  The first image x of phi leaves a tuple
-    in C(x), a product of wreath powers on the r-cycles of x, and the
-    tuple's orbits on the factors are the last level's orbits on those
-    super-factors, so e_t passes down the recursion to its base.  chi_ES
-    takes the trivial phi alone, a_t(k) = e_t^k / |G_t~S_k|, held as the
-    int (e_t [G : G_t])^k over |G|^k k!, so products are binomial
-    convolutions of ints.  Each factor is raised to the number of its
-    orbits; a point is one orbit, with stabilizer G and e = 1.  Nothing
-    here reads a sector, the Euler-Satake sum or a J_{r,m}.
+    factors) over Hom(Z^(m+1), G_t~S_k): F^m_(G_t, 1),e_t = (F^m_G_t)^e_t
+    by the power law of ``_point_chi_coefficients``.  A block of count_t
+    such orbits gives (F^m_G_t)^(e_t count_t), by ``_miller_power`` save
+    (1 - q)^(-e_t count_t) at m = 0 and, at m = 1, an odd block's inverse
+    prod over r of (1 - q^r)^k(G_t).  chi_ES takes the trivial phi alone:
+    the block's a(k) is (e_t count_t [G : G_t])^k held over |G|^k k!, so
+    products are binomial convolutions of ints.  A point is one orbit,
+    with stabilizer G and e = 1.  Nothing here reads a sector, the
+    Euler-Satake sum or a J_{r,m}.
     """
     group, exponential = rec.group, m is None
     if blocks is None:
         blocks = _cell_blocks(rec)
     values = [1] + [0] * order  # the empty product
     for j, ((base, odd), count) in enumerate(blocks.items()):
-        sign = -1 if odd else 1
+        exponent = -count if odd else count
         if exponential:
-            x = sign * (group.order // base.order)
+            x = exponent * (group.order // base.order)
             a = [x**k for k in range(order + 1)]
+        elif m == 0:  # F^0 = 1 / (1 - q)
+            a = binomial_coefficients(-exponent, -1, order + 1)
+        elif m == 1 and odd:  # (F^1)^-1 = prod over r of (1 - q^r)^k(G_t)
+            a = _miller_power(type_counts(-len(conjugacy_classes(base)), order), count, order)
         else:
-            a = _point_chi_coefficients(base, m, order, 1, sign)[: order + 1]
-        if count > 1:
-            # a^count by Miller's power recurrence (a_0 = 1): n p_n = sum
-            # over i >= 1 of ((count + 1) i - n) w(n, i) a_i p_(n-i)
-            p, rows = [1], _weight_rows(order, exponential)
-            next(rows)  # p_0 = 1
-            for n, w in enumerate(rows, 1):
-                terms = (((count + 1) * i - n) * w[i] * a[i] * p[n - i] for i in range(1, n + 1))
-                p.append(sum(terms) // n)  # an exact division
-            a = p
+            a = _miller_power(_point_chi_coefficients(base, m, order), exponent, order)
         if j == 0:
             values = a  # the product so far is 1
         else:
@@ -722,11 +732,11 @@ def check_series_work(identity: str, order: int, m, blocks: Counter) -> int:
     The rule, with D = (order + 1)^2 for a product or power of two series:
     the right side takes D for chi_ES (its exponential), order + 1 at
     m = 0, or (order + 1) (order // r + 1) per factor r <= order.  The
-    left side takes D per block for its Miller power (count above 1) and
-    for its product with the blocks before, and its recursion as
-    ``_point_chi_coefficients`` runs it: a node (H, N) at order n takes
-    N (n + 1) (n // r + 1) per class of H and r <= n, and its base
-    N k(H) n (n + 1) / 2 at m = 1 (type counts) or n + 1 at m = 0."""
+    left side takes D per block for its product with the blocks before,
+    and no more for chi_ES or at m = 0.  At m = 1 an odd block takes k(G_t)
+    order (order + 1) / 2 for its inverse and D for its power (count above
+    1); any other block D for its ``_miller_power`` (exponent other than 1)
+    and its recursion as it runs (``_recursion_work``)."""
     work, seen = 0, {}
 
     def add(products: int) -> None:
@@ -744,27 +754,37 @@ def check_series_work(identity: str, order: int, m, blocks: Counter) -> int:
     for r in range(1, order + 1 if m else 1):
         add((order + 1) * (order // r + 1))
     for j, ((base, odd), count) in enumerate(blocks.items()):
-        add(dense * ((count > 1) + (j > 0)))
-        if m is not None:
-            _recursion_work(base, m, order, 1, -1 if odd else 1, seen, add)
+        add(dense * (j > 0))
+        if m == 1 and odd:  # type counts of the inverse, then the power
+            add(len(conjugacy_classes(base)) * order * (order + 1) // 2)
+            add(dense * (count > 1))
+        elif m:
+            add(dense * (odd or count > 1))
+            _recursion_work(base, m, order, seen, add)
     return work
 
 
-def _recursion_work(group, m: int, n: int, index: int, sign: int, seen, add) -> None:
-    """Pass ``add`` the products of ``_point_chi_coefficients(group, m, n,
-    index, sign)``, skipping a key that ``seen`` (key -> order) or the
-    cache holds at order n or more."""
-    key = (group, index, m, sign)
+def _recursion_work(group, m: int, n: int, seen, add) -> None:
+    """Pass ``add`` a bound on the products of ``_point_chi_coefficients(
+    group, m, n)``, m >= 1, skipping a key that ``seen`` (key -> order) or
+    the cache holds at order n or more: k(H) n (n + 1) / 2 at m = 1, else
+    per class of H and r <= n, (n + 1) (n // r + 1) for a product with a
+    factor at q^r and, for r > 1, (n // r + 1)^2 for its power.  The node
+    takes those per r once, for the classes' product, and (k(H) - 1) (n +
+    1)^2 to form it; the rest is room for the numbers' growth, unseen by a
+    count, without which admitted orders would run several times longer."""
+    key = (group, m)
     if seen.get(key, -1) >= n or len(_POINT_CHI_CACHE.get(key, ())) > n:
         return
     seen[key] = n
-    if m < 2:
-        add(index * len(conjugacy_classes(group)) * n * (n + 1) // 2 if m else n + 1)
+    if m == 1:
+        add(len(conjugacy_classes(group)) * n * (n + 1) // 2)
         return
-    for cent in class_centralizers(group):
-        for r in range(1, n + 1):
-            add(index * (n + 1) * (n // r + 1))
-            _recursion_work(cent, m - 1, n // r, index * r, sign, seen, add)
+    cents = class_centralizers(group)
+    tops = [n // r + 1 for r in range(1, n + 1)]
+    add(len(cents) * ((n + 1) * sum(tops) + sum(t * t for t in tops[1:])))
+    for cent in cents:  # each child is asked for through order n
+        _recursion_work(cent, m - 1, n, seen, add)
 
 
 def verify_exp_formula(rec: RegularEquivariantComplex, order: int) -> dict:

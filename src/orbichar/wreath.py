@@ -404,30 +404,22 @@ def classify_conjugacy_by_type(base: FiniteGroup, size: int) -> dict:
 # per-cycle centralizer building blocks
 
 
-def centralizer_extension(base: FiniteGroup, c: int, r: int) -> tuple:
-    """E(c, r), as the pair (C_G(c) as a subgroup of G, r).
-
-    E(c, r) is the subgroup of G ~ S_r generated by the diagonal
-    centralizer of c and a_{r,c}, of order r * |C_G(c)|.  This is the
-    isotropy model attached to an r-cycle with product class (c); its
-    wreath powers drive the centralizer decomposition.  a_{r,c} commutes
-    with the diagonal of C_G(c) and meets it in <diag c>, so E(c, r) is
-    C_G(c) times the central cyclic group <a_{r,c}>, and C_G(c) has index
-    r in it.  Its classes and centralizers depend only on that
-    pair (``series._point_chi_coefficients`` gives the argument), so no
-    table is built.  For a pair (H, N), the r-th root extension over c is
-    (C_H(c), N * r).
-    """
-    cent, _carrier = subgroup(base, centralizer(base, [c]))
-    return cent, r
+def centralizer_extension(base: FiniteGroup, c: int) -> FiniteGroup:
+    """C_G(c) as a subgroup of G, from which the isotropy model E(c, r) of
+    an r-cycle with product class (c) is read: E(c, r) < G ~ S_r, generated
+    by the diagonal of C_G(c) and a_{r,c}, which commutes with it and meets
+    it in <diag c>, is C_G(c) extended centrally with index r, and its
+    series is a power of C_G(c)'s (``series._point_chi_coefficients``)."""
+    return subgroup(base, centralizer(base, [c]))[0]
 
 
 def class_centralizers(base: FiniteGroup) -> tuple:
     """C_G(c) (``centralizer_extension``) for the representative c of each
-    class of G, in class order, built once per group and stored on it."""
+    class of G, in class order, built once per group and stored on it next
+    to its classes: the point recursion reads each F^m_C_G(c) from them."""
     if base._centralizers is None:
         base._centralizers = tuple(
-            centralizer_extension(base, cls.representative, 1)[0]
+            centralizer_extension(base, cls.representative)
             for cls in conjugacy_classes(base)
         )
     return base._centralizers

@@ -1,11 +1,11 @@
 """Extension-table oracles: the route the point recursion no longer takes.
 
-Test-only.  The library stands for the extension group E(c, r) of a
-cycle by the pair (C_G(c), r) (``wreath.centralizer_extension``) and
-reads class counts and centralizers off that pair.  The functions here
-build E(c, r) as an explicit multiplication table instead, and recurse
-through those tables for point chi_(m), so the tests can check the pair
-recursion against groups that were really built.
+Test-only.  The library builds only C_G(c) for the extension group
+E(c, r) of a cycle (``wreath.centralizer_extension``), and reads E's
+series as a power of C_G(c)'s (``series._point_chi_coefficients``).  The
+functions here build E(c, r) as an explicit multiplication table
+instead, and recurse through those tables for point chi_(m), so the
+tests can check the power law against groups that were really built.
 """
 import operator
 

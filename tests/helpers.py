@@ -3,8 +3,9 @@
 ``element_order`` and ``is_abelian`` read a group's table; the library
 never asks for either.  ``abelian_subgroups_by_closure`` is the naive
 closure that the library's abelian subgroup lattice is checked against.
-``perm_inverse``, ``apply``, ``evaluate_hom``, ``json_text`` and
-``suite`` are conveniences over library data that only tests call.
+``perm_inverse``, ``apply``, ``evaluate_word``, ``evaluate_hom``,
+``json_text`` and ``suite`` are conveniences over library data that only
+tests call.
 ``euler_satake_subcomplex`` restricts the Euler-Satake orbit sum to an
 invariant subcomplex, which the tests use to check additivity over
 unions.  ``orbit_complex_by_relabel``,
@@ -27,7 +28,7 @@ from orbichar.equivariant import (
 )
 from orbichar.errors import InputError
 from orbichar.groups import FiniteGroup, generators, orbit, orbits
-from orbichar.homs import GroupHom, evaluate_word
+from orbichar.homs import GroupHom, _evaluate, validate_word
 from orbichar.library import EQUIVARIANT_PRESETS, SUITE_NAMES
 from orbichar.wreath import WreathElement, WreathProduct
 
@@ -74,6 +75,12 @@ def perm_inverse(p: tuple) -> tuple:
 def apply(ec: EquivariantComplex, g: int, v: int) -> int:
     """The image of vertex v under g, read from g's action row."""
     return ec.action[g][ec._vpos[v]]
+
+
+def evaluate_word(group: FiniteGroup, images, word) -> int:
+    """The image of a word in the generators (negative letters for
+    inverses) under the generator images, after the word is checked."""
+    return _evaluate(group, images, validate_word(word, len(images)))
 
 
 def evaluate_hom(phi: GroupHom, word) -> int:

@@ -9,7 +9,9 @@ The functions here are the routes those replaced -- inverses and powers
 by repeated squaring, J_{r,m} as a sum over ordered factorizations, the
 count by row spans, the generator-orbit span, the flat type enumeration
 -- plus an annihilator found by testing every vector, evaluations and
-the wreath-series wrapper that only tests call.
+the wreath-series wrapper that only tests call.  ``signed_point_chi`` is
+the point recursion over (subgroup H, index N, sign e) that the power
+law F^m_(H, N),e = (F^m_H)^(e N^m) replaced.
 Each computes its answer independently of the code it checks.
 
 Hodge polynomials are sorted tuples of nonzero ((s, t), c) terms, as the
@@ -24,10 +26,11 @@ import operator
 from fractions import Fraction
 
 from orbichar.errors import InputError, SizeCapExceeded
-from orbichar.groups import orbit
+from orbichar.groups import conjugacy_classes, orbit
 from orbichar.hodge import HodgeSeries
 from orbichar.series import (
     TruncatedSeries,
+    _binomial_factor,
     _generator_rows,
     _integer_exponent,
     _ordered_factorizations,
@@ -35,6 +38,7 @@ from orbichar.series import (
     _residue_span,
     _wreath_terms,
 )
+from orbichar.wreath import class_centralizers, type_counts
 
 
 HODGE_ONE = (((0, 0), 1),)
@@ -227,4 +231,38 @@ def type_entries(k: int, size: int) -> list:
             rec(i + 1, remaining - r * m, acc + [((c, r), m)])
 
     rec(0, size, [])
+    return out
+
+
+def signed_point_chi(group, m: int, order: int, index: int, sign: int, memo: dict) -> list:
+    """Coefficients 0..order (or more) of F^m_(H, N),e, H = ``group``, N =
+    ``index``, e = ``sign``: for a group E = H.A with A central and [E : H]
+    = N, coefficient k is the average over Hom(Z^(m+1), E ~ S_k) of e to
+    the number of orbits of the image on the k factors.  The recursion
+
+        F^0_e = (1 - q)^(-e),
+        F^1_(H, N),e = prod over r >= 1 of (1 - q^r)^(-e N k(H)),
+        F^m_(H, N),e(q) = prod over classes h of H, r >= 1, of
+                          F^(m-1)_(C_H(h), N r),e(q^r)^N,
+
+    with each N-th power taken as N products; ``memo`` maps (H, N, m, e)
+    to the lists built so far."""
+    key = (group, index, m, sign)
+    cached = memo.get(key)
+    if cached is not None and len(cached) > order:
+        return cached
+    if m == 0:
+        out = list(_binomial_factor(1, sign, order).coefficients)
+    elif m == 1:
+        out = type_counts(sign * index * len(conjugacy_classes(group)), order)
+    else:
+        out = [1] + [0] * order
+        for cent in class_centralizers(group):
+            for r in range(1, order + 1):
+                factor = signed_point_chi(cent, m - 1, order // r, index * r, sign, memo)
+                for _ in range(index):  # multiply by factor(q^r), top coefficient first
+                    for i in range(order, r - 1, -1):
+                        terms = map(operator.mul, factor[1 : i // r + 1], out[i - r :: -r])
+                        out[i] += sum(terms)
+    memo[key] = out
     return out

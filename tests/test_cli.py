@@ -1009,10 +1009,13 @@ def test_series_work_cap_trips_before_either_side(capsys, order, predicted):
     )
 
 
-@pytest.mark.parametrize("group, m, order", [("Z2", 1, 3000), ("S4", 2, 800)])
+@pytest.mark.parametrize(
+    "group, m, order", [("Z2", 1, 3000), ("S4", 2, 800), ("Z2", 3, 1328)]
+)
 def test_series_work_cap_admits_the_long_point_probes(group, m, order):
-    # both ran to exit 0 before the cap; each takes seconds, so only the
-    # prediction is checked here
+    # the first two ran to exit 0 before the cap; the third tripped it
+    # while the recursion was keyed by index and sign as well, and runs in
+    # seconds now.  Each takes seconds, so only the prediction is checked
     blocks = Counter({(builtin_group(group), False): 1})
     work = series.check_series_work("main", order, m, blocks)
     assert 0 < work <= series.SERIES_WORK_CAP

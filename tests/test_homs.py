@@ -15,7 +15,6 @@ from orbichar.homs import (
     GroupHom,
     Presentation,
     enumerate_homs,
-    evaluate_word,
     free_abelian,
     free_group,
     hom_classes,
@@ -25,7 +24,7 @@ from orbichar.homs import (
     trivial_presentation,
 )
 
-from helpers import evaluate_hom
+from helpers import evaluate_hom, evaluate_word
 
 
 def test_parse_presentation():

@@ -23,6 +23,7 @@ from orbichar.groups import (
 from orbichar.groups import conjugacy_classes, orbit
 from orbichar.library import (
     builtin_equivariant,
+    builtin_group,
     point_s3,
     point_z2,
     s0_swap,
@@ -64,6 +65,7 @@ from series_oracle import (
     log,
     power,
     residue_span_bfs,
+    signed_point_chi,
     subgroup_count_by_factorizations,
     sublattice_count_by_row_spans,
 )
@@ -669,17 +671,35 @@ def test_cell_terms_equal_the_triangulated_powers(name):
     ids=["trivial", "Z2", "Z3", "S3", "D4"],
 )
 def test_signed_recursion_equals_the_class_walk(group):
-    # coefficient k of F^m_(H, 1),e against the element-by-element class
-    # walk over Hom(Z^(m+1), H ~ S_k), for every k with |H ~ S_k| <= 3000
+    # coefficient k of F^m_H and of its inverse, F^m_(H, 1),-1 by the power
+    # law, against the element-by-element class walk over
+    # Hom(Z^(m+1), H ~ S_k), for every k with |H ~ S_k| <= 3000
     top = 0
     while group.order ** (top + 1) * math.factorial(top + 1) <= 3000:
         top += 1
     for m in range(4):
-        plus = series_module._point_chi_coefficients(group, m, top, 1, 1)
-        minus = series_module._point_chi_coefficients(group, m, top, 1, -1)
+        plus = series_module._point_chi_coefficients(group, m, top)[: top + 1]
+        minus = series_module._miller_power(plus, -1, top)
         for k in range(top + 1):
             walked = sign_averages(WreathProduct(group, k), m + 1)
             assert walked == (plus[k], minus[k]), (m, k)
+
+
+@pytest.mark.parametrize("name", ["trivial", "Z2", "Z3", "Z4", "S3", "D4", "S4"])
+def test_signed_index_recursion_is_a_power(name):
+    # F^m_(H, N),e = (F^m_H)^(e N^m): the recursion over (H, N, e) that the
+    # power law replaced, against powers taken by repeated squaring and by
+    # Miller's recurrence
+    group, memo, order = builtin_group(name), {}, 6
+    for m in range(5):
+        plain = series_module._point_chi_coefficients(group, m, order)[: order + 1]
+        for index in (1, 2, 3, 6):
+            for sign in (1, -1):
+                expected = signed_point_chi(group, m, order, index, sign, memo)[: order + 1]
+                exponent = sign * index**m
+                squared = power(TruncatedSeries(tuple(plain)), exponent)
+                assert list(squared.coefficients) == expected, (m, index, sign)
+                assert series_module._miller_power(plain, exponent, order) == expected
 
 
 @pytest.mark.parametrize("rec", [point_z2(), point_s3()], ids=["Z2", "S3"])
@@ -731,7 +751,8 @@ def test_chi_m_top_reads_no_left_side_or_sector(monkeypatch):
     modules = [m for m in vars(orbichar).values() if isinstance(m, types.ModuleType)]
     for module in modules:
         for name in ("hom_classes", "gamma_sectors", "conjugacy_classes",
-                     "class_centralizers", "_point_chi_coefficients"):
+                     "class_centralizers", "_point_chi_coefficients",
+                     "_miller_power"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     got = [chi_m_top(builtin_equivariant(n), m) for n in names for m in (0, 1, 3)]
@@ -741,19 +762,30 @@ def test_chi_m_top_reads_no_left_side_or_sector(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["edge-swap", "circle4-rotation"])
-def test_cell_sign_reads_the_fixed_dimension(monkeypatch, name):
+@pytest.mark.parametrize("m", [1, 2])
+def test_cell_sign_reads_the_fixed_dimension(monkeypatch, name, m):
     # a mutant signing each cell by its own dimension, not by that of its
-    # fixed set, must break the main identity
-    assert verify_main_formula(builtin_equivariant(name), 1, 3)["equal"]
-    real = series_module._point_chi_coefficients
+    # fixed set, must break the main identity.  The sign enters where an
+    # odd block's factor is inverted: by the type counts of the inverse at
+    # m = 1, by a negative Miller power from m = 2 on.  The mutant takes
+    # the unsigned power and signs coefficient k by (-1)^k instead.
+    assert verify_main_formula(builtin_equivariant(name), m, 3)["equal"]
+    real_counts, real_power = series_module.type_counts, series_module._miller_power
 
-    def cell_signed(group, m, order, index=1, sign=1):
-        # e^k on coefficient k: each factor counted as its own orbit
-        unsigned = real(group, m, order, index, 1)
-        return [sign**k * c for k, c in enumerate(unsigned)]
+    def cell_signed(values):
+        return [(-1) ** k * c for k, c in enumerate(values)]
 
-    monkeypatch.setattr(series_module, "_point_chi_coefficients", cell_signed)
-    assert not verify_main_formula(builtin_equivariant(name), 1, 3)["equal"]
+    def counts(k, order):
+        return cell_signed(real_counts(-k, order)) if k < 0 else real_counts(k, order)
+
+    def miller(a, exponent, order):
+        if exponent < 0:
+            return cell_signed(real_power(a, -exponent, order))
+        return real_power(a, exponent, order)
+
+    monkeypatch.setattr(series_module, "type_counts", counts)
+    monkeypatch.setattr(series_module, "_miller_power", miller)
+    assert not verify_main_formula(builtin_equivariant(name), m, 3)["equal"]
 
 
 def test_empty_complex_series_are_the_empty_product():
@@ -923,8 +955,8 @@ def test_point_chi_product_matches_type_sum(group):
     ids=["trivial", "Z2", "Z3", "Z4", "S3", "D4", "D5", "S4"],
 )
 def test_point_chi_pairs_match_extension_tables(group):
-    # the (centralizer subgroup, index) recursion against the one that
-    # builds every extension group E(c, r) as a table and recurses into it
+    # the power-law recursion against the one that builds every extension
+    # group E(c, r) as a table and recurses into it
     memo: dict = {}
     for m in (1, 2, 3, 4):
         tables = point_chi_by_extension_tables(group, m, 8, memo)

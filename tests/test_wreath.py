@@ -342,7 +342,7 @@ def test_cycle_standard_element():
 
 
 def test_centralizer_extension_orders():
-    # E(c, r) stands as the pair (C_G(c), r); its table has order r * |C_G(c)|
+    # E(c, r) is built from C_G(c) alone; its table has order r * |C_G(c)|
     base = symmetric_group(3)
     classes = conjugacy_classes(base)
     for ci, cls in enumerate(classes):
@@ -350,8 +350,9 @@ def test_centralizer_extension_orders():
             [x for x in base.elements() if base.mul(x, cls.representative) == base.mul(cls.representative, x)]
         )
         expected = subgroup(base, centralizer(base, [cls.representative]))[0]
+        assert centralizer_extension(base, cls.representative) == expected
+        assert expected.order == cent
         for r in (1, 2, 3):
-            assert centralizer_extension(base, cls.representative, r) == (expected, r)
             ext = extension_table(base, cls.representative, r)
             assert ext.order == r * cent
 
@@ -372,8 +373,8 @@ def test_centralizer_extension_orders():
 def test_centralizer_extension_class_count(base):
     # a_{r,c} is central, so each class of E(c, r) is a class of
     # K = C_G(c) times a power of a_{r,c}: k(E) = r * k(K), and the
-    # centralizer of (k, i) is C_K(k)<a>, of order r * |C_K(k)| -- what
-    # the point recursion reads off the pair (K, r) instead of building E
+    # centralizer of (k, i) is C_K(k)<a>, of order r * |C_K(k)| -- why
+    # the point recursion reads E's series off K's instead of building E
     for cls in conjugacy_classes(base):
         cent, _carrier = subgroup(base, centralizer(base, [cls.representative]))
         for r in range(1, 5):
