@@ -11,6 +11,7 @@ Betti numbers come from one sparse Gaussian elimination over Q
 """
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from fractions import Fraction
@@ -159,48 +160,7 @@ def euler_characteristic(cx: SimplicialComplex) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subdivision
-
-
-def barycentric_subdivision(cx: SimplicialComplex):
-    """First barycentric subdivision.
-
-    New vertex i is simplex ``cx.simplices[i]``; simplices are the chains of
-    the face partial order.  Returns (subdivision, vertex_of_simplex dict).
-    The size is known in advance: a d-simplex tops Fubini(d+1) chains, one
-    per ordered set partition of its vertices, so the cap is checked before
-    any chain is built.
-    """
-    size = sum(f * _fubini(d + 1) for d, f in enumerate(cx.f_vector()))
-    if size > DEFAULT_SIMPLEX_CAP:
-        raise SizeCapExceeded(
-            f"barycentric subdivision has {size} simplices,"
-            f" above simplex cap {DEFAULT_SIMPLEX_CAP}"
-        )
-    vertex_of = {s: i for i, s in enumerate(cx.simplices)}
-    chains = _chains_of_poset(
-        list(range(len(cx.simplices))),
-        lambda i: _proper_faces(cx.simplices[i], vertex_of),
-    )
-    sd = SimplicialComplex(chains, _skip_validation=True)
-    return sd, vertex_of
-
-
-def _fubini(n: int) -> int:
-    """Number of ordered set partitions of an n-set (1, 1, 3, 13, 75, ...)."""
-    a = [1]
-    for m in range(1, n + 1):
-        a.append(sum(math.comb(m, k) * a[m - k] for k in range(1, m + 1)))
-    return a[n]
-
-
-def _proper_faces(s, vertex_of):
-    m = len(s)
-    out = []
-    for mask in range(1, (1 << m) - 1):
-        f = tuple(s[i] for i in range(m) if mask >> i & 1)
-        out.append(vertex_of[f])
-    return out
+# product face posets: subdivisions and products
 
 
 def _chains_of_poset(elements, predecessors):
@@ -230,8 +190,91 @@ def _chains_of_poset(elements, predecessors):
     return out
 
 
-# ---------------------------------------------------------------------------
-# products
+def _poset_elements(cxs: list[SimplicialComplex]):
+    """Elements of the product face poset, topologically sorted, with ids.
+    Raises SizeCapExceeded before building any when the poset or its
+    chains outnumber the simplex cap."""
+    total = math.prod(len(cx.simplices) for cx in cxs)
+    cap = DEFAULT_SIMPLEX_CAP
+    if total > cap:
+        raise SizeCapExceeded(f"product poset has {total} cells, cap {cap}")
+    if _chain_count(cxs) > cap:
+        raise SizeCapExceeded(f"chain enumeration exceeds simplex cap {cap}")
+    tuples = sorted(
+        itertools.product(*[cx.simplices for cx in cxs]),
+        key=lambda t: (sum(len(s) for s in t), t),
+    )
+    return tuples, {t: i for i, t in enumerate(tuples)}
+
+
+def _chain_count(cxs: list[SimplicialComplex]) -> int:
+    """The number of chains of the product face poset, from f-vectors.
+
+    A multichain a_0 <= ... <= a_j of the product is one in each factor,
+    where (j+1)^|s| - j^|s| end at a face s (each vertex of s enters at
+    some a_i, and a_0 is nonempty).  A multichain of j+1 elements runs
+    through a chain of k+1 in C(j, k) ways; binomial inversion undoes it.
+    """
+    fs = [cx.f_vector() for cx in cxs]
+    top = sum(len(f) - 1 for f in fs)  # dimension of the product
+    multi = [
+        math.prod(
+            sum(c * ((j + 1) ** (d + 1) - j ** (d + 1)) for d, c in enumerate(f))
+            for f in fs
+        )
+        for j in range(top + 1)
+    ]
+    return sum(
+        math.comb(k, j) * (-1) ** (k - j) * multi[j]
+        for k in range(top + 1)
+        for j in range(k + 1)
+    )
+
+
+def _tuple_predecessors(t: tuple, ids: dict):
+    """Strict predecessors of a poset tuple: componentwise faces."""
+    options = []
+    for s in t:
+        m = len(s)
+        faces = [
+            tuple(s[i] for i in range(m) if mask >> i & 1)
+            for mask in range(1, 1 << m)
+        ]
+        options.append(faces)
+    for combo in itertools.product(*options):
+        if combo != t:
+            yield ids[combo]
+
+
+def product_complex(cxs: list[SimplicialComplex]) -> tuple[SimplicialComplex, list]:
+    """Order complex of the product face poset: a triangulation of the
+    product of the factors on which factor-permuting and factorwise actions
+    are simplicial.  Returns (complex, poset tuples by vertex id): tuples
+    of one simplex per factor, by total size and then lexicographically,
+    so with one factor vertex i is the factor's i-th simplex."""
+    tuples, ids = _poset_elements(cxs)
+    chains = _chains_of_poset(
+        range(len(tuples)), lambda i: _tuple_predecessors(tuples[i], ids)
+    )
+    return SimplicialComplex(chains, _skip_validation=True), tuples
+
+
+def barycentric_subdivision(cx: SimplicialComplex):
+    """First barycentric subdivision: the order complex of the face poset,
+    the one-factor case of ``product_complex``.
+
+    New vertex i is simplex ``cx.simplices[i]``, whose one-tuple is the
+    i-th poset element.  Returns (subdivision, vertex_of_simplex dict).
+    The size is known in advance (``_chain_count``), so the cap is checked
+    before any chain is built.
+    """
+    size = _chain_count([cx])
+    if size > DEFAULT_SIMPLEX_CAP:
+        raise SizeCapExceeded(
+            f"barycentric subdivision has {size} simplices,"
+            f" above simplex cap {DEFAULT_SIMPLEX_CAP}"
+        )
+    return product_complex([cx])[0], {s: i for i, s in enumerate(cx.simplices)}
 
 
 def staircase_product(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:

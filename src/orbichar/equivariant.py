@@ -41,8 +41,8 @@ from operator import itemgetter
 from . import complexes
 from .complexes import (
     SimplicialComplex,
-    _chains_of_poset,
     barycentric_subdivision,
+    product_complex,
 )
 from .errors import (
     InputError,
@@ -50,7 +50,6 @@ from .errors import (
     NotRegular,
     OrderCapExceeded,
     RegularizationFailed,
-    SizeCapExceeded,
 )
 from .groups import FiniteGroup, direct_product, generators, orbit, orbits
 from .wreath import (
@@ -242,13 +241,10 @@ def regularity_certificate(ec: EquivariantComplex) -> tuple:
 
 
 def subdivide_equivariant(ec: EquivariantComplex) -> EquivariantComplex:
-    sd, vertex_of = barycentric_subdivision(ec.cx)
-    simps = ec.cx.simplices
-    action = tuple(
-        tuple(vertex_of[ec.map_simplex(g, simps[i])] for i in sd.vertices)
-        for g in ec.group.elements()
-    )
-    return EquivariantComplex(sd, ec.group, action, _skip_validation=True)
+    """The action on the first subdivision: vertex i is simplex i, so each
+    element's row is its simplex images."""
+    sd = barycentric_subdivision(ec.cx)[0]
+    return EquivariantComplex(sd, ec.group, _simplex_images(ec), _skip_validation=True)
 
 
 def regularize(
@@ -335,73 +331,35 @@ def orbit_complex(rec: RegularEquivariantComplex) -> SimplicialComplex:
 # products and powers
 
 
-def _poset_elements(cxs: list[SimplicialComplex]):
-    """Elements of the product face poset, topologically sorted, with ids.
-    Raises SizeCapExceeded before building any when the poset or its
-    chains outnumber the simplex cap."""
-    total = 1
-    for cx in cxs:
-        total *= len(cx.simplices)
-    cap = complexes.DEFAULT_SIMPLEX_CAP
-    if total > cap:
-        raise SizeCapExceeded(f"product poset has {total} cells, cap {cap}")
-    if _chain_count(cxs) > cap:
-        raise SizeCapExceeded(f"chain enumeration exceeds simplex cap {cap}")
-    tuples = sorted(
-        itertools.product(*[cx.simplices for cx in cxs]),
-        key=lambda t: (sum(len(s) for s in t), t),
-    )
-    return tuples, {t: i for i, t in enumerate(tuples)}
+def _simplex_images(ec: EquivariantComplex) -> list:
+    """For each element g, the complex-order indices of the images g.s of
+    the simplices s, in complex order."""
+    simps = ec.cx.simplices
+    sid = {s: i for i, s in enumerate(simps)}
+    return [[sid[ec.map_simplex(g, s)] for s in simps] for g in ec.group.elements()]
 
 
-def _chain_count(cxs: list[SimplicialComplex]) -> int:
-    """The number of chains of the product face poset, from f-vectors.
+def _coded_rows(cxs: list[SimplicialComplex], tuples: list, maps):
+    """The vertex rows of factorwise maps on ``product_complex(cxs)``, whose
+    poset tuples are ``tuples``, one row (a list) per map, yielded lazily.
 
-    A multichain a_0 <= ... <= a_j of the product is one in each factor,
-    where (j+1)^|s| - j^|s| end at a face s (each vertex of s enters at
-    some a_i, and a_0 is nonempty).  A multichain of j+1 elements runs
-    through a chain of k+1 in C(j, k) ways; binomial inversion undoes it.
+    A map lists per factor j a pair (i, images): simplex x of factor j goes
+    to simplex images[x] of factor i (simplex indices in complex order), so
+    a permutation of equal factors moves factor j to slot i.  A tuple is
+    coded by its simplex indices in mixed radix, the last factor fastest;
+    the poset holds every tuple, so codes and vertex ids are in bijection,
+    and a map's image codes are the ``product_sums`` of its columns.
     """
-    fs = [cx.f_vector() for cx in cxs]
-    top = sum(len(f) - 1 for f in fs)  # dimension of the product
-    multi = [
-        math.prod(
-            sum(c * ((j + 1) ** (d + 1) - j ** (d + 1)) for d, c in enumerate(f))
-            for f in fs
-        )
-        for j in range(top + 1)
-    ]
-    return sum(
-        math.comb(k, j) * (-1) ** (k - j) * multi[j]
-        for k in range(top + 1)
-        for j in range(k + 1)
-    )
-
-
-def _tuple_predecessors(t: tuple, ids: dict):
-    """Strict predecessors of a poset tuple: componentwise faces."""
-    options = []
-    for s in t:
-        m = len(s)
-        faces = [
-            tuple(s[i] for i in range(m) if mask >> i & 1)
-            for mask in range(1, 1 << m)
-        ]
-        options.append(faces)
-    for combo in itertools.product(*options):
-        if combo != t:
-            yield ids[combo]
-
-
-def product_complex(cxs: list[SimplicialComplex]) -> tuple[SimplicialComplex, list]:
-    """Order complex of the product face poset: a triangulation of the
-    product of the factors on which factor-permuting and factorwise actions
-    are simplicial.  Returns (complex, poset tuples by vertex id)."""
-    tuples, ids = _poset_elements(cxs)
-    chains = _chains_of_poset(
-        range(len(tuples)), lambda i: _tuple_predecessors(tuples[i], ids)
-    )
-    return SimplicialComplex(chains, _skip_validation=True), tuples
+    sizes = [len(cx.simplices) for cx in cxs]
+    weights = [math.prod(sizes[j + 1 :]) for j in range(len(cxs))]
+    sids = [{s: x for x, s in enumerate(cx.simplices)} for cx in cxs]
+    code_of = [sum([sid[s] * w for sid, s, w in zip(sids, t, weights)]) for t in tuples]
+    vertex_of = [0] * len(tuples)
+    for v, c in enumerate(code_of):
+        vertex_of[c] = v
+    for columns in maps:
+        codes = product_sums([[y * weights[i] for y in images] for i, images in columns])
+        yield [vertex_of[codes[c]] for c in code_of]
 
 
 def equivariant_product(
@@ -412,16 +370,9 @@ def equivariant_product(
     Returns (equivariant complex, product group, element pairs).
     """
     cx, tuples = product_complex([a.cx, b.cx])
-    ids = {t: i for i, t in enumerate(tuples)}
     prod, pairs = direct_product(a.group, b.group)
-    rows = []
-    for (g, h) in pairs:
-        rows.append(
-            tuple(
-                ids[(a.map_simplex(g, s), b.map_simplex(h, t))]
-                for (s, t) in tuples
-            )
-        )
+    ia, ib = _simplex_images(a), _simplex_images(b)
+    rows = _coded_rows([a.cx, b.cx], tuples, ([(0, ia[g]), (1, ib[h])] for g, h in pairs))
     return (
         EquivariantComplex(cx, prod, tuple(rows), _skip_validation=True),
         prod,
@@ -447,30 +398,18 @@ def power_with_wreath_action(
             ew,
         )
     cx, tuples = product_complex([ec.cx] * n)
-    # A poset tuple is coded by its simplex indices read base k; the poset
-    # holds every tuple, so codes and vertex ids are in bijection.
-    simps = ec.cx.simplices
-    k = len(simps)
-    sid = {s: i for i, s in enumerate(simps)}
-    weights = [k ** (n - 1 - i) for i in range(n)]
-    code_of = [sum(sid[s] * w for s, w in zip(t, weights)) for t in tuples]
-    vertex_of = [0] * len(tuples)
-    for v, c in enumerate(code_of):
-        vertex_of[c] = v
-
-    def vertex_row(columns):
-        codes = product_sums(columns)
-        return [vertex_of[codes[c]] for c in code_of]
-
     # (g, s) = (g, id) * (e, s): permute the factors, then act factorwise.
-    images = [[sid[ec.map_simplex(x, s)] for s in simps] for x in ec.group.elements()]
-    perm_rows = [
-        vertex_row([[y * weights[p[j]] for y in range(k)] for j in range(n)])
-        for p in sorted(itertools.permutations(range(n)))
-    ]
+    ident = range(len(ec.cx.simplices))
+    images = _simplex_images(ec)
+    perms = sorted(itertools.permutations(range(n)))
+    coded = _coded_rows([ec.cx] * n, tuples, itertools.chain(
+        ([(p[j], ident) for j in range(n)] for p in perms),
+        ([(j, images[x]) for j, x in enumerate(g)]
+         for g in itertools.product(ec.group.elements(), repeat=n)),
+    ))
+    perm_rows = list(itertools.islice(coded, len(perms)))
     rows = []
-    for g in itertools.product(ec.group.elements(), repeat=n):
-        comp = vertex_row([[y * w for y in images[x]] for x, w in zip(g, weights)])
+    for comp in coded:
         rows.extend(tuple([comp[v] for v in prow]) for prow in perm_rows)
     return (
         EquivariantComplex(cx, ew.group, tuple(rows), _skip_validation=True),

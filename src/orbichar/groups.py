@@ -404,22 +404,26 @@ def subgroup(group: FiniteGroup, elements) -> tuple[FiniteGroup, tuple]:
 
 
 class _Subgroup(FiniteGroup):
-    """The subgroup of ``parent`` on the closed, sorted ``carrier``.
+    """The subgroup of a parent group on the closed, sorted ``carrier``.
 
     ``table`` and ``inverse`` are built from the parent's on first read:
     a sector reads only its subgroup's order, and the subgroups of
-    ``verify sectors`` and the point recursion read the rest.
+    ``verify sectors`` and the point recursion read the rest.  It keeps
+    the parent's table and inverse tuples and its labels' lookup, never
+    the parent itself, so a subgroup stored on its parent
+    (``wreath.class_centralizers``) closes no reference cycle.
     """
 
-    __slots__ = ("parent", "carrier")
+    __slots__ = ("carrier", "_parent_table", "_parent_inverse")
 
     def __init__(self, parent: FiniteGroup, carrier: tuple):
-        self.parent = parent
         self.carrier = carrier
+        self._parent_table = parent.table
+        self._parent_inverse = parent.inverse
         self.order = len(carrier)
         self.identity = bisect.bisect_left(carrier, parent.identity)
         labels = parent._labels
-        self._labels = None if labels is None else _LazyLabels(parent.label, carrier)
+        self._labels = None if labels is None else _LazyLabels(labels.__getitem__, carrier)
         self._classes = None
         self._class_of = None
         self._centralizers = None
@@ -432,10 +436,10 @@ class _Subgroup(FiniteGroup):
         carrier = self.carrier
         pos = dict(zip(carrier, range(self.order)))
         if name == "inverse":
-            inverse = self.parent.inverse
+            inverse = self._parent_inverse
             value = tuple([pos[inverse[g]] for g in carrier])
         else:
-            rows = map(self.parent.table.__getitem__, carrier)
+            rows = map(self._parent_table.__getitem__, carrier)
             value = tuple(tuple([pos[row[b]] for b in carrier]) for row in rows)
         setattr(self, name, value)
         return value

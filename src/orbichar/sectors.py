@@ -14,7 +14,9 @@ complex is the full subcomplex on the fixed vertices, and its action is
 the parent's action of the centralizer restricted to them.  So within one
 decomposition each distinct (fixed vertices, centralizer) pair is built
 and regularized once, the classes that share it share that one sector
-complex, and each invariant is computed once per shared complex.
+complex, and each invariant is computed once per shared complex.  The
+identity class's sector (every vertex fixed, centralizer G) is the
+parent's record itself, so its certificate is not run again.
 
 Classes with empty fixed sets are dropped (their count is reported).  The
 decomposition is canonically ordered by the lex-min class representatives,
@@ -119,7 +121,9 @@ def _decomposition(
     """The sectors of ``classes``, each distinct (fixed vertices,
     centralizer) pair built once (see the module docstring)."""
     ec = rec.ec
-    built = {}  # (fixed vertices, centralizer) -> sector complex
+    # (fixed vertices, centralizer) -> sector complex; the sector that fixes
+    # every vertex under all of G is the parent's own regular action
+    built = {(rec.cx.vertices, tuple(range(rec.group.order))): rec}
     sectors = []
     dropped = 0
     for cls in classes:

@@ -586,25 +586,27 @@ def _cell_terms(
             a = _miller_power(type_counts(-len(conjugacy_classes(base)), order), count, order)
         else:
             a = _miller_power(_point_chi_coefficients(base, m, order), exponent, order)
-        if j == 0:
-            values = a  # the product so far is 1
-        else:
+        if j == 0:  # the product so far is 1; a is a fresh list, never cached
+            values = a
+        elif exponential:
             values = [
                 sum(w[i] * values[i] * a[n - i] for i in range(n + 1))
-                for n, w in enumerate(_weight_rows(order, exponential))
+                for n, w in enumerate(_weight_rows(order))
             ]
+        else:  # every block series starts with 1
+            _times(values, a, 1)
     if exponential:
         return [Fraction(v, group.order**n * math.factorial(n)) for n, v in enumerate(values)]
     return values
 
 
-def _weight_rows(order: int, exponential: bool):
-    """Rows n = 0..order of the weights w(n, i) of x_i y_(n-i) in coefficient
-    n of a product: C(n, i) for series held over k! (exponential), else 1."""
+def _weight_rows(order: int):
+    """Rows n = 0..order of the weights C(n, i) of x_i y_(n-i) in
+    coefficient n of a product of series held over k! (chi_ES)."""
     row = [1]
     for n in range(order + 1):
         yield row
-        row = [1, *map(operator.add, row, row[1:]), 1] if exponential else row + [1]
+        row = [1, *map(operator.add, row, row[1:]), 1]
 
 
 # ---------------------------------------------------------------------------

@@ -416,10 +416,11 @@ def centralizer_extension(base: FiniteGroup, c: int) -> FiniteGroup:
 def class_centralizers(base: FiniteGroup) -> tuple:
     """C_G(c) (``centralizer_extension``) for the representative c of each
     class of G, in class order, built once per group and stored on it next
-    to its classes: the point recursion reads each F^m_C_G(c) from them."""
+    to its classes: the point recursion reads each F^m_C_G(c) from them.
+    A central c's C_G(c) is G itself, stored as None, so that G holds no
+    reference to itself (a subgroup holds none to G either)."""
     if base._centralizers is None:
-        base._centralizers = tuple(
-            centralizer_extension(base, cls.representative)
-            for cls in conjugacy_classes(base)
-        )
-    return base._centralizers
+        cents = (centralizer_extension(base, cls.representative)
+                 for cls in conjugacy_classes(base))
+        base._centralizers = tuple([None if cent is base else cent for cent in cents])
+    return tuple([base if cent is None else cent for cent in base._centralizers])

@@ -15,19 +15,26 @@ wreath conjugation are checked against.  ``sign_averages`` walks the
 classes of a wreath product element by element (with ``wreath_commute``
 and ``factor_orbits``), the route that the product-cell left sides'
 signed centralizer recursion is checked against.
+``subdivision_rows_by_simplex`` and ``product_rows_by_pair`` key the
+action rows of a subdivision and of a product by their simplices, the
+plain routes that the library's coded rows are checked against.
 """
 from collections import Counter
 from fractions import Fraction
 
 from orbichar.cli import _text
-from orbichar.complexes import SimplicialComplex
+from orbichar.complexes import (
+    SimplicialComplex,
+    barycentric_subdivision,
+    product_complex,
+)
 from orbichar.equivariant import (
     EquivariantComplex,
     RegularEquivariantComplex,
     _require_regular,
 )
 from orbichar.errors import InputError
-from orbichar.groups import FiniteGroup, generators, orbit, orbits
+from orbichar.groups import FiniteGroup, direct_product, generators, orbit, orbits
 from orbichar.homs import GroupHom, _evaluate, validate_word
 from orbichar.library import EQUIVARIANT_PRESETS, SUITE_NAMES
 from orbichar.wreath import WreathElement, WreathProduct
@@ -98,6 +105,30 @@ def json_text(obj) -> str:
 def suite() -> list:
     """The bundled equivariant complexes as (name, complex) pairs."""
     return [(name, EQUIVARIANT_PRESETS[name]()) for name in SUITE_NAMES]
+
+
+def subdivision_rows_by_simplex(ec: EquivariantComplex) -> tuple:
+    """The action rows on the first subdivision of ``ec``: g sends the
+    vertex of simplex s to the vertex of g.s."""
+    sd, vertex_of = barycentric_subdivision(ec.cx)
+    simps = ec.cx.simplices
+    return tuple(
+        tuple(vertex_of[ec.map_simplex(g, simps[i])] for i in sd.vertices)
+        for g in ec.group.elements()
+    )
+
+
+def product_rows_by_pair(a: EquivariantComplex, b: EquivariantComplex) -> tuple:
+    """The action rows of (g, h), in ``direct_product`` order, on the
+    order complex of the product face poset: the vertex of (s, t) goes to
+    the vertex of (g.s, h.t)."""
+    _cx, tuples = product_complex([a.cx, b.cx])
+    ids = {t: i for i, t in enumerate(tuples)}
+    _group, pairs = direct_product(a.group, b.group)
+    return tuple(
+        tuple(ids[(a.map_simplex(g, s), b.map_simplex(h, t))] for s, t in tuples)
+        for g, h in pairs
+    )
 
 
 def euler_satake_subcomplex(rec: RegularEquivariantComplex, simplices) -> Fraction:

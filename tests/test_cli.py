@@ -1135,72 +1135,6 @@ def test_macdonald_point_part2_dimension_from_z_sectors(capsys, monkeypatch):
     assert [(p.generators, p.relators) for p in presentations] == [(1, ())]
 
 
-# exit code, sha256 of stdout and stderr, recorded before the wreath series
-# left sides came from one routine
-_PINNED_SERIES = {
-    "verify exp --complex point --group S4 --order 20": (
-        0, "74a72983a69e23d7bda5556a10bf53f25943666027b2ccf7e487eec445872471", ""
-    ),
-    "verify main --complex point --group S4 --m 4 --order 4": (
-        0, "47f3cbf0619016892b8218e8511119fd04f8782ec27e95273e0b11e7e9eba9bd", ""
-    ),
-    "verify main --complex point --group D4 --m 0 --order 5": (
-        0, "0aedc7340de8e5add899c79af2e0ac41e5320e03f91fa6cac957ec599ecbd889", ""
-    ),
-    "verify macdonald --complex point --group S4 --order 10": (
-        0, "4d06d3edb267e68d099a786cc080d4d0f59efd9853489e26332d6289cad96228", ""
-    ),
-    "verify macdonald --complex point-S3 --order 8": (
-        0, "8317b38795dd3980a5279e0cff8f3c8133bed0d87eb9f7dcfa75085ec167c46a", ""
-    ),
-    "verify macdonald --complex edge-swap --order 3": (
-        0, "84a9afab079982b8f68a18e26776e6aeb4100db1f0d58a96157e3d4517566167", ""
-    ),
-    # re-recorded when the product-cell left side lost its table cap: it
-    # was exit 3 with "wreath power n=5: wreath product order 3840 exceeds
-    # cap 2000" and lhs 1, 1, 2, 3, 5; now every term lands, equal: true
-    "verify main --complex S0-swap --m 1 --order 6": (
-        0, "b7a0e0567a527473c82ce120e80e58ecd33565b35f7c208fe3e7e0f815cc8047", ""
-    ),
-    # recorded before the series products lost their generic ring
-    "verify main --complex point-Z2 --m 1 --order 300": (
-        0, "9421d1ed80249f49a57f06c6cfe9f049089aab68838de9bdf954f1c5fffb2bfe", ""
-    ),
-    "verify macdonald --complex point-Z2 --order 300": (
-        0, "69f33e075f70047d86479632582a002594ba888e11f272c7233e75b8f607c02b", ""
-    ),
-    "verify exp --complex point-S3 --order 30": (
-        0, "4e64f3c6f6ff0badc9256e4e0dfbbe3b106935aab18b60b7d518041b53916274", ""
-    ),
-}
-
-
-@pytest.mark.parametrize("argv", sorted(_PINNED_SERIES))
-def test_wreath_series_reports_pinned(capsys, argv):
-    code, out, err = run(capsys, *argv.split())
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert (code, digest, err) == _PINNED_SERIES[argv]
-
-
-# sha256 of stdout, recorded while point chi_(m) still recursed through
-# extension tables
-_POINT_TOWER_HASHES = {
-    "verify main --complex point --group S4 --m 4 --order 10":
-        "7f8ff31e2759eaf9951c566e6117743fa5df11b60a6e64bce22eef7b97664b52",
-    "verify main --complex point --group S4 --m 5 --order 8":
-        "ea7118ef4e4f1ac3dd1701151aeeec39da42501f3ddeffc6e4d18c07d069bd17",
-    "verify main --complex point --group S3 --m 3 --order 60":
-        "cbb4bf4971632fa06adcff0c9d9755521b55045f5e01f39258b4edb1c2c82ca7",
-}
-
-
-@pytest.mark.parametrize("argv", sorted(_POINT_TOWER_HASHES))
-def test_point_tower_reports_pinned(capsys, argv):
-    code, out, err = run(capsys, *argv.split())
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert (code, digest, err) == (0, _POINT_TOWER_HASHES[argv], "")
-
-
 @pytest.mark.parametrize(
     "argv",
     [

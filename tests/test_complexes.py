@@ -14,6 +14,7 @@ from orbichar.complexes import (
     complex_from_json,
     euler_characteristic,
     from_maximal,
+    product_complex,
     signed_total_dimension,
     staircase_product,
 )
@@ -161,8 +162,6 @@ def test_circle_needs_three_vertices():
 
 
 def test_chain_cap():
-    from orbichar.equivariant import product_complex
-
     # 6^8 poset cells is past DEFAULT_SIMPLEX_CAP = 10^6
     with pytest.raises(SizeCapExceeded):
         product_complex([circle(3)] * 8)
@@ -250,7 +249,7 @@ def test_subdivision_cap_trips_before_any_chain(monkeypatch):
 
     monkeypatch.setattr(complexes, "DEFAULT_SIMPLEX_CAP", size - 1)
     monkeypatch.setattr(complexes, "_chains_of_poset", no_chains)
-    monkeypatch.setattr(complexes, "_proper_faces", no_chains)
+    monkeypatch.setattr(complexes, "_tuple_predecessors", no_chains)
     with pytest.raises(SizeCapExceeded, match=f"simplex cap {size - 1}") as exc:
         barycentric_subdivision(cx)
     assert f"has {size} simplices" in str(exc.value)

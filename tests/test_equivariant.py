@@ -6,22 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbichar.complexes import (
+    _chain_count,
     barycentric_subdivision,
     betti_numbers,
     euler_characteristic,
     from_maximal,
+    product_complex,
     staircase_product,
 )
 from orbichar.equivariant import (
     EquivariantComplex,
-    _chain_count,
     action_from_generator_maps,
     equivariant_product,
     euler_satake,
     fixed_subcomplex,
     orbit_complex,
     power_with_wreath_action,
-    product_complex,
     regularity_certificate,
     regularize,
     subdivide_equivariant,
@@ -65,6 +65,8 @@ from helpers import (
     euler_satake_by_fractions,
     euler_satake_subcomplex,
     orbit_complex_by_relabel,
+    product_rows_by_pair,
+    subdivision_rows_by_simplex,
     suite,
 )
 from homology_oracle import homology_traces
@@ -488,6 +490,20 @@ def test_equivariant_product_es_multiplies():
     rec = regularize(prod)
     assert group.order == 4
     assert euler_satake(rec) == euler_satake(a) * euler_satake(b)
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVARIANT_PRESETS))
+def test_subdivision_rows_match_simplex_formula(name):
+    ec = EQUIVARIANT_PRESETS[name]().ec
+    sd = subdivide_equivariant(ec)
+    assert sd.action == subdivision_rows_by_simplex(ec)
+    assert subdivide_equivariant(sd).action == subdivision_rows_by_simplex(sd)
+
+
+@pytest.mark.parametrize("pair", PRODUCT_PAIRS, ids="x".join)
+def test_product_rows_match_pair_formula(pair):
+    a, b = (EQUIVARIANT_PRESETS[name]().ec for name in pair)
+    assert equivariant_product(a, b)[0].action == product_rows_by_pair(a, b)
 
 
 def test_power_with_wreath_action_point():

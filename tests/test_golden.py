@@ -1,7 +1,7 @@
-"""Replays the recorded corpus ``golden/exp_main.json`` in process: every
-``verify exp`` and ``verify main`` argv in it must give the recorded exit
-code, the sha256 of the recorded stdout and the exact recorded stderr (see
-the corpus' ``about`` for what it holds and where it was recorded)."""
+"""Replays every recorded corpus ``golden/*.json`` in process: every argv
+in it must give the recorded exit code, the sha256 of the recorded stdout
+and the exact recorded stderr (see each corpus' ``about`` for what it
+holds and where it was recorded)."""
 import hashlib
 import json
 from pathlib import Path
@@ -10,13 +10,17 @@ import pytest
 
 from orbichar.cli import main
 
-CORPUS = json.loads((Path(__file__).parent / "golden" / "exp_main.json").read_text())
+ENTRIES = [
+    (path.stem, entry)
+    for path in sorted((Path(__file__).parent / "golden").glob("*.json"))
+    for entry in json.loads(path.read_text())["entries"]
+]
 
 
 @pytest.mark.parametrize(
-    "entry", CORPUS["entries"], ids=lambda entry: " ".join(entry["argv"])
+    "corpus, entry", ENTRIES, ids=[f"{c}: {' '.join(e['argv'])}" for c, e in ENTRIES]
 )
-def test_exp_main_corpus_replays(capsys, entry):
+def test_golden_corpus_replays(capsys, corpus, entry):
     code = main(list(entry["argv"]))
     captured = capsys.readouterr()
     digest = hashlib.sha256(captured.out.encode()).hexdigest()

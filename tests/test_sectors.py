@@ -61,6 +61,17 @@ Z = free_abelian(1)
 Z2 = free_abelian(2)
 
 
+@pytest.mark.parametrize("gamma", [Z, Z2], ids=["Z", "Z^2"])
+def test_identity_sector_is_the_parent_record(gamma):
+    for name, rec in suite():
+        identity = (rec.group.identity,) * gamma.generators
+        (sector,) = [
+            s for s in gamma_sectors(rec, gamma).sectors
+            if s.hom_class.representative.images == identity
+        ]
+        assert sector.fixed is rec, name
+
+
 def test_trivial_gamma_gives_base_orbifold():
     rec = point_s3()
     assert chi_gamma_es(rec, trivial_presentation()) == Fraction(1, 6)

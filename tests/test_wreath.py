@@ -25,6 +25,7 @@ from orbichar.wreath import (
     all_types,
     centralizer_extension,
     centralizer_order_by_formula,
+    class_centralizers,
     classify_conjugacy_by_type,
     cycle_decomposition,
     type_counts,
@@ -452,6 +453,22 @@ def test_class_data_is_stored_once():
             assert all(class_index(g)[x] == i for x in cls.members)
         fresh = FiniteGroup(g.table, _skip_validation=True)
         assert conjugacy_classes(fresh) == classes
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "S4", "D12"])
+def test_dropped_class_centralizers_leave_no_reference_cycle(name):
+    gc.collect()
+    gc.disable()
+    try:
+        group = builtin_group(name)
+        cents = class_centralizers(group)
+        assert cents[0] is group and class_centralizers(group) == cents
+        # the subgroups' tables, inverses and labels still read the parent's
+        assert all(c.table and c.inverse and c.label(0) for c in cents)
+        del group, cents
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_dropped_type_trie_leaves_no_reference_cycle():
