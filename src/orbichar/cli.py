@@ -63,11 +63,17 @@ def _class_rows(base, n: int, wreath_order: int, indent: str):
     """The ``rows`` list of a ``wreath classes`` report, as a fragment for
     ``indent``: one row per type of weight n, in sorted order.
 
-    One walk of the type trie writes them.  Each entry ((c, r), m) has its
-    centralizer factor and its text computed once; a node's centralizer
-    order is its parent's times its entry's factor, and its type text is
-    its parent's entries plus its own, so a weight-n node is written as it
-    is reached.
+    One recursive walk of the type trie (``wreath.type_trie``'s order)
+    writes them.  Each entry ((c, r), m) has its centralizer factor and its
+    text computed once; a call carries its node's centralizer order, the
+    texts of its entries and the room left to weight n, and a node that
+    leaves no room is written as it is reached, under a header formatted
+    once per distinct centralizer order.  A node keyed (last class, r)
+    that leaves a gap 0 < gap <= r is skipped with its subtree: only keys
+    (last class, r' > r) could follow it, and none fits.  Every other node
+    with a gap has a weight-n descendant (the entry ((c + 1, 1), gap) or
+    ((last class, gap), 1) fills it), so the walk visits exactly the trie
+    nodes that have one.
     """
     if n == 0:  # the empty type alone
         return [{"centralizer_order": 1, "class_size": 1, "type": []}]
@@ -91,26 +97,39 @@ def _class_rows(base, n: int, wreath_order: int, indent: str):
         entries.append(by_r)
 
     pieces = []
-    sep = "["
-    start = row + "{" + field + '"centralizer_order": '
+    headers = {}  # centralizer order -> its row's text before the type entries
+    start = "," + row + "{" + field + '"centralizer_order": '
     size = "," + field + '"class_size": '
     types = "," + field + '"type": ['
     close = field + "]" + row + "}"
-    # orders[d + 1] and path[d]: the running centralizer order and the entry
-    # text of the open node at depth d; orders[0] = 1 is the root's
-    orders = [1]
-    path = []
-    for depth, (c, r), m, weight in wreath.type_trie(len(entries), n):
-        factor, first, later = entries[c][r][m]
-        del orders[depth + 1 :], path[depth:]
-        order = orders[depth] * factor
-        orders.append(order)
-        path.append(later if depth else first)
-        if weight == n:
-            pieces.append(f"{sep}{start}{order}{size}{wreath_order // order}{types}")
-            pieces += path
-            pieces.append(close)
-            sep = ","
+    last = len(entries) - 1
+
+    def walk(c0: int, r0: int, order: int, path: tuple, room: int) -> None:
+        for c in range(c0, last + 1):
+            by_r = entries[c]
+            for r in range(r0 if c == c0 else 1, room + 1):
+                by_m = by_r[r]
+                for m in range(1, room // r + 1):
+                    gap = room - r * m
+                    if c == last and 0 < gap <= r:
+                        continue
+                    factor, first, later = by_m[m]
+                    node = order * factor
+                    if gap:
+                        walk(c, r + 1, node, path + (later if path else first,), gap)
+                        continue
+                    header = headers.get(node)
+                    if header is None:
+                        header = f"{start}{node}{size}{wreath_order // node}{types}"
+                        headers[node] = header
+                    pieces.append(header)
+                    pieces.extend(path)
+                    pieces.append(later if path else first)
+                    pieces.append(close)
+
+    walk(0, 1, 1, (), n)
+    del walk  # walk refers to itself through its cell; unbinding frees it
+    pieces[0] = "[" + pieces[0][1:]  # the first row's header, without its comma
     pieces.append(indent + "]")
     return Fragment(pieces, indent)
 

@@ -417,10 +417,16 @@ def class_centralizers(base: FiniteGroup) -> tuple:
     """C_G(c) (``centralizer_extension``) for the representative c of each
     class of G, in class order, built once per group and stored on it next
     to its classes: the point recursion reads each F^m_C_G(c) from them.
-    A central c's C_G(c) is G itself, stored as None, so that G holds no
+    Classes whose centralizers have one carrier share the first subgroup
+    built on it, so its table is built and hashed once (the rotation
+    classes of a dihedral group all have the rotation subgroup).  A
+    central c's C_G(c) is G itself, stored as None, so that G holds no
     reference to itself (a subgroup holds none to G either)."""
     if base._centralizers is None:
-        cents = (centralizer_extension(base, cls.representative)
-                 for cls in conjugacy_classes(base))
-        base._centralizers = tuple([None if cent is base else cent for cent in cents])
+        shared = {}  # carrier -> the first subgroup on it
+        cents = []
+        for cls in conjugacy_classes(base):
+            cent = centralizer_extension(base, cls.representative)
+            cents.append(None if cent is base else shared.setdefault(cent.carrier, cent))
+        base._centralizers = tuple(cents)
     return tuple([base if cent is None else cent for cent in base._centralizers])

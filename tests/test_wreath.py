@@ -471,6 +471,22 @@ def test_dropped_class_centralizers_leave_no_reference_cycle(name):
         gc.enable()
 
 
+@pytest.mark.parametrize("name", ["S3", "D4", "S4", "D12", "D13"])
+def test_classes_with_one_centralizer_carrier_share_one_subgroup(name):
+    group = builtin_group(name)
+    classes = conjugacy_classes(group)
+    cents = class_centralizers(group)
+    by_carrier = {}
+    for cls, cent in zip(classes, cents):
+        fresh = centralizer_extension(group, cls.representative)
+        assert cent == fresh
+        carrier = tuple(centralizer(group, [cls.representative]))
+        assert by_carrier.setdefault(carrier, cent) is cent
+    if name.startswith("D"):
+        # the noncentral rotations' classes all have the rotation subgroup
+        assert len(by_carrier) < len(classes)
+
+
 def test_dropped_type_trie_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()

@@ -1,9 +1,10 @@
 """Interleaved benchmark pairs: a parent revision against the working tree.
 
-    python3 tools/bench_pairs.py --parent REV --pairs N
+    python3 tools/bench_pairs.py --parent REV --pairs N [--workload NAME ...]
 
 Exports REV with ``git archive`` into a temporary directory.  For every
-workload in ``BENCHMARK.json`` and each seed i = 1..N it runs the
+workload in ``BENCHMARK.json`` (or each one named by ``--workload``,
+which may be repeated) and each seed i = 1..N it runs the
 benchmark command (``perfbench/run.py --workload W --trace 0 --seed i``)
 once in the export and once in the working tree, alternating which side
 runs first.  Both sides compile ``src/`` from source on every import, as
@@ -14,8 +15,9 @@ For each workload and end-to-end metric it prints the parent's median
 and quartiles, the change's median, the ratio change / parent, how many
 pairs the change won, and PASS or FAIL against the metric's bound: FAIL
 when the change's median is worse than the parent's by more than the
-bound, or when any run was not correct.  The export is deleted on exit.
-Exits 1 if any metric fails.
+bound, or when any run was not correct.  A passing metric whose median
+beats the parent's by more than the bound is marked PASS GAIN.  The
+export is deleted on exit.  Exits 1 if any metric fails.
 """
 
 import argparse
@@ -72,24 +74,31 @@ def compare(metric: dict, parent: list, change: list) -> bool:
     ratio = cm / pm if pm else float("inf")
     bound = metric["bound"]
     ok = ratio >= 1 - bound if higher else ratio <= 1 + bound
+    gain = ratio > 1 + bound if higher else ratio < 1 - bound
     wins = sum((b > a) if higher else (b < a) for a, b in zip(p, c))
     q1, q3 = quartiles(p)
     print(
         f"  {name:16s} parent {pm:10.4g} [{q1:.4g}, {q3:.4g}]  change {cm:10.4g}"
         f"  ratio {ratio:6.3f}  wins {wins}/{len(p)}  bound {bound}"
-        f"  {'PASS' if ok else 'FAIL'}"
+        f"  {'PASS' if ok else 'FAIL'}{' GAIN' if gain else ''}"
     )
     return ok
 
 
 def main(argv=None) -> int:
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in declared["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=3, help="seed pairs per workload")
+    parser.add_argument(
+        "--workload", action="append", choices=names,
+        help="run only this workload (repeatable; default: every one)",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w for w in names if w in (args.workload or names)]
     all_pass = True
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_tree = export(args.parent, Path(tmp))
@@ -98,7 +107,7 @@ def main(argv=None) -> int:
             PYTHONDONTWRITEBYTECODE="1",
             PYTHONPYCACHEPREFIX=str(Path(tmp) / "no-bytecode"),
         )
-        for workload in [w["name"] for w in declared["workloads"]]:
+        for workload in workloads:
             print(f"{workload}: {args.pairs} pairs against {args.parent}", flush=True)
             runs = {"parent": [], "change": []}
             for seed in range(1, args.pairs + 1):
