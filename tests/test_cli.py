@@ -1162,7 +1162,10 @@ def test_point_tower_on_d1000_fits_in_one_gigabyte():
     # chi_(2) counts the classes of each centralizer: 503 for each of the two
     # central classes, 1,000 for each rotation class, 4 for each reflection class
     assert report["equal"] and report["chi"] == str(2 * 503 + 499 * 1000 + 2 * 4)
-    assert elapsed < 3
+    # the address-space limit is the gate; the wall-clock bound, which also
+    # counts interpreter start-up and compiling src/, only catches a return
+    # to the per-class tables (about 20 s)
+    assert elapsed < 10
 
 
 def test_capped_series_check_with_a_mismatch_exits_1(capsys, monkeypatch):

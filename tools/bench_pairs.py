@@ -1,10 +1,9 @@
 """Interleaved benchmark pairs: a parent revision against the working tree.
 
-    python3 tools/bench_pairs.py --parent REV --pairs N [--workload NAME ...]
+    python3 tools/bench_pairs.py --parent REV --pairs N
 
 Exports REV with ``git archive`` into a temporary directory.  For every
-workload in ``BENCHMARK.json`` (or each one named by ``--workload``,
-which may be repeated) and each seed i = 1..N it runs the
+workload in ``BENCHMARK.json`` and each seed i = 1..N it runs the
 benchmark command (``perfbench/run.py --workload W --trace 0 --seed i``)
 once in the export and once in the working tree, alternating which side
 runs first.  Both sides compile ``src/`` from source on every import, as
@@ -86,19 +85,13 @@ def compare(metric: dict, parent: list, change: list) -> bool:
 
 
 def main(argv=None) -> int:
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in declared["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=3, help="seed pairs per workload")
-    parser.add_argument(
-        "--workload", action="append", choices=names,
-        help="run only this workload (repeatable; default: every one)",
-    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    workloads = [w for w in names if w in (args.workload or names)]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     all_pass = True
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_tree = export(args.parent, Path(tmp))
@@ -107,7 +100,7 @@ def main(argv=None) -> int:
             PYTHONDONTWRITEBYTECODE="1",
             PYTHONPYCACHEPREFIX=str(Path(tmp) / "no-bytecode"),
         )
-        for workload in workloads:
+        for workload in [w["name"] for w in declared["workloads"]]:
             print(f"{workload}: {args.pairs} pairs against {args.parent}", flush=True)
             runs = {"parent": [], "change": []}
             for seed in range(1, args.pairs + 1):
